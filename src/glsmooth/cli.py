@@ -24,6 +24,7 @@ from pathlib import Path
 
 from .dataset import build_dataset_file, validate_dataset
 from .errors import ConfigError, DataError, NumericError
+from .fileio import table_lines
 from .reports import default_lexicon, load_lexicon
 from .smoothing import SmoothingParams, score_rate_table
 from .taxonomy import default_taxonomy, load_taxonomy
@@ -70,17 +71,11 @@ _SETTINGS = {
 
 
 def _read_config_file(path: str) -> dict[str, str]:
-    source = Path(path)
-    if not source.exists():
-        raise DataError(f"config file not found: {path}")
     values: dict[str, str] = {}
-    for lineno, line in enumerate(source.read_text(encoding="utf-8").splitlines(), 1):
-        stripped = line.strip()
-        if not stripped or stripped.startswith("#"):
-            continue
-        if "=" not in stripped:
-            raise ConfigError(f"config line {lineno}: expected key=value, got {stripped!r}")
-        key, _, value = stripped.partition("=")
+    for lineno, line in table_lines(_require_file(path, "config"), "config"):
+        if "=" not in line:
+            raise ConfigError(f"config line {lineno}: expected key=value, got {line!r}")
+        key, _, value = line.partition("=")
         key, value = key.strip(), value.strip()
         if key not in _SETTINGS:
             raise ConfigError(f"config line {lineno}: unknown key {key!r}")

@@ -16,9 +16,10 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Iterable
+from typing import Iterable, Iterator
 
 from .errors import DataError
+from .fileio import jsonl_records
 from .reports import Lexicon, extract_findings
 from .smoothing import (
     SCORE_LEVELS,
@@ -74,25 +75,31 @@ class DatasetStats:
         return json.dumps(payload, indent=2) + "\n"
 
 
-def _coerce_record(item, position: int) -> ReportRecord:
+_REPORT_FIELDS = ("patient_id", "study_id", "text")
+
+
+def _coerce_record(item, where: str) -> ReportRecord:
+    """Check one report; ``where`` leads any error.  A DataError item is raised."""
+    if isinstance(item, DataError):
+        raise item
     if isinstance(item, ReportRecord):
         record = item
     elif isinstance(item, dict):
-        missing = [k for k in ("patient_id", "study_id", "text") if k not in item]
+        missing = [k for k in _REPORT_FIELDS if k not in item]
         if missing:
-            raise DataError(f"record {position}: missing field(s) {', '.join(missing)}")
+            raise DataError(f"{where}: missing field(s) {', '.join(missing)}")
         record = ReportRecord(
             patient_id=item["patient_id"], study_id=item["study_id"], text=item["text"]
         )
     else:
-        raise DataError(f"record {position}: expected mapping, got {type(item).__name__}")
-    for name in ("patient_id", "study_id", "text"):
+        raise DataError(f"{where}: expected mapping, got {type(item).__name__}")
+    for name in _REPORT_FIELDS:
         if not isinstance(getattr(record, name), str):
-            raise DataError(f"record {position}: field {name!r} must be a string")
+            raise DataError(f"{where}: field {name!r} must be a string")
     if not record.patient_id:
-        raise DataError(f"record {position}: empty patient_id")
+        raise DataError(f"{where}: empty patient_id")
     if not record.study_id:
-        raise DataError(f"record {position}: empty study_id")
+        raise DataError(f"{where}: empty study_id")
     return record
 
 
@@ -107,7 +114,8 @@ def build_dataset(
     Duplicate findings for the same (study, category) merge by the largest
     |u|, ties toward the positive score; the cue of the first winning mention
     is kept.  A duplicated study_id is a hard error; a malformed record is
-    collected into the stats and processing continues.
+    collected into the stats and processing continues.  Items are dicts,
+    ReportRecords, or the DataErrors ``read_report_file`` yields.
     """
     stats = DatasetStats()
     vocabulary = taxonomy.vocabulary()
@@ -117,7 +125,7 @@ def build_dataset(
 
     for position, item in enumerate(records, start=1):
         try:
-            record = _coerce_record(item, position)
+            record = _coerce_record(item, f"record {position}")
         except DataError as exc:
             stats.malformed_records.append(str(exc))
             continue
@@ -190,26 +198,17 @@ def write_dataset(labeled: list[LabeledRecord], stats: DatasetStats, out_path) -
         fh.write(stats.to_json())
 
 
-def read_report_file(path) -> list:
-    """Read a line-delimited report file into dicts; parse errors become
-    malformed entries handled downstream by build_dataset."""
-    items = []
-    with open(path, encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            if not line.strip():
-                continue
-            try:
-                items.append(json.loads(line))
-            except json.JSONDecodeError as exc:
-                items.append(_Unparseable(f"line {lineno}: invalid record ({exc.msg})"))
-    return items
+def read_report_file(path) -> Iterator[ReportRecord | DataError]:
+    """Stream a line-delimited report file, one line at a time.
 
-
-class _Unparseable:
-    """Placeholder for an input line that failed to parse."""
-
-    def __init__(self, message: str):
-        self.message = message
+    Yields a ReportRecord for each well-formed line and a DataError citing
+    "line N" for each malformed one, which build_dataset counts and skips.
+    """
+    for lineno, item in jsonl_records(path):
+        try:
+            yield _coerce_record(item, f"line {lineno}")
+        except DataError as exc:
+            yield exc
 
 
 def build_dataset_file(
@@ -220,16 +219,7 @@ def build_dataset_file(
     params: SmoothingParams = DEFAULT_PARAMS,
 ) -> DatasetStats:
     """File-to-file convenience wrapper used by the command line."""
-    items = read_report_file(input_path)
-    records = []
-    pre_errors = []
-    for item in items:
-        if isinstance(item, _Unparseable):
-            pre_errors.append(item.message)
-        else:
-            records.append(item)
-    labeled, stats = build_dataset(records, lexicon, taxonomy, params)
-    stats.malformed_records.extend(pre_errors)
+    labeled, stats = build_dataset(read_report_file(input_path), lexicon, taxonomy, params)
     write_dataset(labeled, stats, out_path)
     return stats
 
@@ -248,55 +238,46 @@ def validate_dataset(path, params: SmoothingParams = DEFAULT_PARAMS) -> DatasetS
     by_value = {c.value: c for c in DiseaseCategory}
     stats = DatasetStats()
     problems: list[str] = []
-    with open(path, encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            if not line.strip():
-                continue
-            try:
-                rec = json.loads(line)
-            except json.JSONDecodeError as exc:
-                problems.append(f"line {lineno}: invalid record ({exc.msg})")
-                continue
-            missing = [k for k in _REQUIRED_FIELDS if k not in rec]
-            if missing:
-                problems.append(f"line {lineno}: missing field(s) {', '.join(missing)}")
-                continue
-            category = by_value.get(rec["category"])
-            if category is None:
-                problems.append(f"line {lineno}: unknown category {rec['category']!r}")
-                continue
-            if rec["y"] not in (0, 1):
-                problems.append(f"line {lineno}: y must be 0 or 1, got {rec['y']!r}")
-                continue
-            if rec["u"] not in SCORE_LEVELS:
-                problems.append(f"line {lineno}: u {rec['u']!r} outside {{-3..3}}")
-                continue
-            expected_r = smoothing_rate(rec["u"], params)
-            if f"{rec['r']:.6f}" != f"{expected_r:.6f}":
-                problems.append(
-                    f"line {lineno}: r {rec['r']:.6f} does not match "
-                    f"-k|u|+r0 = {expected_r:.6f} for u={rec['u']}"
-                )
-                continue
-            target = gls_target(effective_label(rec["y"], rec["u"]), expected_r)
-            if (
-                f"{rec['target_neg']:.6f}" != f"{target[0]:.6f}"
-                or f"{rec['target_pos']:.6f}" != f"{target[1]:.6f}"
-            ):
-                problems.append(
-                    f"line {lineno}: target [{rec['target_neg']:.6f}, "
-                    f"{rec['target_pos']:.6f}] does not match "
-                    f"[{target[0]:.6f}, {target[1]:.6f}]"
-                )
-                continue
-            if rec["cue"] is not None and not isinstance(rec["cue"], str):
-                problems.append(f"line {lineno}: cue must be a string or null")
-                continue
-            stats.record_count += 1
-            stats.per_category_counts[rec["category"]] = (
-                stats.per_category_counts.get(rec["category"], 0) + 1
+    for lineno, rec in jsonl_records(path, _REQUIRED_FIELDS):
+        if isinstance(rec, DataError):
+            problems.append(str(rec))
+            continue
+        category = by_value.get(rec["category"])
+        if category is None:
+            problems.append(f"line {lineno}: unknown category {rec['category']!r}")
+            continue
+        if rec["y"] not in (0, 1):
+            problems.append(f"line {lineno}: y must be 0 or 1, got {rec['y']!r}")
+            continue
+        if rec["u"] not in SCORE_LEVELS:
+            problems.append(f"line {lineno}: u {rec['u']!r} outside {{-3..3}}")
+            continue
+        expected_r = smoothing_rate(rec["u"], params)
+        if f"{rec['r']:.6f}" != f"{expected_r:.6f}":
+            problems.append(
+                f"line {lineno}: r {rec['r']:.6f} does not match "
+                f"-k|u|+r0 = {expected_r:.6f} for u={rec['u']}"
             )
-            stats.per_score_counts[rec["u"]] = stats.per_score_counts.get(rec["u"], 0) + 1
+            continue
+        target = gls_target(effective_label(rec["y"], rec["u"]), expected_r)
+        if (
+            f"{rec['target_neg']:.6f}" != f"{target[0]:.6f}"
+            or f"{rec['target_pos']:.6f}" != f"{target[1]:.6f}"
+        ):
+            problems.append(
+                f"line {lineno}: target [{rec['target_neg']:.6f}, "
+                f"{rec['target_pos']:.6f}] does not match "
+                f"[{target[0]:.6f}, {target[1]:.6f}]"
+            )
+            continue
+        if rec["cue"] is not None and not isinstance(rec["cue"], str):
+            problems.append(f"line {lineno}: cue must be a string or null")
+            continue
+        stats.record_count += 1
+        stats.per_category_counts[rec["category"]] = (
+            stats.per_category_counts.get(rec["category"], 0) + 1
+        )
+        stats.per_score_counts[rec["u"]] = stats.per_score_counts.get(rec["u"], 0) + 1
     if problems:
         raise DataError("; ".join(problems))
     return stats

@@ -1,0 +1,76 @@
+"""Line readers for the two input formats: tables and JSON Lines.
+
+Lines are numbered from 1 as written, blank and comment lines included, so a
+message cites the line a user sees in an editor.  Bytes that are not UTF-8
+raise a DataError naming the input: no line of it can be trusted.
+"""
+
+from __future__ import annotations
+
+import io
+import json
+from pathlib import Path
+from typing import Iterator
+
+from .errors import DataError
+
+
+def _not_utf8(name, exc: UnicodeDecodeError) -> DataError:
+    return DataError(f"{name}: not valid UTF-8 ({exc.reason})")
+
+
+def _read_text(source, what: str) -> str:
+    if isinstance(source, str) and ("\t" in source or "\n" in source):
+        return source
+    if isinstance(source, (str, Path)):
+        return Path(source).read_text(encoding="utf-8")
+    if isinstance(source, bytes) or hasattr(source, "read"):
+        data = source if isinstance(source, bytes) else source.read()
+        return data.decode("utf-8") if isinstance(data, bytes) else data
+    raise TypeError(f"cannot read {what} from {type(source).__name__}")
+
+
+def table_lines(source, what: str) -> Iterator[tuple[int, str]]:
+    """(line number, stripped line) for each line that is not blank or a '#' comment.
+
+    ``source`` is a path (a ``Path``, or a string with no tab or newline), the
+    text itself, bytes, or a readable stream.  ``what`` names the format
+    ("lexicon", "taxonomy", "config") in error messages.
+    """
+    try:
+        text = _read_text(source, what)
+    except UnicodeDecodeError as exc:
+        name = f"{what} {source}" if isinstance(source, (str, Path)) else what
+        raise _not_utf8(name, exc) from None
+    for lineno, line in enumerate(io.StringIO(text), start=1):
+        stripped = line.strip()
+        if stripped and not stripped.startswith("#"):
+            yield lineno, stripped
+
+
+def jsonl_records(path, required=()) -> Iterator[tuple[int, dict | DataError]]:
+    """(line number, object) for each non-blank line of a JSON Lines file.
+
+    A line that does not decode to an object, or lacks a ``required`` field,
+    comes back as a DataError citing its line, so each caller keeps its own
+    policy: collect it or raise it.  The file is read one line at a time.
+    """
+    try:
+        with open(path, encoding="utf-8") as fh:
+            for lineno, line in enumerate(fh, start=1):
+                if not line.strip():
+                    continue
+                try:
+                    record = json.loads(line)
+                except json.JSONDecodeError as exc:
+                    record = DataError(f"line {lineno}: invalid record ({exc.msg})")
+                else:
+                    if not isinstance(record, dict):
+                        record = DataError(f"line {lineno}: expected a JSON object")
+                    elif missing := [key for key in required if key not in record]:
+                        record = DataError(
+                            f"line {lineno}: missing field(s) {', '.join(missing)}"
+                        )
+                yield lineno, record
+    except UnicodeDecodeError as exc:
+        raise _not_utf8(path, exc) from None

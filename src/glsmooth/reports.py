@@ -21,12 +21,12 @@ parallel.
 
 from __future__ import annotations
 
-import io
 import re
 from dataclasses import dataclass
 from pathlib import Path
 
 from .errors import DataError
+from .fileio import table_lines
 from .smoothing import SCORE_LEVELS
 
 CUE_KINDS = ("uncertainty_cue", "negation_cue")
@@ -101,11 +101,8 @@ def load_lexicon(source) -> Lexicon:
     line number.
     """
     entries = []
-    for lineno, line in enumerate(_iter_lines(source), start=1):
-        stripped = line.strip()
-        if not stripped or stripped.startswith("#"):
-            continue
-        cols = stripped.split("\t")
+    for lineno, line in table_lines(source, "lexicon"):
+        cols = line.split("\t")
         if len(cols) != 3:
             raise DataError(
                 f"lexicon line {lineno}: expected 3 tab-separated columns, got {len(cols)}"
@@ -135,29 +132,6 @@ def default_lexicon() -> Lexicon:
 
 def _data_path(name: str) -> Path:
     return Path(__file__).parent / "data" / name
-
-
-def _iter_lines(source):
-    if isinstance(source, Lexicon):
-        raise TypeError("source is already a Lexicon")
-    if isinstance(source, bytes):
-        yield from io.StringIO(source.decode("utf-8"))
-    elif isinstance(source, Path):
-        with open(source, encoding="utf-8") as fh:
-            yield from fh
-    elif isinstance(source, str):
-        if "\t" in source or "\n" in source:
-            yield from io.StringIO(source)
-        else:
-            with open(source, encoding="utf-8") as fh:
-                yield from fh
-    elif hasattr(source, "read"):
-        data = source.read()
-        if isinstance(data, bytes):
-            data = data.decode("utf-8")
-        yield from io.StringIO(data)
-    else:
-        raise TypeError(f"cannot read lexicon from {type(source).__name__}")
 
 
 _SENTENCE_SPLIT = re.compile(r"[.!?]|\n+")

@@ -11,6 +11,7 @@ import enum
 from pathlib import Path
 
 from .errors import DataError
+from .fileio import table_lines
 
 
 class DiseaseCategory(enum.Enum):
@@ -63,11 +64,8 @@ def load_taxonomy(source) -> TaxonomyMap:
     """Parse the taxonomy TSV format: ``raw_phrase<TAB>category`` per line."""
     by_value = {c.value: c for c in DiseaseCategory}
     entries: dict[str, DiseaseCategory] = {}
-    for lineno, line in enumerate(_iter_lines(source), start=1):
-        stripped = line.strip()
-        if not stripped or stripped.startswith("#"):
-            continue
-        cols = stripped.split("\t")
+    for lineno, line in table_lines(source, "taxonomy"):
+        cols = line.split("\t")
         if len(cols) != 2:
             raise DataError(
                 f"taxonomy line {lineno}: expected 2 tab-separated columns, got {len(cols)}"
@@ -91,25 +89,3 @@ def default_taxonomy() -> TaxonomyMap:
     """The consolidation table shipped with the package."""
     return load_taxonomy(Path(__file__).parent / "data" / "taxonomy.tsv")
 
-
-def _iter_lines(source):
-    import io
-
-    if isinstance(source, bytes):
-        yield from io.StringIO(source.decode("utf-8"))
-    elif isinstance(source, Path):
-        with open(source, encoding="utf-8") as fh:
-            yield from fh
-    elif isinstance(source, str):
-        if "\t" in source or "\n" in source:
-            yield from io.StringIO(source)
-        else:
-            with open(source, encoding="utf-8") as fh:
-                yield from fh
-    elif hasattr(source, "read"):
-        data = source.read()
-        if isinstance(data, bytes):
-            data = data.decode("utf-8")
-        yield from io.StringIO(data)
-    else:
-        raise TypeError(f"cannot read taxonomy from {type(source).__name__}")

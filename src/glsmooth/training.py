@@ -25,6 +25,7 @@ from fractions import Fraction
 import numpy as np
 
 from .errors import ConfigError, DataError, NumericError
+from .fileio import jsonl_records
 from .smoothing import SCORE_LEVELS, SmoothingParams, smoothing_rate
 
 ARCHITECTURES = ("linear", "mlp_1hidden")
@@ -441,31 +442,23 @@ def write_examples(path, examples: list[TrainExample]) -> None:
 def read_examples(path) -> list[TrainExample]:
     examples = []
     dim = None
-    with open(path, encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            if not line.strip():
-                continue
-            try:
-                rec = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise DataError(f"line {lineno}: invalid record ({exc.msg})")
-            missing = [k for k in ("features", "y", "u") if k not in rec]
-            if missing:
-                raise DataError(f"line {lineno}: missing field(s) {', '.join(missing)}")
-            features = np.asarray(rec["features"], dtype=np.float64)
-            if features.ndim != 1:
-                raise DataError(f"line {lineno}: features must be a flat vector")
-            if dim is None:
-                dim = features.shape[0]
-            elif features.shape[0] != dim:
-                raise DataError(
-                    f"line {lineno}: feature dimension {features.shape[0]} != {dim}"
-                )
-            if rec["y"] not in (0, 1):
-                raise DataError(f"line {lineno}: y must be 0 or 1")
-            if rec["u"] not in SCORE_LEVELS:
-                raise DataError(f"line {lineno}: u outside {{-3..3}}")
-            examples.append(TrainExample(features=features, y=rec["y"], u=rec["u"]))
+    for lineno, rec in jsonl_records(path, ("features", "y", "u")):
+        if isinstance(rec, DataError):
+            raise rec
+        features = np.asarray(rec["features"], dtype=np.float64)
+        if features.ndim != 1:
+            raise DataError(f"line {lineno}: features must be a flat vector")
+        if dim is None:
+            dim = features.shape[0]
+        elif features.shape[0] != dim:
+            raise DataError(
+                f"line {lineno}: feature dimension {features.shape[0]} != {dim}"
+            )
+        if rec["y"] not in (0, 1):
+            raise DataError(f"line {lineno}: y must be 0 or 1")
+        if rec["u"] not in SCORE_LEVELS:
+            raise DataError(f"line {lineno}: u outside {{-3..3}}")
+        examples.append(TrainExample(features=features, y=rec["y"], u=rec["u"]))
     if not examples:
         raise DataError(f"no examples in {path}")
     return examples

@@ -292,6 +292,81 @@ class TestTrainEval:
         assert "flux_capacitor" in err
 
 
+class TestMalformedInput:
+    """A bad line or bad bytes in any input file is a data error, never a traceback."""
+
+    @pytest.fixture()
+    def files(self, tmp_path, capsys):
+        files = {
+            "reports": tmp_path / "reports.jsonl",
+            "dataset": tmp_path / "ds.jsonl",
+            "examples": tmp_path / "train.jsonl",
+            "model": tmp_path / "model.json",
+            "lexicon": tmp_path / "lexicon.tsv",
+            "taxonomy": tmp_path / "taxonomy.tsv",
+            "config": tmp_path / "run.conf",
+        }
+        write_reports(files["reports"], make_reports(5, seed=1))
+        files["lexicon"].write_text("likely\t2\tuncertainty_cue\n")
+        files["taxonomy"].write_text("pneumonia\tPneumonia\n")
+        files["config"].write_text("seed=1\n")
+        for argv in (
+            ["build", "--input", files["reports"], "--out", files["dataset"]],
+            ["gen-synthetic", "--n", "40", "--d", "3", "--profile", "3:0.0,0:0.4",
+             "--out", files["examples"]],
+            ["train", "--data", files["examples"], "--model-out", files["model"],
+             "--epochs", "1"],
+        ):
+            assert run_cli(capsys, *map(str, argv))[0] == 0
+        return files
+
+    @staticmethod
+    def argv(command, files, out):
+        argv = {
+            "build": ["build", "--input", files["reports"], "--out", out],
+            "validate": ["validate", "--input", files["dataset"]],
+            "train": ["train", "--data", files["examples"], "--model-out", out,
+                      "--epochs", "1"],
+            "eval": ["eval", "--data", files["examples"], "--model", files["model"]],
+            "sweep": ["sweep", "--data", files["examples"], "--k", "5/12",
+                      "--warmup", "0", "--out", out, "--epochs", "1"],
+            "lexicon": ["build", "--input", files["reports"], "--out", out,
+                        "--lexicon", files["lexicon"]],
+            "taxonomy": ["build", "--input", files["reports"], "--out", out,
+                         "--taxonomy", files["taxonomy"]],
+            "config": ["--config", files["config"], "table1"],
+        }[command]
+        return [str(arg) for arg in argv]
+
+    @pytest.mark.parametrize(
+        "command, target",
+        [("validate", "dataset"), ("train", "examples"), ("eval", "examples"),
+         ("sweep", "examples")],
+    )
+    def test_non_object_line(self, tmp_path, capsys, files, command, target):
+        with open(files[target], "a") as fh:
+            fh.write("5\n")
+        code, _, err = run_cli(capsys, *self.argv(command, files, tmp_path / "out"))
+        assert code == 2
+        assert "expected a JSON object" in err
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize(
+        "command, target",
+        [("build", "reports"), ("validate", "dataset"), ("train", "examples"),
+         ("lexicon", "lexicon"), ("taxonomy", "taxonomy"), ("config", "config")],
+    )
+    def test_non_utf8_bytes(self, tmp_path, capsys, files, command, target):
+        with open(files[target], "ab") as fh:
+            fh.write(b"\xff\n")
+        out = tmp_path / "out"
+        code, _, err = run_cli(capsys, *self.argv(command, files, out))
+        assert code == 2
+        assert f"{files[target]}: not valid UTF-8" in err
+        assert "Traceback" not in err
+        assert not out.exists()
+
+
 class TestUsageErrors:
     def test_unknown_subcommand(self, capsys):
         code, _, err = run_cli(capsys, "frobnicate")

@@ -3,6 +3,8 @@
 import json
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from corpus_util import make_reports
 from glsmooth.dataset import (
@@ -192,3 +194,61 @@ class TestWriteAndValidate:
         assert sidecar["record_count"] == stats.record_count
         assert sidecar["malformed_record_count"] == 1
         validate_dataset(out)
+
+    def test_sidecar_cites_input_lines(self, tmp_path, lexicon, taxonomy):
+        first, last = (json.dumps(rec) for rec in make_reports(2, seed=1))
+        src = tmp_path / "reports.jsonl"
+        lines = [first, "{oops", "", '{"patient_id": "p9", "text": "Edema."}', "5", last]
+        src.write_text("\n".join(lines) + "\n")
+        out = tmp_path / "ds.jsonl"
+        build_dataset_file(src, out, lexicon, taxonomy)
+        assert json.loads(stats_path_for(out).read_text())["malformed_records"] == [
+            "line 2: invalid record (Expecting property name enclosed in double quotes)",
+            "line 4: missing field(s) study_id",
+            "line 5: expected a JSON object",
+        ]
+
+
+_CLEAN_LINES = [json.dumps(rec) for rec in make_reports(20, seed=6)]
+
+_NOISE_LINES = st.sampled_from(
+    [
+        "",
+        "   ",
+        "{oops",
+        "not json",
+        "5",
+        "[1, 2]",
+        "null",
+        '{"study_id": "x1", "text": "Edema."}',
+        '{"patient_id": "", "study_id": "x2", "text": "Edema."}',
+    ]
+)
+
+
+@pytest.fixture(scope="module")
+def clean_build(tmp_path_factory, lexicon, taxonomy):
+    work = tmp_path_factory.mktemp("streaming")
+    src = work / "clean.jsonl"
+    src.write_text("\n".join(_CLEAN_LINES) + "\n")
+    build_dataset_file(src, work / "clean.out", lexicon, taxonomy)
+    return work, (work / "clean.out").read_bytes()
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    st.lists(
+        st.tuples(st.integers(0, len(_CLEAN_LINES)), _NOISE_LINES), max_size=8
+    )
+)
+def test_noise_lines_only_add_malformed_entries(clean_build, lexicon, taxonomy, insertions):
+    work, clean_bytes = clean_build
+    lines = list(_CLEAN_LINES)
+    for position, noise in insertions:
+        lines.insert(position, noise)
+    src, out = work / "noisy.jsonl", work / "noisy.out"
+    src.write_text("\n".join(lines) + "\n")
+    build_dataset_file(src, out, lexicon, taxonomy)
+    assert out.read_bytes() == clean_bytes
+    sidecar = json.loads(stats_path_for(out).read_text())
+    assert sidecar["malformed_record_count"] == sum(1 for _, n in insertions if n.strip())
