@@ -234,13 +234,10 @@ def cmd_sweep(args) -> int:
     base_params = SmoothingParams(r0=_fraction(args.r0, "--r0"))
     base = _train_config(args, warmup_override=0, smoothing=base_params)
     cells = sweep(examples, base, k_values, warmups, eval_dataset=eval_examples)
-    lines = ["k\twarmup\tauc"]
-    index = 0
-    for token in k_tokens:
-        for _ in warmups:
-            cell = cells[index]
-            lines.append(f"{token}\t{cell.warmup_epochs}\t{cell.auc:.6f}")
-            index += 1
+    labels = [token for token in k_tokens for _ in warmups]
+    lines = ["k\twarmup\tauc"] + [
+        f"{token}\t{cell.warmup_epochs}\t{cell.auc:.6f}" for token, cell in zip(labels, cells)
+    ]
     output = "\n".join(lines) + "\n"
     with open(args.out, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(output)

@@ -13,6 +13,7 @@ six decimal places, so byte-identical files come out of any processing order.
 
 from __future__ import annotations
 
+import functools
 import json
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -103,6 +104,17 @@ def _coerce_record(item, where: str) -> ReportRecord:
     return record
 
 
+def _rate_and_target(params: SmoothingParams):
+    """(y, u) -> (r, target); lazy, so a rate over 1 fails only where its score occurs."""
+
+    @functools.cache
+    def lookup(y: int, u: int):
+        r = smoothing_rate(u, params)
+        return r, gls_target(effective_label(y, u), r)
+
+    return lookup
+
+
 def build_dataset(
     records: Iterable,
     lexicon: Lexicon,
@@ -146,10 +158,10 @@ def build_dataset(
             ):
                 merged[key] = (finding.u, finding.cue)
 
+    rate_and_target = _rate_and_target(params)
     labeled = []
     for (study_id, category), (u, cue) in merged.items():
-        r = smoothing_rate(u, params)
-        target = gls_target(effective_label(1, u), r)
+        r, target = rate_and_target(1, u)
         labeled.append(
             LabeledRecord(
                 study_id=study_id,
@@ -224,7 +236,16 @@ def build_dataset_file(
     return stats
 
 
-_REQUIRED_FIELDS = ("study_id", "category", "y", "u", "r", "target_neg", "target_pos", "cue")
+_REQUIRED_FIELDS = {
+    "study_id": None,
+    "category": "str",
+    "y": "int",
+    "u": "int",
+    "r": "number",
+    "target_neg": "number",
+    "target_pos": "number",
+    "cue": None,
+}
 
 
 def validate_dataset(path, params: SmoothingParams = DEFAULT_PARAMS) -> DatasetStats:
@@ -236,6 +257,7 @@ def validate_dataset(path, params: SmoothingParams = DEFAULT_PARAMS) -> DatasetS
     line number; returns recomputed stats when clean.
     """
     by_value = {c.value: c for c in DiseaseCategory}
+    rate_and_target = _rate_and_target(params)
     stats = DatasetStats()
     problems: list[str] = []
     for lineno, rec in jsonl_records(path, _REQUIRED_FIELDS):
@@ -252,14 +274,13 @@ def validate_dataset(path, params: SmoothingParams = DEFAULT_PARAMS) -> DatasetS
         if rec["u"] not in SCORE_LEVELS:
             problems.append(f"line {lineno}: u {rec['u']!r} outside {{-3..3}}")
             continue
-        expected_r = smoothing_rate(rec["u"], params)
+        expected_r, target = rate_and_target(rec["y"], rec["u"])
         if f"{rec['r']:.6f}" != f"{expected_r:.6f}":
             problems.append(
                 f"line {lineno}: r {rec['r']:.6f} does not match "
                 f"-k|u|+r0 = {expected_r:.6f} for u={rec['u']}"
             )
             continue
-        target = gls_target(effective_label(rec["y"], rec["u"]), expected_r)
         if (
             f"{rec['target_neg']:.6f}" != f"{target[0]:.6f}"
             or f"{rec['target_pos']:.6f}" != f"{target[1]:.6f}"

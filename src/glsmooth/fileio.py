@@ -1,4 +1,4 @@
-"""Line readers for the two input formats: tables and JSON Lines.
+"""Readers for the input formats: tables, JSON Lines and JSON documents.
 
 Lines are numbered from 1 as written, blank and comment lines included, so a
 message cites the line a user sees in an editor.  Bytes that are not UTF-8
@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import io
 import json
+import sys
 from pathlib import Path
 from typing import Iterator
 
@@ -17,6 +18,30 @@ from .errors import DataError
 
 def _not_utf8(name, exc: UnicodeDecodeError) -> DataError:
     return DataError(f"{name}: not valid UTF-8 ({exc.reason})")
+
+
+_FLOAT_MAX = sys.float_info.max
+
+
+def _is_number(value) -> bool:
+    """A JSON number that converts to a float64; a bool is not a number here."""
+    return type(value) is float or (type(value) is int and abs(value) <= _FLOAT_MAX)
+
+
+def _is_numbers(value) -> bool:
+    """A list of numbers; an all-float list, the usual row, takes one C-level pass."""
+    return type(value) is list and (
+        all(map(float.__instancecheck__, value)) or all(map(_is_number, value))
+    )
+
+
+# What a typed JSON Lines field must hold: kind -> (test, phrase for messages).
+FIELD_KINDS = {
+    "int": (lambda value: type(value) is int, "an integer"),
+    "number": (_is_number, "a number"),
+    "numbers": (_is_numbers, "a list of numbers"),
+    "str": (lambda value: type(value) is str, "a string"),
+}
 
 
 def _read_text(source, what: str) -> str:
@@ -48,13 +73,17 @@ def table_lines(source, what: str) -> Iterator[tuple[int, str]]:
             yield lineno, stripped
 
 
-def jsonl_records(path, required=()) -> Iterator[tuple[int, dict | DataError]]:
+def jsonl_records(path, fields=None) -> Iterator[tuple[int, dict | DataError]]:
     """(line number, object) for each non-blank line of a JSON Lines file.
 
-    A line that does not decode to an object, or lacks a ``required`` field,
-    comes back as a DataError citing its line, so each caller keeps its own
-    policy: collect it or raise it.  The file is read one line at a time.
+    ``fields`` maps each required field to the kind of value it must hold (a
+    key of FIELD_KINDS), or to None for any value.  A line that does not
+    decode to an object, lacks a required field or holds a value of the wrong
+    kind comes back as a DataError citing its line, so each caller keeps its
+    own policy: collect it or raise it.  The file is read one line at a time.
     """
+    fields = fields or {}
+    typed = [(key, *FIELD_KINDS[kind]) for key, kind in fields.items() if kind is not None]
     try:
         with open(path, encoding="utf-8") as fh:
             for lineno, line in enumerate(fh, start=1):
@@ -67,10 +96,30 @@ def jsonl_records(path, required=()) -> Iterator[tuple[int, dict | DataError]]:
                 else:
                     if not isinstance(record, dict):
                         record = DataError(f"line {lineno}: expected a JSON object")
-                    elif missing := [key for key in required if key not in record]:
+                    elif missing := [key for key in fields if key not in record]:
                         record = DataError(
                             f"line {lineno}: missing field(s) {', '.join(missing)}"
                         )
+                    elif wrong := [
+                        f"{key} must be {phrase}"
+                        for key, test, phrase in typed
+                        if not test(record[key])
+                    ]:
+                        record = DataError(f"line {lineno}: {'; '.join(wrong)}")
                 yield lineno, record
     except UnicodeDecodeError as exc:
         raise _not_utf8(path, exc) from None
+
+
+def json_document(path) -> dict:
+    """The object a whole-file JSON document (a model file) holds."""
+    try:
+        with open(path, encoding="utf-8") as fh:
+            document = json.load(fh)
+    except UnicodeDecodeError as exc:
+        raise _not_utf8(path, exc) from None
+    except json.JSONDecodeError as exc:
+        raise DataError(f"{path}: invalid JSON ({exc.msg})") from None
+    if not isinstance(document, dict):
+        raise DataError(f"{path}: expected a JSON object")
+    return document

@@ -20,7 +20,8 @@ combination written against the prediction,
 
 which is algebraically identical to the cross-entropy of p against t.
 
-Everything here is a pure function of its arguments; no shared state.
+Pure functions, no shared state.  The batch functions are the only float
+implementation; the scalar API checks its arguments and returns their row 0.
 """
 
 from __future__ import annotations
@@ -54,6 +55,14 @@ def check_label(y: int) -> int:
     if isinstance(y, bool) or int(y) != y or int(y) not in (0, 1):
         raise ValueError(f"binary label must be 0 or 1, got {y!r}")
     return int(y)
+
+
+def check_rate(r: float) -> float:
+    """Validate a float smoothing rate and return it as float."""
+    r = float(r)
+    if not math.isfinite(r) or r > 1:
+        raise ValueError(f"smoothing rate must be finite and <= 1, got {r}")
+    return r
 
 
 @dataclass(frozen=True)
@@ -94,11 +103,40 @@ def smoothing_rate(u: int, params: SmoothingParams = DEFAULT_PARAMS) -> float:
     return float(smoothing_rate_exact(u, params))
 
 
+def effective_labels(y: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """Vectorized flip: y when u >= 0, 1-y when u < 0."""
+    return np.where(u >= 0, y, 1 - y)
+
+
+def softmax(logits: np.ndarray) -> np.ndarray:
+    z = logits - logits.max(axis=1, keepdims=True)
+    e = np.exp(z)
+    return e / e.sum(axis=1, keepdims=True)
+
+
+def batch_loss(P, y_eff, r) -> np.ndarray:
+    """Per-example uncertainty-weighted loss for a batch of probabilities."""
+    P = np.asarray(P, dtype=np.float64)
+    y_eff = np.asarray(y_eff, dtype=np.int64)
+    r = np.asarray(r, dtype=np.float64)
+    log_p = np.log(P)
+    ce = -log_p[np.arange(len(y_eff)), y_eff]
+    uniform = -0.5 * log_p.sum(axis=1)
+    return (1.0 - r) * ce + r * uniform
+
+
+def batch_targets(y_eff, r) -> np.ndarray:
+    """Row-wise smoothed targets, shape (n, 2)."""
+    y_eff = np.asarray(y_eff, dtype=np.int64)
+    r = np.asarray(r, dtype=np.float64)
+    T = np.repeat((r / 2.0)[:, None], 2, axis=1)
+    T[np.arange(len(y_eff)), y_eff] += 1.0 - r
+    return T
+
+
 def effective_label(y: int, u: int) -> int:
     """Label actually smoothed: y when the score is non-negative, else 1-y."""
-    y = check_label(y)
-    u = check_score(u)
-    return y if u >= 0 else 1 - y
+    return int(effective_labels(check_label(y), check_score(u)))
 
 
 def gls_target(y_eff: int, r: float) -> np.ndarray:
@@ -106,13 +144,7 @@ def gls_target(y_eff: int, r: float) -> np.ndarray:
 
     Components always sum to 1; they leave [0, 1] exactly when r < 0.
     """
-    y_eff = check_label(y_eff)
-    r = float(r)
-    if not math.isfinite(r) or r > 1:
-        raise ValueError(f"smoothing rate must be finite and <= 1, got {r}")
-    target = np.full(2, r / 2.0)
-    target[y_eff] += 1.0 - r
-    return target
+    return batch_targets([check_label(y_eff)], [check_rate(r)])[0]
 
 
 def gls_target_exact(y_eff: int, r: Fraction) -> tuple[Fraction, Fraction]:
@@ -147,14 +179,7 @@ def gls_loss(p, y_eff: int, r: float) -> float:
     need clamping (the trainer) do it on their side.
     """
     p = check_probability_pair(p)
-    y_eff = check_label(y_eff)
-    r = float(r)
-    if not math.isfinite(r) or r > 1:
-        raise ValueError(f"smoothing rate must be finite and <= 1, got {r}")
-    log_p = np.log(p)
-    l_ce = -float(log_p[y_eff])
-    l_uniform = -0.5 * float(log_p[0] + log_p[1])
-    return (1.0 - r) * l_ce + r * l_uniform
+    return float(batch_loss(p[None, :], [check_label(y_eff)], [check_rate(r)])[0])
 
 
 def softmax_pair(logits) -> np.ndarray:
@@ -164,9 +189,7 @@ def softmax_pair(logits) -> np.ndarray:
         raise ValueError(f"logits must have shape (2,), got {z.shape}")
     if not np.all(np.isfinite(z)):
         raise ValueError(f"logits must be finite, got {z.tolist()}")
-    z = z - z.max()
-    e = np.exp(z)
-    return e / e.sum()
+    return softmax(z[None, :])[0]
 
 
 def gls_loss_gradient(logits, y_eff: int, r: float) -> np.ndarray:

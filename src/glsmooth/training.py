@@ -25,8 +25,9 @@ from fractions import Fraction
 import numpy as np
 
 from .errors import ConfigError, DataError, NumericError
-from .fileio import jsonl_records
+from .fileio import json_document, jsonl_records
 from .smoothing import SCORE_LEVELS, SmoothingParams, smoothing_rate
+from .smoothing import batch_loss, batch_targets, effective_labels, softmax
 
 ARCHITECTURES = ("linear", "mlp_1hidden")
 LOSS_MODES = ("gls", "ce")
@@ -72,6 +73,8 @@ class TrainConfig:
                 raise ConfigError(f"{name} must be in [0, 1), got {b}")
         if self.weight_decay < 0:
             raise ConfigError(f"weight_decay must be >= 0, got {self.weight_decay}")
+        if self.lr_warmup_epochs < 0:
+            raise ConfigError(f"lr_warmup_epochs must be >= 0, got {self.lr_warmup_epochs}")
         if self.batch_size < 1:
             raise ConfigError(f"batch_size must be >= 1, got {self.batch_size}")
         if self.architecture not in ARCHITECTURES:
@@ -132,12 +135,6 @@ def _forward(model: Model, X: np.ndarray):
     return hidden @ model.weights["W2"] + model.weights["b2"], hidden
 
 
-def _softmax(logits: np.ndarray) -> np.ndarray:
-    z = logits - logits.max(axis=1, keepdims=True)
-    e = np.exp(z)
-    return e / e.sum(axis=1, keepdims=True)
-
-
 def predict_proba(model: Model, X) -> np.ndarray:
     """Class probabilities for a batch of feature rows, shape (n, 2)."""
     X = np.asarray(X, dtype=np.float64)
@@ -146,17 +143,12 @@ def predict_proba(model: Model, X) -> np.ndarray:
             f"feature matrix must have shape (n, {model.feature_dim}), got {X.shape}"
         )
     logits, _ = _forward(model, X)
-    return _softmax(logits)
+    return softmax(logits)
 
 
 def predict(model: Model, features) -> np.ndarray:
     """Probability pair for a single feature vector."""
-    x = np.asarray(features, dtype=np.float64)
-    if x.ndim != 1 or x.shape[0] != model.feature_dim:
-        raise ValueError(
-            f"feature vector must have shape ({model.feature_dim},), got {x.shape}"
-        )
-    return predict_proba(model, x[None, :])[0]
+    return predict_proba(model, [features])[0]
 
 
 def _as_arrays(dataset: list[TrainExample]):
@@ -176,31 +168,6 @@ def _as_arrays(dataset: list[TrainExample]):
     return X, y, u
 
 
-def effective_labels(y: np.ndarray, u: np.ndarray) -> np.ndarray:
-    """Vectorized flip: y when u >= 0, 1-y when u < 0."""
-    return np.where(u >= 0, y, 1 - y)
-
-
-def batch_loss(P, y_eff, r) -> np.ndarray:
-    """Per-example uncertainty-weighted loss for a batch of probabilities."""
-    P = np.clip(np.asarray(P, dtype=np.float64), PROB_FLOOR, 1.0 - PROB_FLOOR)
-    y_eff = np.asarray(y_eff, dtype=np.int64)
-    r = np.asarray(r, dtype=np.float64)
-    log_p = np.log(P)
-    ce = -log_p[np.arange(len(y_eff)), y_eff]
-    uniform = -0.5 * log_p.sum(axis=1)
-    return (1.0 - r) * ce + r * uniform
-
-
-def batch_targets(y_eff, r) -> np.ndarray:
-    """Row-wise smoothed targets, shape (n, 2)."""
-    y_eff = np.asarray(y_eff, dtype=np.int64)
-    r = np.asarray(r, dtype=np.float64)
-    T = np.repeat((r / 2.0)[:, None], 2, axis=1)
-    T[np.arange(len(y_eff)), y_eff] += 1.0 - r
-    return T
-
-
 def _lr_at(epoch: int, config: TrainConfig) -> float:
     """Linear ramp for lr_warmup_epochs, then cosine decay toward zero."""
     ramp = min(config.lr_warmup_epochs, config.epochs)
@@ -218,6 +185,9 @@ def train(dataset: list[TrainExample], config: TrainConfig) -> tuple[Model, list
     sample re-enters the loss.  Per-example smoothing rates come from the
     configured score-to-rate conversion ("gls" mode) or are forced to zero on
     the observed labels ("ce" mode).  Fully determined by config.seed.
+    Raises NumericError on a non-finite loss, and once per epoch, before the
+    AUC pass, on non-finite weights or scores, so a diverged model is never
+    returned.
     """
     X, y, u = _as_arrays(dataset)
     n = len(X)
@@ -255,8 +225,8 @@ def train(dataset: list[TrainExample], config: TrainConfig) -> tuple[Model, list
             batch = order[start : start + config.batch_size]
             Xb, yb, rb = X[batch], y_train[batch], r[batch]
             logits, hidden = _forward(model, Xb)
-            P = _softmax(logits)
-            losses = batch_loss(P, yb, rb)
+            P = softmax(logits)
+            losses = batch_loss(np.clip(P, PROB_FLOOR, 1 - PROB_FLOOR), yb, rb)
             if not np.all(np.isfinite(losses)):
                 raise NumericError(
                     f"non-finite loss at epoch {epoch}, batch starting {start}"
@@ -285,7 +255,11 @@ def train(dataset: list[TrainExample], config: TrainConfig) -> tuple[Model, list
                     m_hat / (np.sqrt(v_hat) + eps) + config.weight_decay * model.weights[key]
                 )
 
+        if not all(np.all(np.isfinite(w)) for w in model.weights.values()):
+            raise NumericError(f"training diverged: non-finite weights after epoch {epoch}")
         scores = predict_proba(model, X)[:, 1]
+        if not np.all(np.isfinite(scores)):
+            raise NumericError(f"training diverged: non-finite scores after epoch {epoch}")
         try:
             epoch_auc = auc(scores, y_metric)
         except NumericError:
@@ -328,6 +302,8 @@ def auc(scores, labels) -> float:
 def evaluate(model: Model, dataset: list[TrainExample]) -> float:
     """Held-out AUC of the class-1 probability against effective labels."""
     X, y, u = _as_arrays(dataset)
+    if X.shape[1] != model.feature_dim:
+        raise DataError(f"data has {X.shape[1]} features, model expects {model.feature_dim}")
     return auc(predict_proba(model, X)[:, 1], effective_labels(y, u))
 
 
@@ -442,12 +418,10 @@ def write_examples(path, examples: list[TrainExample]) -> None:
 def read_examples(path) -> list[TrainExample]:
     examples = []
     dim = None
-    for lineno, rec in jsonl_records(path, ("features", "y", "u")):
+    for lineno, rec in jsonl_records(path, {"features": "numbers", "y": "int", "u": "int"}):
         if isinstance(rec, DataError):
             raise rec
         features = np.asarray(rec["features"], dtype=np.float64)
-        if features.ndim != 1:
-            raise DataError(f"line {lineno}: features must be a flat vector")
         if dim is None:
             dim = features.shape[0]
         elif features.shape[0] != dim:
@@ -476,9 +450,20 @@ def save_model(model: Model, path) -> None:
 
 
 def load_model(path) -> Model:
-    with open(path, encoding="utf-8") as fh:
-        payload = json.load(fh)
-    if payload.get("architecture") not in ARCHITECTURES:
-        raise DataError(f"unknown architecture in model file: {payload.get('architecture')!r}")
-    weights = {k: np.asarray(w, dtype=np.float64) for k, w in payload["weights"].items()}
-    return Model(payload["architecture"], weights, hidden_width=payload.get("hidden_width"))
+    payload = json_document(path)
+    architecture = payload.get("architecture")
+    if architecture not in ARCHITECTURES:
+        raise DataError(f"unknown architecture in model file: {architecture!r}")
+    names = ("W", "b") if architecture == "linear" else ("W1", "b1", "W2", "b2")
+    weights = payload.get("weights")
+    if not isinstance(weights, dict) or sorted(weights) != sorted(names):
+        raise DataError(f"{path}: model weights must be exactly {', '.join(names)}")
+    try:
+        weights = {k: np.asarray(weights[k], dtype=np.float64) for k in names}
+    except (TypeError, ValueError, OverflowError):
+        raise DataError(f"{path}: model weights must be arrays of numbers") from None
+    d, h = weights[names[0]].shape if weights[names[0]].ndim == 2 else (-1, -1)
+    shapes = {"W": (d, 2), "b": (2,), "W1": (d, h), "b1": (h,), "W2": (h, 2), "b2": (2,)}
+    if any(w.shape != shapes[k] or not np.all(np.isfinite(w)) for k, w in weights.items()):
+        raise DataError(f"{path}: model weights have mismatched shapes or non-finite values")
+    return Model(architecture, weights, hidden_width=payload.get("hidden_width"))

@@ -354,7 +354,8 @@ class TestMalformedInput:
     @pytest.mark.parametrize(
         "command, target",
         [("build", "reports"), ("validate", "dataset"), ("train", "examples"),
-         ("lexicon", "lexicon"), ("taxonomy", "taxonomy"), ("config", "config")],
+         ("eval", "model"), ("lexicon", "lexicon"), ("taxonomy", "taxonomy"),
+         ("config", "config")],
     )
     def test_non_utf8_bytes(self, tmp_path, capsys, files, command, target):
         with open(files[target], "ab") as fh:
@@ -365,6 +366,85 @@ class TestMalformedInput:
         assert f"{files[target]}: not valid UTF-8" in err
         assert "Traceback" not in err
         assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "command, target, patch, message",
+        [
+            ("train", "examples", {"features": ["a", 1.0, 2.0]},
+             "features must be a list of numbers"),
+            ("train", "examples", {"features": [10**400, 1.0, 2.0]},
+             "features must be a list of numbers"),
+            ("train", "examples", {"y": True, "u": 3.0},
+             "y must be an integer; u must be an integer"),
+            ("eval", "examples", {"u": "3"}, "u must be an integer"),
+            ("validate", "dataset", {"r": "x"}, "r must be a number"),
+            ("validate", "dataset", {"target_neg": None}, "target_neg must be a number"),
+            ("validate", "dataset", {"y": True}, "y must be an integer"),
+            ("validate", "dataset", {"category": []}, "category must be a string"),
+        ],
+    )
+    def test_mistyped_field(self, tmp_path, capsys, files, command, target, patch, message):
+        first, *rest = files[target].read_text().splitlines()
+        files[target].write_text("\n".join([json.dumps({**json.loads(first), **patch})] + rest))
+        code, _, err = run_cli(capsys, *self.argv(command, files, tmp_path / "out"))
+        assert code == 2
+        assert f"line 1: {message}" in err
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize(
+        "content, message",
+        [
+            ('{"architecture": "linear"}', "model weights must be exactly W, b"),
+            ("{not json", "invalid JSON"),
+            ("[1, 2]", "expected a JSON object"),
+            ('{"architecture": "linear", "weights": {"W": [[1, 2, 3]], "b": [0, 0]}}',
+             "mismatched shapes"),
+            ('{"architecture": "linear", "weights": {"W": [["a"]], "b": [0, 0]}}',
+             "arrays of numbers"),
+        ],
+    )
+    def test_bad_model_file(self, tmp_path, capsys, files, content, message):
+        files["model"].write_text(content)
+        code, _, err = run_cli(capsys, *self.argv("eval", files, tmp_path / "out"))
+        assert code == 2
+        assert message in err
+        assert "Traceback" not in err
+
+    def test_eval_feature_dimension_mismatch(self, tmp_path, capsys, files):
+        files["examples"].write_text(json.dumps({"features": [0.0] * 4, "y": 1, "u": 3}) + "\n")
+        code, _, err = run_cli(capsys, *self.argv("eval", files, tmp_path / "out"))
+        assert code == 2
+        assert "data has 4 features, model expects 3" in err
+
+
+class TestDivergence:
+    """A model that diverges exits 3 and is not saved."""
+
+    @pytest.mark.parametrize("weight_decay, what", [("10", "weights"), ("0", "scores")])
+    def test_divergence_exits_3_without_saving(self, tmp_path, capsys, weight_decay, what):
+        data, model = tmp_path / "ex.jsonl", tmp_path / "model.json"
+        profile = "3:0.02,2:0.1,1:0.25,0:0.45"
+        argv = ["gen-synthetic", "--n", "200", "--d", "3", "--profile", profile, "--seed", "1",
+                "--out", str(data)]
+        assert run_cli(capsys, *argv)[0] == 0
+        with np.errstate(all="ignore"):
+            code, _, err = run_cli(
+                capsys, "train", "--data", str(data), "--model-out", str(model), "--lr", "1e308",
+                "--epochs", "1", "--batch-size", "1000", "--lr-warmup-epochs", "0",
+                "--weight-decay", weight_decay,
+            )
+        assert code == 3
+        assert f"non-finite {what} after epoch 1" in err
+        assert not model.exists()
+
+    def test_negative_lr_warmup_is_usage_error(self, tmp_path, capsys):
+        data = tmp_path / "ex.jsonl"
+        argv = ["gen-synthetic", "--n", "20", "--d", "2", "--profile", "3:0.0", "--out", str(data)]
+        assert run_cli(capsys, *argv)[0] == 0
+        code, _, err = run_cli(capsys, "train", "--data", str(data), "--model-out",
+                               str(tmp_path / "m.json"), "--lr-warmup-epochs", "-3")
+        assert code == 1
+        assert "lr_warmup_epochs must be >= 0" in err
 
 
 class TestUsageErrors:

@@ -10,12 +10,17 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from glsmooth.errors import ConfigError
 from glsmooth.smoothing import (
     SCORE_LEVELS,
     SmoothingParams,
+    batch_loss,
+    batch_targets,
     effective_label,
+    effective_labels,
     gls_loss,
     gls_loss_gradient,
     gls_target,
@@ -23,6 +28,7 @@ from glsmooth.smoothing import (
     score_rate_table,
     smoothing_rate,
     smoothing_rate_exact,
+    softmax,
     softmax_pair,
 )
 
@@ -221,6 +227,41 @@ class TestGradient:
             gls_loss_gradient([np.inf, 0.0], 1, 0.0)
         with pytest.raises(ValueError):
             gls_loss_gradient([np.nan, 0.0], 1, 0.0)
+
+
+class TestBatchKernelConsistency:
+    def test_batch_loss_matches_scalar_kernel(self):
+        rng = np.random.default_rng(23)
+        P = rng.dirichlet([1.0, 1.0], size=64)
+        y_eff = rng.integers(0, 2, size=64)
+        r = rng.uniform(-0.25, 1.0, size=64)
+        batched = batch_loss(P, y_eff, r)
+        for i in range(64):
+            assert batched[i] == gls_loss(P[i], int(y_eff[i]), float(r[i]))
+
+    def test_batch_targets_rows_sum_to_one(self):
+        rng = np.random.default_rng(29)
+        y_eff = rng.integers(0, 2, size=100)
+        r = rng.uniform(-1.0, 1.0, size=100)
+        np.testing.assert_allclose(batch_targets(y_eff, r).sum(axis=1), 1.0, atol=1e-12)
+
+
+@given(
+    y_eff=st.integers(0, 1),
+    u=st.sampled_from(SCORE_LEVELS),
+    r=st.floats(-3.0, 1.0),
+    p1=st.floats(1e-300, 1.0, exclude_max=True),
+    logits=st.lists(st.floats(-1e6, 1e6), min_size=2, max_size=2),
+)
+def test_scalar_api_is_row_zero_of_the_batch_kernel(y_eff, u, r, p1, logits):
+    """Bit for bit, negative rates included: the scalar API adds only checks."""
+    p = np.array([1.0 - p1, p1])
+    z = np.array(logits)
+    assert effective_label(y_eff, u) == effective_labels(np.array([y_eff]), np.array([u]))[0]
+    assert gls_target(y_eff, r).tobytes() == batch_targets([y_eff], [r])[0].tobytes()
+    loss = batch_loss(p[None], [y_eff], [r])[0]
+    assert np.float64(gls_loss(p, y_eff, r)).tobytes() == loss.tobytes()
+    assert softmax_pair(z).tobytes() == softmax(z[None])[0].tobytes()
 
 
 class TestScoreRateTable:

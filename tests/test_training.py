@@ -4,14 +4,12 @@ import numpy as np
 import pytest
 
 from glsmooth.errors import ConfigError, NumericError
-from glsmooth.smoothing import gls_loss
 from glsmooth.training import (
     Model,
     TrainConfig,
     TrainExample,
     auc,
     batch_loss,
-    batch_targets,
     cell_seed,
     evaluate,
     load_model,
@@ -110,25 +108,6 @@ class TestPredict:
         model = Model("linear", {"W": np.zeros((3, 2)), "b": np.zeros(2)})
         with pytest.raises(ValueError):
             predict(model, [1.0, 2.0])
-
-
-class TestBatchKernelConsistency:
-    def test_batch_loss_matches_scalar_kernel(self):
-        rng = np.random.default_rng(23)
-        P = rng.dirichlet([1.0, 1.0], size=64)
-        y_eff = rng.integers(0, 2, size=64)
-        r = rng.uniform(-0.25, 1.0, size=64)
-        batched = batch_loss(P, y_eff, r)
-        for i in range(64):
-            assert batched[i] == pytest.approx(
-                gls_loss(P[i], int(y_eff[i]), float(r[i])), rel=1e-12
-            )
-
-    def test_batch_targets_rows_sum_to_one(self):
-        rng = np.random.default_rng(29)
-        y_eff = rng.integers(0, 2, size=100)
-        r = rng.uniform(-1.0, 1.0, size=100)
-        np.testing.assert_allclose(batch_targets(y_eff, r).sum(axis=1), 1.0, atol=1e-12)
 
 
 class TestTrain:
