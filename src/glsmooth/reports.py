@@ -11,7 +11,10 @@ Scope rules:
     offset), so conjunctions like "no effusion but likely pneumonia" score
     each side independently;
   * a cue occurrence wholly contained in a longer one is ignored ("likely"
-    inside "less likely" must not fire);
+    inside "less likely" must not fire); partially overlapping cues are
+    both kept;
+  * vocabulary phrases claim spans longest first: a mention overlapping an
+    already claimed span is dropped ("effusion" inside "pleural effusion");
   * a mention with no cue in its sentence scores +3 (plain affirmative).
 
 A loaded lexicon is immutable and freely shareable across threads;
@@ -21,6 +24,7 @@ parallel.
 
 from __future__ import annotations
 
+import functools
 import re
 from dataclasses import dataclass
 from pathlib import Path
@@ -49,8 +53,27 @@ class ExtractedFinding:
     cue: str | None
 
 
-def _word_regex(phrase: str) -> re.Pattern:
-    return re.compile(r"\b" + re.escape(phrase) + r"\b")
+class _PhraseTable:
+    """Word-boundary matchers for a fixed phrase list, longest first.
+
+    Equal lengths keep the given order; a phrase's position in ``phrases`` is
+    its precedence index.  A matcher is literal and case-sensitive, so it can
+    only match where its phrase is a substring: ``occurrences`` runs the regex
+    of just those phrases, and finds exactly what running every regex would.
+    """
+
+    def __init__(self, phrases):
+        self.phrases = tuple(sorted(phrases, key=lambda p: -len(p)))
+        self._rows = tuple(
+            (p, re.compile(r"\b" + re.escape(p) + r"\b"), i) for i, p in enumerate(self.phrases)
+        )
+
+    def occurrences(self, sentence: str):
+        """(start, end, precedence_index) per match; phrase by phrase, then by start."""
+        for phrase, regex, idx in self._rows:
+            if phrase in sentence:
+                for m in regex.finditer(sentence):
+                    yield m.start(), m.end(), idx
 
 
 class Lexicon:
@@ -63,34 +86,29 @@ class Lexicon:
                 raise DataError(f"duplicate lexicon pattern: {entry.pattern!r}")
             seen.add(entry.pattern)
         self.entries = sorted(entries, key=lambda e: -len(e.pattern))
-        self._compiled = [(_word_regex(e.pattern), e) for e in self.entries]
+        self._table = _PhraseTable(e.pattern for e in self.entries)
 
     def __len__(self) -> int:
         return len(self.entries)
 
     def matches(self, sentence: str) -> list[tuple[int, int, int, LexiconEntry]]:
-        """All cue occurrences as (start, end, precedence_index) tuples.
+        """All cue occurrences as (start, end, precedence_index, entry) tuples.
 
-        Occurrences wholly contained in a strictly longer occurrence are
-        dropped; the same-start case is the classic "no" vs "no definite"
-        nesting.
+        The index is the entry's position in ``entries``.  Hits come pattern
+        by pattern in precedence order, then by start.  Occurrences wholly
+        contained in a strictly longer occurrence are dropped; the same-start
+        case is the classic "no" vs "no definite" nesting.
         """
-        hits = []
-        for idx, (regex, entry) in enumerate(self._compiled):
-            for m in regex.finditer(sentence):
-                hits.append((m.start(), m.end(), idx, entry))
-        kept = []
-        for h in hits:
-            contained = any(
-                o is not h
-                and o[0] <= h[0]
-                and h[1] <= o[1]
-                and (o[1] - o[0]) > (h[1] - h[0])
-                for o in hits
+        hits = [(s, e, i, self.entries[i]) for s, e, i in self._table.occurrences(sentence)]
+        if len(hits) < 2:
+            return hits
+        return [
+            h
+            for h in hits
+            if not any(
+                o[0] <= h[0] and h[1] <= o[1] and (o[1] - o[0]) > (h[1] - h[0]) for o in hits
             )
-            if not contained:
-                kept.append(h)
-        return kept
+        ]
 
 
 def load_lexicon(source) -> Lexicon:
@@ -167,25 +185,29 @@ def score_mention(
     return best[3].score, best[3].pattern
 
 
-def _vocabulary_matches(sentence: str, vocab_compiled) -> list[tuple[int, str]]:
+def _vocabulary_matches(sentence: str, table: _PhraseTable) -> list[tuple[int, str]]:
     """Mention occurrences as (offset, phrase), longest phrase claiming first."""
     claimed: list[tuple[int, int]] = []
     found = []
-    for regex, phrase in vocab_compiled:
-        for m in regex.finditer(sentence):
-            span = (m.start(), m.end())
-            if any(span[0] < c[1] and c[0] < span[1] for c in claimed):
-                continue
-            claimed.append(span)
-            found.append((m.start(), phrase))
+    for start, end, idx in table.occurrences(sentence):
+        if any(start < c[1] and c[0] < end for c in claimed):
+            continue
+        claimed.append((start, end))
+        found.append((start, table.phrases[idx]))
     found.sort()
     return found
 
 
-def compile_vocabulary(vocabulary: list[str]) -> list[tuple[re.Pattern, str]]:
-    """Pre-compile word-boundary matchers, longest phrase first."""
-    ordered = sorted(vocabulary, key=lambda p: -len(p))
-    return [(_word_regex(p), p) for p in ordered]
+_vocabulary_table = functools.lru_cache(maxsize=8)(_PhraseTable)
+
+
+def compile_vocabulary(vocabulary: list[str]) -> _PhraseTable:
+    """Word-boundary matchers, longest phrase first; built once per vocabulary.
+
+    Memoised on the phrases in the caller's order, which fixes the order of
+    equal-length phrases.
+    """
+    return _vocabulary_table(tuple(vocabulary))
 
 
 def extract_findings(
@@ -197,10 +219,10 @@ def extract_findings(
     duplicates across sentences are the caller's business (the dataset
     builder merges them).
     """
-    vocab_compiled = compile_vocabulary(vocabulary)
+    table = compile_vocabulary(vocabulary)
     findings = []
     for index, sentence in enumerate(split_sentences(report_text)):
-        for offset, phrase in _vocabulary_matches(sentence, vocab_compiled):
+        for offset, phrase in _vocabulary_matches(sentence, table):
             u, cue = score_mention(sentence, offset, lexicon)
             findings.append(
                 ExtractedFinding(raw_phrase=phrase, sentence_index=index, u=u, cue=cue)

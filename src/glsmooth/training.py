@@ -215,63 +215,66 @@ def train(dataset: list[TrainExample], config: TrainConfig) -> tuple[Model, list
     eps = 1e-8
 
     history: list[EpochMetrics] = []
-    for epoch in range(1, config.epochs + 1):
-        active = extreme if epoch <= config.warmup_epochs else np.arange(n)
-        order = active[rng.permutation(len(active))]
-        lr = _lr_at(epoch, config)
+    # A diverging run overflows mid-epoch; the finiteness checks below report
+    # it (NumericError), so numpy's overflow warnings would only be noise.
+    with np.errstate(over="ignore", invalid="ignore"):
+        for epoch in range(1, config.epochs + 1):
+            active = extreme if epoch <= config.warmup_epochs else np.arange(n)
+            order = active[rng.permutation(len(active))]
+            lr = _lr_at(epoch, config)
 
-        total_loss = 0.0
-        for start in range(0, len(order), config.batch_size):
-            batch = order[start : start + config.batch_size]
-            Xb, yb, rb = X[batch], y_train[batch], r[batch]
-            logits, hidden = _forward(model, Xb)
-            P = softmax(logits)
-            losses = batch_loss(np.clip(P, PROB_FLOOR, 1 - PROB_FLOOR), yb, rb)
-            if not np.all(np.isfinite(losses)):
-                raise NumericError(
-                    f"non-finite loss at epoch {epoch}, batch starting {start}"
+            total_loss = 0.0
+            for start in range(0, len(order), config.batch_size):
+                batch = order[start : start + config.batch_size]
+                Xb, yb, rb = X[batch], y_train[batch], r[batch]
+                logits, hidden = _forward(model, Xb)
+                P = softmax(logits)
+                losses = batch_loss(np.clip(P, PROB_FLOOR, 1 - PROB_FLOOR), yb, rb)
+                if not np.all(np.isfinite(losses)):
+                    raise NumericError(
+                        f"non-finite loss at epoch {epoch}, batch starting {start}"
+                    )
+                total_loss += float(losses.sum())
+
+                G = (P - batch_targets(yb, rb)) / len(batch)
+                if model.architecture == "linear":
+                    grads = {"W": Xb.T @ G, "b": G.sum(axis=0)}
+                else:
+                    dH = (G @ model.weights["W2"].T) * (1.0 - hidden**2)
+                    grads = {
+                        "W1": Xb.T @ dH,
+                        "b1": dH.sum(axis=0),
+                        "W2": hidden.T @ G,
+                        "b2": G.sum(axis=0),
+                    }
+
+                step += 1
+                for key, g in grads.items():
+                    opt_m[key] = config.beta1 * opt_m[key] + (1 - config.beta1) * g
+                    opt_v[key] = config.beta2 * opt_v[key] + (1 - config.beta2) * g**2
+                    m_hat = opt_m[key] / (1 - config.beta1**step)
+                    v_hat = opt_v[key] / (1 - config.beta2**step)
+                    model.weights[key] -= lr * (
+                        m_hat / (np.sqrt(v_hat) + eps) + config.weight_decay * model.weights[key]
+                    )
+
+            if not all(np.all(np.isfinite(w)) for w in model.weights.values()):
+                raise NumericError(f"training diverged: non-finite weights after epoch {epoch}")
+            scores = predict_proba(model, X)[:, 1]
+            if not np.all(np.isfinite(scores)):
+                raise NumericError(f"training diverged: non-finite scores after epoch {epoch}")
+            try:
+                epoch_auc = auc(scores, y_metric)
+            except NumericError:
+                epoch_auc = float("nan")
+            history.append(
+                EpochMetrics(
+                    epoch=epoch,
+                    mean_loss=total_loss / len(order),
+                    auc=epoch_auc,
+                    samples_used=len(order),
                 )
-            total_loss += float(losses.sum())
-
-            G = (P - batch_targets(yb, rb)) / len(batch)
-            if model.architecture == "linear":
-                grads = {"W": Xb.T @ G, "b": G.sum(axis=0)}
-            else:
-                dH = (G @ model.weights["W2"].T) * (1.0 - hidden**2)
-                grads = {
-                    "W1": Xb.T @ dH,
-                    "b1": dH.sum(axis=0),
-                    "W2": hidden.T @ G,
-                    "b2": G.sum(axis=0),
-                }
-
-            step += 1
-            for key, g in grads.items():
-                opt_m[key] = config.beta1 * opt_m[key] + (1 - config.beta1) * g
-                opt_v[key] = config.beta2 * opt_v[key] + (1 - config.beta2) * g**2
-                m_hat = opt_m[key] / (1 - config.beta1**step)
-                v_hat = opt_v[key] / (1 - config.beta2**step)
-                model.weights[key] -= lr * (
-                    m_hat / (np.sqrt(v_hat) + eps) + config.weight_decay * model.weights[key]
-                )
-
-        if not all(np.all(np.isfinite(w)) for w in model.weights.values()):
-            raise NumericError(f"training diverged: non-finite weights after epoch {epoch}")
-        scores = predict_proba(model, X)[:, 1]
-        if not np.all(np.isfinite(scores)):
-            raise NumericError(f"training diverged: non-finite scores after epoch {epoch}")
-        try:
-            epoch_auc = auc(scores, y_metric)
-        except NumericError:
-            epoch_auc = float("nan")
-        history.append(
-            EpochMetrics(
-                epoch=epoch,
-                mean_loss=total_loss / len(order),
-                auc=epoch_auc,
-                samples_used=len(order),
             )
-        )
     return model, history
 
 

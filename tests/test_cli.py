@@ -1,10 +1,15 @@
 """End-to-end tests of the command-line interface and its exit codes."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import glsmooth
 from corpus_util import make_reports
 from glsmooth.cli import main
 
@@ -112,6 +117,20 @@ class TestBuildValidate:
         run_cli(capsys, "build", "--input", str(src), "--out", str(out_a))
         run_cli(capsys, "build", "--input", str(src), "--out", str(out_b))
         assert out_a.read_bytes() == out_b.read_bytes()
+
+    def test_custom_taxonomy_after_default_build(self, tmp_path, capsys):
+        # the parser keeps compiled vocabularies between builds in one process;
+        # each build must still match its own taxonomy's phrases
+        src, taxonomy = tmp_path / "reports.jsonl", tmp_path / "custom.tsv"
+        write_reports(src, [{"patient_id": "p1", "study_id": "s1",
+                             "text": "Small effusion. Possible opacity."}])
+        taxonomy.write_text("effusion\tEffusion\nopacity\tConsolidation\n")
+        outs = [tmp_path / f"{name}.jsonl" for name in ("default", "custom", "again")]
+        for out, extra in zip(outs, ([], ["--taxonomy", str(taxonomy)], [])):
+            assert run_cli(capsys, "build", "--input", str(src), "--out", str(out), *extra)[0] == 0
+        custom = [json.loads(line) for line in outs[1].read_text().splitlines()]
+        assert [(r["category"], r["u"]) for r in custom] == [("Consolidation", 1), ("Effusion", 3)]
+        assert outs[0].read_text() == outs[2].read_text() == ""
 
 
 class TestTrainEval:
@@ -427,14 +446,16 @@ class TestDivergence:
         argv = ["gen-synthetic", "--n", "200", "--d", "3", "--profile", profile, "--seed", "1",
                 "--out", str(data)]
         assert run_cli(capsys, *argv)[0] == 0
-        with np.errstate(all="ignore"):
-            code, _, err = run_cli(
-                capsys, "train", "--data", str(data), "--model-out", str(model), "--lr", "1e308",
-                "--epochs", "1", "--batch-size", "1000", "--lr-warmup-epochs", "0",
-                "--weight-decay", weight_decay,
-            )
-        assert code == 3
-        assert f"non-finite {what} after epoch 1" in err
+        train = ["train", "--data", str(data), "--model-out", str(model), "--lr", "1e308",
+                 "--epochs", "1", "--batch-size", "1000", "--lr-warmup-epochs", "0",
+                 "--weight-decay", weight_decay]
+        # a fresh interpreter prints what a user sees: the error, no numpy RuntimeWarning
+        proc = subprocess.run(
+            [sys.executable, "-m", "glsmooth.cli", *train], capture_output=True, text=True,
+            env={**os.environ, "PYTHONPATH": str(Path(glsmooth.__file__).parents[1])},
+        )
+        assert proc.returncode == 3
+        assert proc.stderr == f"error: training diverged: non-finite {what} after epoch 1\n"
         assert not model.exists()
 
     def test_negative_lr_warmup_is_usage_error(self, tmp_path, capsys):

@@ -1,13 +1,19 @@
 """Tests for sentence splitting, lexicon handling, and mention scoring."""
 
 import io
+import re
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from glsmooth.errors import DataError
 from glsmooth.reports import (
+    CUE_KINDS,
     Lexicon,
     LexiconEntry,
+    _vocabulary_matches,
+    compile_vocabulary,
     default_lexicon,
     extract_findings,
     load_lexicon,
@@ -187,3 +193,110 @@ class TestExtractFindings:
     def test_unmatched_sentences_contribute_nothing(self, lexicon, vocabulary):
         found = extract_findings("The patient is comfortable.", lexicon, vocabulary)
         assert found == []
+
+
+def _oracle_word_regex(phrase):
+    return re.compile(r"\b" + re.escape(phrase) + r"\b")
+
+
+def oracle_lexicon_matches(lexicon, sentence):
+    """Reference cue scan: every pattern's regex on the sentence, then an
+    all-pairs containment filter."""
+    compiled = [(_oracle_word_regex(e.pattern), e) for e in lexicon.entries]
+    hits = []
+    for idx, (regex, entry) in enumerate(compiled):
+        for m in regex.finditer(sentence):
+            hits.append((m.start(), m.end(), idx, entry))
+    kept = []
+    for h in hits:
+        contained = any(
+            o is not h
+            and o[0] <= h[0]
+            and h[1] <= o[1]
+            and (o[1] - o[0]) > (h[1] - h[0])
+            for o in hits
+        )
+        if not contained:
+            kept.append(h)
+    return kept
+
+
+def oracle_vocabulary_matches(sentence, vocabulary):
+    """Reference mention scan: every phrase's regex, longest phrase claiming first."""
+    ordered = sorted(vocabulary, key=lambda p: -len(p))
+    claimed = []
+    found = []
+    for regex, phrase in [(_oracle_word_regex(p), p) for p in ordered]:
+        for m in regex.finditer(sentence):
+            span = (m.start(), m.end())
+            if any(span[0] < c[1] and c[0] < span[1] for c in claimed):
+                continue
+            claimed.append(span)
+            found.append((m.start(), phrase))
+    found.sort()
+    return found
+
+
+# Phrase tokens, plus filler that shares letters with them without being them
+# ("nob", "ab") or touches them with punctuation ("no,"), so word boundaries
+# and the substring pre-filter disagree as often as possible.
+TOKENS = ["a", "b", "c", "d", "no"]
+FILLER = ["x", "nob", "ab", "no,", "(a)", "-b", "c-d"]
+OVERLAPPING = ["no no", "no", "a b", "b c d", "b", "c d", "no no no"]
+
+phrases = st.one_of(
+    st.sampled_from(OVERLAPPING),
+    st.lists(st.sampled_from(TOKENS), min_size=1, max_size=3).map(" ".join),
+)
+tables = st.lists(phrases, min_size=1, max_size=7, unique=True)
+sentences = st.lists(st.sampled_from(TOKENS + FILLER), max_size=14).map(" ".join)
+
+
+class TestMatchersAgainstOracle:
+    """The phrase table finds exactly what running every regex finds."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(table=tables, scores=st.lists(st.integers(-3, 3), min_size=7, max_size=7),
+           sentence=sentences)
+    def test_lexicon_matches(self, table, scores, sentence):
+        lexicon = Lexicon(
+            [LexiconEntry(p, s, CUE_KINDS[s % 2]) for p, s in zip(table, scores)]
+        )
+        assert lexicon.matches(sentence) == oracle_lexicon_matches(lexicon, sentence)
+
+    @settings(max_examples=300, deadline=None)
+    @given(vocabulary=tables, sentence=sentences)
+    def test_vocabulary_matches(self, vocabulary, sentence):
+        found = _vocabulary_matches(sentence, compile_vocabulary(vocabulary))
+        assert found == oracle_vocabulary_matches(sentence, vocabulary)
+
+
+class TestOverlapSemantics:
+    def test_self_overlapping_cue(self):
+        no_no = LexiconEntry("no no", -1, "negation_cue")
+        no = LexiconEntry("no", -3, "negation_cue")
+        assert Lexicon([no, no_no]).matches("no no no") == [(0, 5, 0, no_no), (6, 8, 1, no)]
+
+    def test_partially_overlapping_cues_are_both_kept(self):
+        ab = LexiconEntry("a b", 1, "uncertainty_cue")
+        bcd = LexiconEntry("b c d", -1, "negation_cue")
+        assert Lexicon([ab, bcd]).matches("a b c d") == [(2, 7, 0, bcd), (0, 3, 1, ab)]
+
+    def test_longest_vocabulary_phrase_claims_overlap(self):
+        table = compile_vocabulary(["a b", "b c d"])
+        assert _vocabulary_matches("a b c d", table) == [(2, "b c d")]
+
+    def test_equal_length_phrases_claim_in_caller_order(self):
+        # the memo key is the caller's order, not the set of phrases
+        assert _vocabulary_matches("a b c", compile_vocabulary(["a b", "b c"])) == [(0, "a b")]
+        assert _vocabulary_matches("a b c", compile_vocabulary(["b c", "a b"])) == [(2, "b c")]
+
+    def test_each_vocabulary_gets_its_own_matches(self, lexicon):
+        text = "Small pleural effusion."
+        short = extract_findings(text, lexicon, ["effusion"])
+        long = extract_findings(text, lexicon, ["effusion", "pleural effusion"])
+        assert [f.raw_phrase for f in short] == ["effusion"]
+        assert [f.raw_phrase for f in long] == ["pleural effusion"]
+        assert [f.raw_phrase for f in extract_findings(text, lexicon, ["effusion"])] == [
+            "effusion"
+        ]
