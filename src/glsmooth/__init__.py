@@ -22,6 +22,7 @@ from .smoothing import (
 )
 from .taxonomy import DiseaseCategory, default_taxonomy, load_taxonomy
 from .training import (
+    ExampleSet,
     TrainConfig,
     TrainExample,
     auc,
@@ -37,6 +38,7 @@ __all__ = [
     "DEFAULT_PARAMS",
     "SCORE_LEVELS",
     "DiseaseCategory",
+    "ExampleSet",
     "SmoothingParams",
     "TrainConfig",
     "TrainExample",

@@ -42,6 +42,47 @@ class TrainExample:
     u: int
 
 
+@dataclass(frozen=True, eq=False)
+class ExampleSet:
+    """A whole example set as columns: features X (n, d), labels y and scores u (n,).
+
+    Checked once, when it is made; ``train``, ``evaluate`` and ``sweep`` take
+    it as it is.  Iterating yields one TrainExample per row.
+    """
+
+    X: np.ndarray
+    y: np.ndarray
+    u: np.ndarray
+
+    def __post_init__(self) -> None:
+        X = np.asarray(self.X, dtype=np.float64)
+        y = np.asarray(self.y, dtype=np.int64)
+        u = np.asarray(self.u, dtype=np.int64)
+        if X.ndim != 2:
+            raise DataError("examples must have one-dimensional feature vectors")
+        if y.shape != (len(X),) or u.shape != (len(X),):
+            raise DataError("features, labels and scores must have one row per example")
+        if not np.all(np.isfinite(X)):
+            raise DataError("features contain non-finite values")
+        if not np.all((y == 0) | (y == 1)):
+            raise DataError("labels must be 0 or 1")
+        if not np.all((u >= -3) & (u <= 3)):
+            raise DataError("uncertainty scores must lie in {-3..3}")
+        for name, value in (("X", X), ("y", y), ("u", u)):
+            object.__setattr__(self, name, value)
+
+    def __len__(self) -> int:
+        return len(self.X)
+
+    def __iter__(self):
+        for features, y, u in zip(self.X, self.y.tolist(), self.u.tolist()):
+            yield TrainExample(features=features, y=y, u=u)
+
+    def take(self, index: np.ndarray) -> ExampleSet:
+        """The rows at ``index``, in that order."""
+        return ExampleSet(self.X[index], self.y[index], self.u[index])
+
+
 @dataclass
 class TrainConfig:
     epochs: int = 30
@@ -109,22 +150,37 @@ class Model:
         return self.weights[key].shape[0]
 
 
+def _views(flat: np.ndarray, like: dict[str, np.ndarray]) -> dict[str, np.ndarray]:
+    """Consecutive slices of ``flat`` shaped like the arrays of ``like``, in order."""
+    views, start = {}, 0
+    for key, w in like.items():
+        views[key] = flat[start : start + w.size].reshape(w.shape)
+        start += w.size
+    return views
+
+
 def init_model(feature_dim: int, config: TrainConfig, rng: np.random.Generator) -> Model:
-    """Symmetric uniform init scaled by fan-in; biases start at zero."""
+    """Symmetric uniform init scaled by fan-in; biases start at zero.
+
+    The weights are views into one flat parameter vector (their common
+    ``base``), which the optimiser updates in one pass.
+    """
+    h = None
     if config.architecture == "linear":
         weights = {
             "W": rng.uniform(-1.0, 1.0, size=(feature_dim, 2)) / math.sqrt(feature_dim),
             "b": np.zeros(2),
         }
-        return Model("linear", weights)
-    h = config.hidden_width
-    weights = {
-        "W1": rng.uniform(-1.0, 1.0, size=(feature_dim, h)) / math.sqrt(feature_dim),
-        "b1": np.zeros(h),
-        "W2": rng.uniform(-1.0, 1.0, size=(h, 2)) / math.sqrt(h),
-        "b2": np.zeros(2),
-    }
-    return Model("mlp_1hidden", weights, hidden_width=h)
+    else:
+        h = config.hidden_width
+        weights = {
+            "W1": rng.uniform(-1.0, 1.0, size=(feature_dim, h)) / math.sqrt(feature_dim),
+            "b1": np.zeros(h),
+            "W2": rng.uniform(-1.0, 1.0, size=(h, 2)) / math.sqrt(h),
+            "b2": np.zeros(2),
+        }
+    theta = np.concatenate([w.ravel() for w in weights.values()])
+    return Model(config.architecture, _views(theta, weights), hidden_width=h)
 
 
 def _forward(model: Model, X: np.ndarray):
@@ -151,21 +207,16 @@ def predict(model: Model, features) -> np.ndarray:
     return predict_proba(model, [features])[0]
 
 
-def _as_arrays(dataset: list[TrainExample]):
-    if not dataset:
+def _as_arrays(dataset: ExampleSet | list[TrainExample]) -> ExampleSet:
+    if not len(dataset):
         raise ConfigError("dataset is empty")
-    X = np.stack([np.asarray(ex.features, dtype=np.float64) for ex in dataset])
-    if X.ndim != 2:
-        raise DataError("examples must have one-dimensional feature vectors")
-    if not np.all(np.isfinite(X)):
-        raise DataError("features contain non-finite values")
-    y = np.array([ex.y for ex in dataset], dtype=np.int64)
-    u = np.array([ex.u for ex in dataset], dtype=np.int64)
-    if not np.all((y == 0) | (y == 1)):
-        raise DataError("labels must be 0 or 1")
-    if not np.all((u >= -3) & (u <= 3)):
-        raise DataError("uncertainty scores must lie in {-3..3}")
-    return X, y, u
+    if isinstance(dataset, ExampleSet):
+        return dataset
+    return ExampleSet(
+        np.stack([np.asarray(ex.features, dtype=np.float64) for ex in dataset]),
+        np.array([ex.y for ex in dataset], dtype=np.int64),
+        np.array([ex.u for ex in dataset], dtype=np.int64),
+    )
 
 
 def _lr_at(epoch: int, config: TrainConfig) -> float:
@@ -178,7 +229,9 @@ def _lr_at(epoch: int, config: TrainConfig) -> float:
     return config.learning_rate * 0.5 * (1.0 + math.cos(math.pi * progress))
 
 
-def train(dataset: list[TrainExample], config: TrainConfig) -> tuple[Model, list[EpochMetrics]]:
+def train(
+    dataset: ExampleSet | list[TrainExample], config: TrainConfig
+) -> tuple[Model, list[EpochMetrics]]:
     """Train a model on (features, y, u) triples.
 
     Epochs 1..warmup_epochs see only the |u| = 3 examples; afterwards every
@@ -189,12 +242,13 @@ def train(dataset: list[TrainExample], config: TrainConfig) -> tuple[Model, list
     AUC pass, on non-finite weights or scores, so a diverged model is never
     returned.
     """
-    X, y, u = _as_arrays(dataset)
+    data = _as_arrays(dataset)
+    X, y, u = data.X, data.y, data.u
     n = len(X)
 
     if config.loss == "gls":
-        rate_of = {lvl: smoothing_rate(lvl, config.smoothing_params) for lvl in SCORE_LEVELS}
-        r = np.array([rate_of[int(ui)] for ui in u])
+        rates = np.array([smoothing_rate(lvl, config.smoothing_params) for lvl in SCORE_LEVELS])
+        r = rates[u - SCORE_LEVELS[0]]
         y_train = effective_labels(y, u)
     else:
         r = np.zeros(n)
@@ -209,8 +263,14 @@ def train(dataset: list[TrainExample], config: TrainConfig) -> tuple[Model, list
 
     rng = np.random.default_rng(config.seed)
     model = init_model(X.shape[1], config, rng)
-    opt_m = {k: np.zeros_like(w) for k, w in model.weights.items()}
-    opt_v = {k: np.zeros_like(w) for k, w in model.weights.items()}
+    w = model.weights
+    # Parameters, gradients and both moments are flat vectors; the dicts hold
+    # per-layer views of them for the forward and backward passes.
+    theta = next(iter(w.values())).base
+    grad = np.empty_like(theta)
+    g = _views(grad, w)
+    opt_m = np.zeros_like(theta)
+    opt_v = np.zeros_like(theta)
     step = 0
     eps = 1e-8
 
@@ -238,27 +298,26 @@ def train(dataset: list[TrainExample], config: TrainConfig) -> tuple[Model, list
 
                 G = (P - batch_targets(yb, rb)) / len(batch)
                 if model.architecture == "linear":
-                    grads = {"W": Xb.T @ G, "b": G.sum(axis=0)}
+                    np.matmul(Xb.T, G, out=g["W"])
+                    G.sum(axis=0, out=g["b"])
                 else:
-                    dH = (G @ model.weights["W2"].T) * (1.0 - hidden**2)
-                    grads = {
-                        "W1": Xb.T @ dH,
-                        "b1": dH.sum(axis=0),
-                        "W2": hidden.T @ G,
-                        "b2": G.sum(axis=0),
-                    }
+                    dH = (G @ w["W2"].T) * (1.0 - hidden**2)
+                    np.matmul(Xb.T, dH, out=g["W1"])
+                    dH.sum(axis=0, out=g["b1"])
+                    np.matmul(hidden.T, G, out=g["W2"])
+                    G.sum(axis=0, out=g["b2"])
 
+                # Adam with decoupled weight decay, one pass over all parameters.
                 step += 1
-                for key, g in grads.items():
-                    opt_m[key] = config.beta1 * opt_m[key] + (1 - config.beta1) * g
-                    opt_v[key] = config.beta2 * opt_v[key] + (1 - config.beta2) * g**2
-                    m_hat = opt_m[key] / (1 - config.beta1**step)
-                    v_hat = opt_v[key] / (1 - config.beta2**step)
-                    model.weights[key] -= lr * (
-                        m_hat / (np.sqrt(v_hat) + eps) + config.weight_decay * model.weights[key]
-                    )
+                opt_m *= config.beta1
+                opt_m += (1 - config.beta1) * grad
+                opt_v *= config.beta2
+                opt_v += (1 - config.beta2) * grad**2
+                m_hat = opt_m / (1 - config.beta1**step)
+                v_hat = opt_v / (1 - config.beta2**step)
+                theta -= lr * (m_hat / (np.sqrt(v_hat) + eps) + config.weight_decay * theta)
 
-            if not all(np.all(np.isfinite(w)) for w in model.weights.values()):
+            if not np.isfinite(theta).all():
                 raise NumericError(f"training diverged: non-finite weights after epoch {epoch}")
             scores = predict_proba(model, X)[:, 1]
             if not np.all(np.isfinite(scores)):
@@ -302,12 +361,14 @@ def auc(scores, labels) -> float:
     return (rank_sum_pos - n_pos * (n_pos + 1) / 2.0) / (n_pos * n_neg)
 
 
-def evaluate(model: Model, dataset: list[TrainExample]) -> float:
+def evaluate(model: Model, dataset: ExampleSet | list[TrainExample]) -> float:
     """Held-out AUC of the class-1 probability against effective labels."""
-    X, y, u = _as_arrays(dataset)
-    if X.shape[1] != model.feature_dim:
-        raise DataError(f"data has {X.shape[1]} features, model expects {model.feature_dim}")
-    return auc(predict_proba(model, X)[:, 1], effective_labels(y, u))
+    data = _as_arrays(dataset)
+    if data.X.shape[1] != model.feature_dim:
+        raise DataError(
+            f"data has {data.X.shape[1]} features, model expects {model.feature_dim}"
+        )
+    return auc(predict_proba(model, data.X)[:, 1], effective_labels(data.y, data.u))
 
 
 @dataclass
@@ -370,11 +431,11 @@ def cell_seed(base_seed: int, index: int) -> int:
 
 
 def sweep(
-    dataset: list[TrainExample],
+    dataset: ExampleSet | list[TrainExample],
     base_config: TrainConfig,
     k_values: list,
     warmup_values: list[int],
-    eval_dataset: list[TrainExample] | None = None,
+    eval_dataset: ExampleSet | list[TrainExample] | None = None,
 ) -> list[SweepCell]:
     """Grid of held-out AUCs over rate slopes and warm-up durations.
 
@@ -384,14 +445,19 @@ def sweep(
     """
     if not k_values or not warmup_values:
         raise ConfigError("sweep grid must have at least one k and one warm-up value")
+    data = _as_arrays(dataset)
     if eval_dataset is None:
         rng = np.random.default_rng(base_config.seed)
-        perm = rng.permutation(len(dataset))
-        cut = max(1, int(0.75 * len(dataset)))
-        train_split = [dataset[i] for i in perm[:cut]]
-        eval_dataset = [dataset[i] for i in perm[cut:]]
+        perm = rng.permutation(len(data))
+        cut = max(1, int(0.75 * len(data)))
+        if cut == len(data):
+            raise DataError(
+                f"the 75/25 split of {len(data)} example(s) leaves the eval split empty"
+                " (need at least 2 examples)"
+            )
+        train_split, eval_split = data.take(perm[:cut]), data.take(perm[cut:])
     else:
-        train_split = dataset
+        train_split, eval_split = data, _as_arrays(eval_dataset)
 
     cells = []
     for index, (k, w) in enumerate((k, w) for k in k_values for w in warmup_values):
@@ -403,7 +469,7 @@ def sweep(
             seed=cell_seed(base_config.seed, index),
         )
         model, _ = train(train_split, config)
-        cells.append(SweepCell(k=Fraction(k), warmup_epochs=w, auc=evaluate(model, eval_dataset)))
+        cells.append(SweepCell(k=Fraction(k), warmup_epochs=w, auc=evaluate(model, eval_split)))
     return cells
 
 
@@ -418,27 +484,30 @@ def write_examples(path, examples: list[TrainExample]) -> None:
             fh.write(json.dumps({"features": features, "y": int(ex.y), "u": int(ex.u)}) + "\n")
 
 
-def read_examples(path) -> list[TrainExample]:
-    examples = []
+def read_examples(path) -> ExampleSet:
+    """The examples of a JSON Lines file; the first bad line raises a DataError citing it."""
+    rows, ys, us = [], [], []
     dim = None
     for lineno, rec in jsonl_records(path, {"features": "numbers", "y": "int", "u": "int"}):
         if isinstance(rec, DataError):
             raise rec
-        features = np.asarray(rec["features"], dtype=np.float64)
+        features = rec["features"]
         if dim is None:
-            dim = features.shape[0]
-        elif features.shape[0] != dim:
-            raise DataError(
-                f"line {lineno}: feature dimension {features.shape[0]} != {dim}"
-            )
+            dim = len(features)
+            if dim == 0:
+                raise DataError(f"line {lineno}: features must not be empty")
+        elif len(features) != dim:
+            raise DataError(f"line {lineno}: feature dimension {len(features)} != {dim}")
         if rec["y"] not in (0, 1):
             raise DataError(f"line {lineno}: y must be 0 or 1")
         if rec["u"] not in SCORE_LEVELS:
             raise DataError(f"line {lineno}: u outside {{-3..3}}")
-        examples.append(TrainExample(features=features, y=rec["y"], u=rec["u"]))
-    if not examples:
+        rows.append(features)
+        ys.append(rec["y"])
+        us.append(rec["u"])
+    if not rows:
         raise DataError(f"no examples in {path}")
-    return examples
+    return ExampleSet(np.array(rows, dtype=np.float64), np.array(ys), np.array(us))
 
 
 def save_model(model: Model, path) -> None:

@@ -435,6 +435,24 @@ class TestMalformedInput:
         assert code == 2
         assert "data has 4 features, model expects 3" in err
 
+    @pytest.mark.parametrize("command", ["train", "eval"])
+    def test_empty_feature_vector(self, tmp_path, capsys, files, command):
+        files["examples"].write_text(json.dumps({"features": [], "y": 1, "u": 3}) + "\n")
+        out = tmp_path / "out"
+        code, _, err = run_cli(capsys, *self.argv(command, files, out))
+        assert code == 2
+        assert "line 1: features must not be empty" in err
+        assert not out.exists()
+
+    def test_sweep_split_without_eval_rows(self, tmp_path, capsys, files):
+        first = files["examples"].read_text().splitlines()[0]
+        files["examples"].write_text(first + "\n")
+        out = tmp_path / "out"
+        code, _, err = run_cli(capsys, *self.argv("sweep", files, out))
+        assert code == 2
+        assert "the 75/25 split of 1 example(s) leaves the eval split empty" in err
+        assert not out.exists()
+
 
 class TestDivergence:
     """A model that diverges exits 3 and is not saved."""

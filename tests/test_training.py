@@ -1,17 +1,36 @@
 """Tests for training, evaluation, and the synthetic noise generator."""
 
+import json
+import math
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from glsmooth.errors import ConfigError, NumericError
+from glsmooth.errors import ConfigError, DataError, NumericError
+from glsmooth.smoothing import (
+    SCORE_LEVELS,
+    batch_targets,
+    effective_labels,
+    smoothing_rate,
+    softmax,
+)
 from glsmooth.training import (
+    ARCHITECTURES,
+    LOSS_MODES,
+    PROB_FLOOR,
+    EpochMetrics,
+    ExampleSet,
     Model,
     TrainConfig,
     TrainExample,
     auc,
     batch_loss,
+    _lr_at,
     cell_seed,
     evaluate,
+    init_model,
     load_model,
     predict,
     predict_proba,
@@ -313,3 +332,246 @@ class TestFileFormats:
         assert loaded.architecture == model.architecture
         for key in model.weights:
             np.testing.assert_array_equal(loaded.weights[key], model.weights[key])
+
+
+# ---------------------------------------------------------------------------
+# Reference implementations: the row-wise reader and the per-key Adam loop
+# that the columnar reader and the flat-vector update replaced.  The same
+# elementwise IEEE operations on the same values must give the same bits.
+
+
+def oracle_as_arrays(dataset):
+    if not dataset:
+        raise ConfigError("dataset is empty")
+    X = np.stack([np.asarray(ex.features, dtype=np.float64) for ex in dataset])
+    if X.ndim != 2:
+        raise DataError("examples must have one-dimensional feature vectors")
+    if not np.all(np.isfinite(X)):
+        raise DataError("features contain non-finite values")
+    y = np.array([ex.y for ex in dataset], dtype=np.int64)
+    u = np.array([ex.u for ex in dataset], dtype=np.int64)
+    if not np.all((y == 0) | (y == 1)):
+        raise DataError("labels must be 0 or 1")
+    if not np.all((u >= -3) & (u <= 3)):
+        raise DataError("uncertainty scores must lie in {-3..3}")
+    return X, y, u
+
+
+def oracle_read_examples(path):
+    examples = []
+    dim = None
+    with open(path, encoding="utf-8") as fh:
+        for lineno, line in enumerate(fh, start=1):
+            rec = json.loads(line)
+            features = np.asarray(rec["features"], dtype=np.float64)
+            if dim is None:
+                dim = features.shape[0]
+            elif features.shape[0] != dim:
+                raise DataError(f"line {lineno}: feature dimension {features.shape[0]} != {dim}")
+            if rec["y"] not in (0, 1):
+                raise DataError(f"line {lineno}: y must be 0 or 1")
+            if rec["u"] not in SCORE_LEVELS:
+                raise DataError(f"line {lineno}: u outside {{-3..3}}")
+            examples.append(TrainExample(features=features, y=rec["y"], u=rec["u"]))
+    return examples
+
+
+def oracle_train(dataset, config):
+    """The trainer with one weight array per layer and Adam as a per-key loop."""
+    X, y, u = oracle_as_arrays(dataset)
+    n = len(X)
+    if config.loss == "gls":
+        rate_of = {lvl: smoothing_rate(lvl, config.smoothing_params) for lvl in SCORE_LEVELS}
+        r = np.array([rate_of[int(ui)] for ui in u])
+        y_train = effective_labels(y, u)
+    else:
+        r = np.zeros(n)
+        y_train = y.copy()
+    y_metric = effective_labels(y, u)
+    extreme = np.flatnonzero(np.abs(u) == 3)
+
+    rng = np.random.default_rng(config.seed)
+    d = X.shape[1]
+    if config.architecture == "linear":
+        weights = {
+            "W": rng.uniform(-1.0, 1.0, size=(d, 2)) / math.sqrt(d),
+            "b": np.zeros(2),
+        }
+    else:
+        h = config.hidden_width
+        weights = {
+            "W1": rng.uniform(-1.0, 1.0, size=(d, h)) / math.sqrt(d),
+            "b1": np.zeros(h),
+            "W2": rng.uniform(-1.0, 1.0, size=(h, 2)) / math.sqrt(h),
+            "b2": np.zeros(2),
+        }
+
+    def forward(Xb):
+        if config.architecture == "linear":
+            return Xb @ weights["W"] + weights["b"], None
+        hidden = np.tanh(Xb @ weights["W1"] + weights["b1"])
+        return hidden @ weights["W2"] + weights["b2"], hidden
+
+    opt_m = {k: np.zeros_like(w) for k, w in weights.items()}
+    opt_v = {k: np.zeros_like(w) for k, w in weights.items()}
+    step = 0
+    eps = 1e-8
+    history = []
+    for epoch in range(1, config.epochs + 1):
+        active = extreme if epoch <= config.warmup_epochs else np.arange(n)
+        order = active[rng.permutation(len(active))]
+        lr = _lr_at(epoch, config)
+        total_loss = 0.0
+        for start in range(0, len(order), config.batch_size):
+            batch = order[start : start + config.batch_size]
+            Xb, yb, rb = X[batch], y_train[batch], r[batch]
+            logits, hidden = forward(Xb)
+            P = softmax(logits)
+            losses = batch_loss(np.clip(P, PROB_FLOOR, 1 - PROB_FLOOR), yb, rb)
+            total_loss += float(losses.sum())
+            G = (P - batch_targets(yb, rb)) / len(batch)
+            if config.architecture == "linear":
+                grads = {"W": Xb.T @ G, "b": G.sum(axis=0)}
+            else:
+                dH = (G @ weights["W2"].T) * (1.0 - hidden**2)
+                grads = {
+                    "W1": Xb.T @ dH,
+                    "b1": dH.sum(axis=0),
+                    "W2": hidden.T @ G,
+                    "b2": G.sum(axis=0),
+                }
+            step += 1
+            for key, g in grads.items():
+                opt_m[key] = config.beta1 * opt_m[key] + (1 - config.beta1) * g
+                opt_v[key] = config.beta2 * opt_v[key] + (1 - config.beta2) * g**2
+                m_hat = opt_m[key] / (1 - config.beta1**step)
+                v_hat = opt_v[key] / (1 - config.beta2**step)
+                weights[key] -= lr * (
+                    m_hat / (np.sqrt(v_hat) + eps) + config.weight_decay * weights[key]
+                )
+        scores = softmax(forward(X)[0])[:, 1]
+        try:
+            epoch_auc = auc(scores, y_metric)
+        except NumericError:
+            epoch_auc = float("nan")
+        history.append(EpochMetrics(epoch, total_loss / len(order), epoch_auc, len(order)))
+    return weights, history
+
+
+def random_examples(seed, n, d):
+    rng = np.random.default_rng(seed)
+    u = rng.integers(-3, 4, size=n)
+    u[0] = 3  # a warm-up needs one extreme-confidence example
+    y = rng.integers(0, 2, size=n)
+    X = rng.standard_normal((n, d)) + np.where(y[:, None] == 1, 0.7, -0.7)
+    return [TrainExample(X[i], int(y[i]), int(u[i])) for i in range(n)]
+
+
+class TestAgainstReference:
+    @settings(max_examples=60, deadline=None)
+    @given(
+        seed=st.integers(0, 2**31),
+        n=st.integers(2, 70),
+        d=st.integers(1, 5),
+        architecture=st.sampled_from(ARCHITECTURES),
+        hidden_width=st.integers(1, 6),
+        weight_decay=st.sampled_from([0.0, 0.01, 0.3]),
+        batch_size=st.integers(1, 40),
+        epochs=st.integers(1, 4),
+        warmup=st.integers(0, 4),
+        lr_warmup=st.integers(0, 3),
+        loss=st.sampled_from(LOSS_MODES),
+        columnar=st.booleans(),
+    )
+    def test_flat_adam_matches_per_key_loop(
+        self, seed, n, d, architecture, hidden_width, weight_decay, batch_size, epochs,
+        warmup, lr_warmup, loss, columnar,
+    ):
+        examples = random_examples(seed, n, d)
+        config = TrainConfig(
+            epochs=epochs, warmup_epochs=min(warmup, epochs), learning_rate=0.05,
+            weight_decay=weight_decay, batch_size=batch_size, seed=seed,
+            lr_warmup_epochs=lr_warmup, architecture=architecture,
+            hidden_width=hidden_width, loss=loss,
+        )
+        expected_weights, expected_history = oracle_train(examples, config)
+        dataset = ExampleSet(*oracle_as_arrays(examples)) if columnar else examples
+        model, history = train(dataset, config)
+        assert list(model.weights) == list(expected_weights)
+        for key, w in expected_weights.items():
+            assert model.weights[key].tobytes() == w.tobytes(), key
+        assert repr(history) == repr(expected_history)  # bitwise, NaN AUCs included
+
+    number = st.one_of(
+        st.floats(allow_nan=True, allow_infinity=True),
+        st.integers(-(2**80), 2**80),
+        st.sampled_from([0.0, -0.0, 1e-320, 1.7976931348623157e308, 10**300]),
+    )
+
+    @settings(max_examples=150, deadline=None)
+    @given(data=st.data(), d=st.integers(1, 4))
+    def test_columnar_reader_matches_row_reader(self, tmp_path_factory, data, d):
+        n = data.draw(st.integers(1, 8))
+        rows = [
+            {
+                "features": data.draw(st.lists(self.number, min_size=d, max_size=d)),
+                "y": data.draw(st.sampled_from([0, 1, 1, 0, 2])),
+                "u": data.draw(st.integers(-4, 4)),
+            }
+            for _ in range(n)
+        ]
+        if data.draw(st.booleans()):
+            rows[-1]["features"] = rows[-1]["features"] + [1.0]
+        path = tmp_path_factory.getbasetemp() / "reader-property.jsonl"
+        path.write_text("".join(json.dumps(row) + "\n" for row in rows))
+
+        def outcome(read):
+            try:
+                return read(path)
+            except DataError as exc:
+                return str(exc)
+
+        expected = outcome(lambda p: oracle_as_arrays(oracle_read_examples(p)))
+        got = outcome(read_examples)
+        if isinstance(expected, str):
+            assert got == expected
+        else:
+            X, y, u = expected
+            assert isinstance(got, ExampleSet)
+            assert got.X.tobytes() == X.tobytes() and got.X.shape == X.shape
+            assert got.y.tobytes() == y.tobytes() and got.y.dtype == y.dtype
+            assert got.u.tobytes() == u.tobytes() and got.u.dtype == u.dtype
+
+
+class TestExampleSet:
+    def test_list_and_columns_agree(self):
+        examples = toy_separable(n=30, seed=4)
+        columns = ExampleSet(*oracle_as_arrays(examples))
+        assert len(columns) == 30
+        for orig, back in zip(examples, columns):
+            np.testing.assert_array_equal(orig.features, back.features)
+            assert (orig.y, orig.u) == (back.y, back.u)
+        config = TrainConfig(epochs=2, seed=1)
+        model, _ = train(examples, config)
+        assert evaluate(model, columns) == evaluate(model, examples)
+
+    @pytest.mark.parametrize(
+        "X, y, u, message",
+        [
+            (np.zeros(3), [0, 1, 0], [3, 3, 3], "one-dimensional feature vectors"),
+            (np.zeros((3, 2)), [0, 1], [3, 3, 3], "one row per example"),
+            ([[0.0, np.inf]], [0], [3], "non-finite"),
+            (np.zeros((1, 2)), [2], [3], "labels must be 0 or 1"),
+            (np.zeros((1, 2)), [1], [4], "uncertainty scores"),
+        ],
+    )
+    def test_rejects_bad_columns(self, X, y, u, message):
+        with pytest.raises(DataError, match=message):
+            ExampleSet(X, y, u)
+
+    def test_model_weights_share_one_vector(self):
+        config = TrainConfig(architecture="mlp_1hidden", hidden_width=3)
+        model = init_model(4, config, np.random.default_rng(0))
+        theta = model.weights["W1"].base
+        assert theta.shape == (4 * 3 + 3 + 3 * 2 + 2,)
+        assert all(w.base is theta for w in model.weights.values())
