@@ -155,8 +155,7 @@ def cmd_build(args) -> int:
     )
     print(
         f"wrote {stats.record_count} records to {args.out} "
-        f"({len(stats.malformed_records)} malformed, "
-        f"{stats.unmapped_phrase_count} unmapped phrases)"
+        f"({len(stats.malformed_records)} malformed)"
     )
     return 0
 

@@ -57,7 +57,6 @@ class DatasetStats:
     record_count: int = 0
     per_category_counts: dict[str, int] = field(default_factory=dict)
     per_score_counts: dict[int, int] = field(default_factory=dict)
-    unmapped_phrase_count: int = 0
     malformed_records: list[str] = field(default_factory=list)
 
     def to_json(self) -> str:
@@ -69,7 +68,6 @@ class DatasetStats:
             "per_score_counts": {
                 str(u): self.per_score_counts.get(u, 0) for u in SCORE_LEVELS
             },
-            "unmapped_phrase_count": self.unmapped_phrase_count,
             "malformed_record_count": len(self.malformed_records),
             "malformed_records": sorted(self.malformed_records),
         }
@@ -146,10 +144,8 @@ def build_dataset(
         seen_studies.add(record.study_id)
 
         for finding in extract_findings(record.text, lexicon, vocabulary):
+            # The parser finds only the taxonomy's own (normalized) phrases: all map.
             category = taxonomy.map_diagnosis(finding.raw_phrase)
-            if category is None:
-                stats.unmapped_phrase_count += 1
-                continue
             key = (record.study_id, category)
             current = merged.get(key)
             if current is None or (abs(finding.u), finding.u) > (

@@ -109,19 +109,26 @@ def effective_labels(y: np.ndarray, u: np.ndarray) -> np.ndarray:
 
 
 def softmax(logits: np.ndarray) -> np.ndarray:
-    z = logits - logits.max(axis=1, keepdims=True)
-    e = np.exp(z)
-    return e / e.sum(axis=1, keepdims=True)
+    """Row-wise two-class softmax of (n, 2) logits; the input is left as it is.
+
+    The row max and the row sum are taken on the two columns: the same single
+    ``maximum`` and ``add`` per row as an ``axis=1`` reduction, so the same
+    bits, at a fraction of the cost of a reduction over a width-2 axis.
+    """
+    z = logits - np.maximum(logits[:, :1], logits[:, 1:])
+    np.exp(z, out=z)
+    z /= z[:, :1] + z[:, 1:]
+    return z
 
 
 def batch_loss(P, y_eff, r) -> np.ndarray:
-    """Per-example uncertainty-weighted loss for a batch of probabilities."""
+    """Per-example uncertainty-weighted loss for a batch of two-class probabilities."""
     P = np.asarray(P, dtype=np.float64)
     y_eff = np.asarray(y_eff, dtype=np.int64)
     r = np.asarray(r, dtype=np.float64)
     log_p = np.log(P)
     ce = -log_p[np.arange(len(y_eff)), y_eff]
-    uniform = -0.5 * log_p.sum(axis=1)
+    uniform = -0.5 * (log_p[:, 0] + log_p[:, 1])
     return (1.0 - r) * ce + r * uniform
 
 

@@ -43,6 +43,10 @@ class TaxonomyMap:
     """Immutable phrase -> category lookup."""
 
     def __init__(self, entries: dict[str, DiseaseCategory]):
+        # Keys are normalized phrases: every phrase the parser finds then maps.
+        for phrase in entries:
+            if not phrase or phrase != normalize_phrase(phrase):
+                raise ValueError(f"taxonomy phrase must be normalized and non-empty: {phrase!r}")
         self._entries = dict(entries)
 
     def __len__(self) -> int:

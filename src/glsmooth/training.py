@@ -185,10 +185,17 @@ def init_model(feature_dim: int, config: TrainConfig, rng: np.random.Generator) 
 
 def _forward(model: Model, X: np.ndarray):
     """Logits plus the hidden activations needed for backprop."""
+    w = model.weights
     if model.architecture == "linear":
-        return X @ model.weights["W"] + model.weights["b"], None
-    hidden = np.tanh(X @ model.weights["W1"] + model.weights["b1"])
-    return hidden @ model.weights["W2"] + model.weights["b2"], hidden
+        logits = X @ w["W"]
+        logits += w["b"]
+        return logits, None
+    hidden = X @ w["W1"]
+    hidden += w["b1"]
+    np.tanh(hidden, out=hidden)
+    logits = hidden @ w["W2"]
+    logits += w["b2"]
+    return logits, hidden
 
 
 def predict_proba(model: Model, X) -> np.ndarray:
@@ -254,6 +261,8 @@ def train(
         r = np.zeros(n)
         y_train = y.copy()
     y_metric = effective_labels(y, u)
+    # Each example's soft target is fixed for the run; steps gather their rows.
+    T = batch_targets(y_train, r)
 
     extreme = np.flatnonzero(np.abs(u) == 3)
     if config.warmup_epochs > 0 and len(extreme) == 0:
@@ -271,6 +280,9 @@ def train(
     g = _views(grad, w)
     opt_m = np.zeros_like(theta)
     opt_v = np.zeros_like(theta)
+    # Scratch for the Adam update, so a step allocates no parameter-sized array.
+    buf_a = np.empty_like(theta)
+    buf_b = np.empty_like(theta)
     step = 0
     eps = 1e-8
 
@@ -286,41 +298,60 @@ def train(
             total_loss = 0.0
             for start in range(0, len(order), config.batch_size):
                 batch = order[start : start + config.batch_size]
-                Xb, yb, rb = X[batch], y_train[batch], r[batch]
+                Xb = X[batch]
                 logits, hidden = _forward(model, Xb)
                 P = softmax(logits)
-                losses = batch_loss(np.clip(P, PROB_FLOOR, 1 - PROB_FLOOR), yb, rb)
-                if not np.all(np.isfinite(losses)):
+                losses = batch_loss(P.clip(PROB_FLOOR, 1 - PROB_FLOOR), y_train[batch], r[batch])
+                if not np.isfinite(losses).all():
                     raise NumericError(
                         f"non-finite loss at epoch {epoch}, batch starting {start}"
                     )
                 total_loss += float(losses.sum())
 
-                G = (P - batch_targets(yb, rb)) / len(batch)
+                # G = (P - targets) / batch size, in P's buffer.
+                G = P
+                G -= T[batch]
+                G /= len(batch)
                 if model.architecture == "linear":
                     np.matmul(Xb.T, G, out=g["W"])
                     G.sum(axis=0, out=g["b"])
                 else:
-                    dH = (G @ w["W2"].T) * (1.0 - hidden**2)
-                    np.matmul(Xb.T, dH, out=g["W1"])
-                    dH.sum(axis=0, out=g["b1"])
                     np.matmul(hidden.T, G, out=g["W2"])
                     G.sum(axis=0, out=g["b2"])
+                    # dH = (G @ W2.T) * (1 - hidden**2), with tanh' in hidden's buffer.
+                    np.square(hidden, out=hidden)
+                    np.subtract(1.0, hidden, out=hidden)
+                    dH = G @ w["W2"].T
+                    dH *= hidden
+                    np.matmul(Xb.T, dH, out=g["W1"])
+                    dH.sum(axis=0, out=g["b1"])
 
-                # Adam with decoupled weight decay, one pass over all parameters.
+                # Adam with decoupled weight decay, one pass over all parameters:
+                #   m = b1*m + (1-b1)*g;  v = b2*v + (1-b2)*g**2
+                #   theta -= lr * (m_hat / (sqrt(v_hat) + eps) + decay*theta)
+                # with m_hat computed in buf_a and v_hat in buf_b.
                 step += 1
                 opt_m *= config.beta1
-                opt_m += (1 - config.beta1) * grad
+                np.multiply(1 - config.beta1, grad, out=buf_a)
+                opt_m += buf_a
                 opt_v *= config.beta2
-                opt_v += (1 - config.beta2) * grad**2
-                m_hat = opt_m / (1 - config.beta1**step)
-                v_hat = opt_v / (1 - config.beta2**step)
-                theta -= lr * (m_hat / (np.sqrt(v_hat) + eps) + config.weight_decay * theta)
+                np.square(grad, out=buf_a)
+                buf_a *= 1 - config.beta2
+                opt_v += buf_a
+                np.divide(opt_m, 1 - config.beta1**step, out=buf_a)
+                np.divide(opt_v, 1 - config.beta2**step, out=buf_b)
+                np.sqrt(buf_b, out=buf_b)
+                buf_b += eps
+                buf_a /= buf_b
+                np.multiply(config.weight_decay, theta, out=buf_b)
+                buf_a += buf_b
+                buf_a *= lr
+                theta -= buf_a
 
             if not np.isfinite(theta).all():
                 raise NumericError(f"training diverged: non-finite weights after epoch {epoch}")
             scores = predict_proba(model, X)[:, 1]
-            if not np.all(np.isfinite(scores)):
+            if not np.isfinite(scores).all():
                 raise NumericError(f"training diverged: non-finite scores after epoch {epoch}")
             try:
                 epoch_auc = auc(scores, y_metric)
@@ -484,9 +515,14 @@ def write_examples(path, examples: list[TrainExample]) -> None:
             fh.write(json.dumps({"features": features, "y": int(ex.y), "u": int(ex.u)}) + "\n")
 
 
+# read_examples holds at most this many rows as Python floats before it converts
+# them to one float64 block, so a large file never sits in memory as lists.
+READ_BLOCK_ROWS = 4096
+
+
 def read_examples(path) -> ExampleSet:
     """The examples of a JSON Lines file; the first bad line raises a DataError citing it."""
-    rows, ys, us = [], [], []
+    blocks, rows, ys, us = [], [], [], []
     dim = None
     for lineno, rec in jsonl_records(path, {"features": "numbers", "y": "int", "u": "int"}):
         if isinstance(rec, DataError):
@@ -505,9 +541,14 @@ def read_examples(path) -> ExampleSet:
         rows.append(features)
         ys.append(rec["y"])
         us.append(rec["u"])
-    if not rows:
+        if len(rows) == READ_BLOCK_ROWS:
+            blocks.append(np.array(rows, dtype=np.float64))
+            rows = []
+    if not ys:
         raise DataError(f"no examples in {path}")
-    return ExampleSet(np.array(rows, dtype=np.float64), np.array(ys), np.array(us))
+    if rows:
+        blocks.append(np.array(rows, dtype=np.float64))
+    return ExampleSet(np.concatenate(blocks), np.array(ys), np.array(us))
 
 
 def save_model(model: Model, path) -> None:

@@ -10,7 +10,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from glsmooth.errors import ConfigError
@@ -262,6 +262,68 @@ def test_scalar_api_is_row_zero_of_the_batch_kernel(y_eff, u, r, p1, logits):
     loss = batch_loss(p[None], [y_eff], [r])[0]
     assert np.float64(gls_loss(p, y_eff, r)).tobytes() == loss.tobytes()
     assert softmax_pair(z).tobytes() == softmax(z[None])[0].tobytes()
+
+
+def oracle_softmax(logits):
+    """softmax with the row max and row sum as ``axis=1`` reductions."""
+    z = logits - logits.max(axis=1, keepdims=True)
+    e = np.exp(z)
+    return e / e.sum(axis=1, keepdims=True)
+
+
+def oracle_batch_loss(P, y_eff, r):
+    """batch_loss with the uniform part's row sum as an ``axis=1`` reduction."""
+    P = np.asarray(P, dtype=np.float64)
+    y_eff = np.asarray(y_eff, dtype=np.int64)
+    r = np.asarray(r, dtype=np.float64)
+    log_p = np.log(P)
+    ce = -log_p[np.arange(len(y_eff)), y_eff]
+    uniform = -0.5 * log_p.sum(axis=1)
+    return (1.0 - r) * ce + r * uniform
+
+
+def assert_same_bits(got, expected):
+    """Bitwise equal, except that any NaN matches any NaN."""
+    assert got.shape == expected.shape and got.dtype == expected.dtype
+    nan = np.isnan(expected)
+    assert np.array_equal(np.isnan(got), nan)
+    assert got[~nan].tobytes() == expected[~nan].tobytes()
+
+
+SPECIAL = [0.0, -0.0, math.inf, -math.inf, math.nan, 1e308, -1e308, 1.0, -1.0]
+edge_floats = st.one_of(st.floats(allow_nan=True, allow_infinity=True), st.sampled_from(SPECIAL))
+# A row is two independent values or one value twice (a tie).
+two_columns = st.one_of(
+    st.tuples(edge_floats, edge_floats), edge_floats.map(lambda x: (x, x))
+)
+two_column_arrays = st.lists(two_columns, min_size=1, max_size=12).map(
+    lambda pairs: np.array(pairs, dtype=np.float64).reshape(-1, 2)
+)
+
+
+class TestTwoColumnKernels:
+    """The column-wise kernels against their axis=1 forms, on IEEE edge values."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(logits=two_column_arrays)
+    def test_softmax_matches_axis_reductions(self, logits):
+        before = logits.tobytes()
+        with np.errstate(all="ignore"):
+            expected = oracle_softmax(logits)
+            got = softmax(logits)
+        assert_same_bits(got, expected)
+        assert logits.tobytes() == before
+
+    @settings(max_examples=300, deadline=None)
+    @given(data=st.data(), P=two_column_arrays)
+    def test_batch_loss_matches_axis_reductions(self, data, P):
+        n = len(P)
+        y_eff = data.draw(st.lists(st.integers(0, 1), min_size=n, max_size=n))
+        r = data.draw(st.lists(edge_floats, min_size=n, max_size=n))
+        with np.errstate(all="ignore"):
+            expected = oracle_batch_loss(P, y_eff, r)
+            got = batch_loss(P, y_eff, r)
+        assert_same_bits(got, expected)
 
 
 class TestScoreRateTable:

@@ -5,6 +5,7 @@ import pytest
 from glsmooth.errors import DataError
 from glsmooth.taxonomy import (
     DiseaseCategory,
+    TaxonomyMap,
     default_taxonomy,
     load_taxonomy,
     normalize_phrase,
@@ -59,6 +60,12 @@ class TestVocabulary:
         for phrase, _ in taxonomy.items():
             assert normalize_phrase(phrase) == phrase
             assert taxonomy.map_diagnosis(phrase) is not None
+
+    @pytest.mark.parametrize("phrase", [" pneumonia", "Pneumonia", "pleural  effusion", ""])
+    def test_unnormalized_keys_rejected(self, phrase):
+        # A key the parser can find but map_diagnosis would not map back.
+        with pytest.raises(ValueError, match="normalized"):
+            TaxonomyMap({phrase: DiseaseCategory.PNEUMONIA})
 
     def test_all_categories_reachable(self, taxonomy):
         reached = {category for _, category in taxonomy.items()}

@@ -128,6 +128,16 @@ class TestPredict:
         with pytest.raises(ValueError):
             predict(model, [1.0, 2.0])
 
+    @pytest.mark.parametrize("architecture", ARCHITECTURES)
+    def test_inputs_left_unmodified(self, architecture):
+        rng = np.random.default_rng(5)
+        config = TrainConfig(architecture=architecture, hidden_width=3)
+        model = init_model(4, config, rng)
+        X = rng.normal(size=(6, 4))
+        before = X.tobytes(), [w.tobytes() for w in model.weights.values()]
+        predict_proba(model, X)
+        assert (X.tobytes(), [w.tobytes() for w in model.weights.values()]) == before
+
 
 class TestTrain:
     def test_separable_data_reaches_perfect_auc(self):
@@ -541,6 +551,46 @@ class TestAgainstReference:
             assert got.X.tobytes() == X.tobytes() and got.X.shape == X.shape
             assert got.y.tobytes() == y.tobytes() and got.y.dtype == y.dtype
             assert got.u.tobytes() == u.tobytes() and got.u.dtype == u.dtype
+
+
+class TestReaderBlocks:
+    """read_examples converts rows to float64 a block at a time."""
+
+    BLOCK = 4
+
+    @pytest.mark.parametrize("n", [BLOCK - 1, BLOCK, BLOCK + 1, 2 * BLOCK + 1])
+    def test_blocks_match_row_reader(self, tmp_path, monkeypatch, n):
+        monkeypatch.setattr("glsmooth.training.READ_BLOCK_ROWS", self.BLOCK)
+        examples = random_examples(n, n, 3)
+        examples[-1] = TrainExample(np.array([-0.0, 1e300, 5e-324]), 1, -2)
+        path = tmp_path / "blocks.jsonl"
+        write_examples(path, examples)
+        X, y, u = oracle_as_arrays(oracle_read_examples(path))
+        got = read_examples(path)
+        assert got.X.tobytes() == X.tobytes() and got.X.shape == X.shape
+        assert got.y.tobytes() == y.tobytes() and got.u.tobytes() == u.tobytes()
+
+    @pytest.mark.parametrize("good", [BLOCK, 2 * BLOCK])
+    @pytest.mark.parametrize(
+        "bad",
+        [
+            {"features": [1.0, 2.0], "y": 0, "u": 1},
+            {"features": [1.0, 2.0, 3.0], "y": 2, "u": 1},
+            {"features": [1.0, 2.0, 3.0], "y": 0, "u": 4},
+        ],
+    )
+    def test_bad_line_after_a_block_boundary(self, tmp_path, monkeypatch, good, bad):
+        monkeypatch.setattr("glsmooth.training.READ_BLOCK_ROWS", self.BLOCK)
+        path = tmp_path / "bad.jsonl"
+        write_examples(path, random_examples(good, good, 3))
+        with open(path, "a", encoding="utf-8") as fh:
+            fh.write(json.dumps(bad) + "\n")
+        with pytest.raises(DataError) as expected:
+            oracle_read_examples(path)
+        assert str(expected.value).startswith(f"line {good + 1}: ")
+        with pytest.raises(DataError) as got:
+            read_examples(path)
+        assert str(got.value) == str(expected.value)
 
 
 class TestExampleSet:
