@@ -113,6 +113,21 @@ def _rate_and_target(params: SmoothingParams):
     return lookup
 
 
+def _expected_text(params: SmoothingParams):
+    """(y, u) -> the r, target_neg and target_pos a dataset line holds, six decimals each.
+
+    Lazy like _rate_and_target, so each pair is formatted once per file.
+    """
+    rate_and_target = _rate_and_target(params)
+
+    @functools.cache
+    def lookup(y: int, u: int):
+        r, (neg, pos) = rate_and_target(y, u)
+        return f"{r:.6f}", f"{neg:.6f}", f"{pos:.6f}"
+
+    return lookup
+
+
 def build_dataset(
     records: Iterable,
     lexicon: Lexicon,
@@ -252,49 +267,46 @@ def validate_dataset(path, params: SmoothingParams = DEFAULT_PARAMS) -> DatasetS
     six-decimal precision.  Raises DataError listing every violation with its
     line number; returns recomputed stats when clean.
     """
-    by_value = {c.value: c for c in DiseaseCategory}
-    rate_and_target = _rate_and_target(params)
+    known = set(CATEGORY_NAMES)
+    expected_text = _expected_text(params)
     stats = DatasetStats()
+    per_category, per_score = stats.per_category_counts, stats.per_score_counts
     problems: list[str] = []
     for lineno, rec in jsonl_records(path, _REQUIRED_FIELDS):
         if isinstance(rec, DataError):
             problems.append(str(rec))
             continue
-        category = by_value.get(rec["category"])
-        if category is None:
-            problems.append(f"line {lineno}: unknown category {rec['category']!r}")
+        name, y, u = rec["category"], rec["y"], rec["u"]
+        if name not in known:
+            problems.append(f"line {lineno}: unknown category {name!r}")
             continue
-        if rec["y"] not in (0, 1):
-            problems.append(f"line {lineno}: y must be 0 or 1, got {rec['y']!r}")
+        if y not in (0, 1):
+            problems.append(f"line {lineno}: y must be 0 or 1, got {y!r}")
             continue
-        if rec["u"] not in SCORE_LEVELS:
-            problems.append(f"line {lineno}: u {rec['u']!r} outside {{-3..3}}")
+        if u not in SCORE_LEVELS:
+            problems.append(f"line {lineno}: u {u!r} outside {{-3..3}}")
             continue
-        expected_r, target = rate_and_target(rec["y"], rec["u"])
-        if f"{rec['r']:.6f}" != f"{expected_r:.6f}":
+        expected_r, expected_neg, expected_pos = expected_text(y, u)
+        r = f"{rec['r']:.6f}"
+        if r != expected_r:
             problems.append(
-                f"line {lineno}: r {rec['r']:.6f} does not match "
-                f"-k|u|+r0 = {expected_r:.6f} for u={rec['u']}"
+                f"line {lineno}: r {r} does not match -k|u|+r0 = {expected_r} for u={u}"
             )
             continue
-        if (
-            f"{rec['target_neg']:.6f}" != f"{target[0]:.6f}"
-            or f"{rec['target_pos']:.6f}" != f"{target[1]:.6f}"
-        ):
+        neg, pos = f"{rec['target_neg']:.6f}", f"{rec['target_pos']:.6f}"
+        if neg != expected_neg or pos != expected_pos:
             problems.append(
-                f"line {lineno}: target [{rec['target_neg']:.6f}, "
-                f"{rec['target_pos']:.6f}] does not match "
-                f"[{target[0]:.6f}, {target[1]:.6f}]"
+                f"line {lineno}: target [{neg}, {pos}] does not match "
+                f"[{expected_neg}, {expected_pos}]"
             )
             continue
-        if rec["cue"] is not None and not isinstance(rec["cue"], str):
+        cue = rec["cue"]
+        if cue is not None and not isinstance(cue, str):
             problems.append(f"line {lineno}: cue must be a string or null")
             continue
         stats.record_count += 1
-        stats.per_category_counts[rec["category"]] = (
-            stats.per_category_counts.get(rec["category"], 0) + 1
-        )
-        stats.per_score_counts[rec["u"]] = stats.per_score_counts.get(rec["u"], 0) + 1
+        per_category[name] = per_category.get(name, 0) + 1
+        per_score[u] = per_score.get(u, 0) + 1
     if problems:
         raise DataError("; ".join(problems))
     return stats

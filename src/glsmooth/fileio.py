@@ -3,6 +3,13 @@
 Lines are numbered from 1 as written, blank and comment lines included, so a
 message cites the line a user sees in an editor.  Bytes that are not UTF-8
 raise a DataError naming the input: no line of it can be trusted.
+
+A JSON Lines line is decoded by one ``raw_decode`` call, the C scanner alone,
+and accepted when only JSON whitespace follows the value.  Any other line
+(blank, padded in front, led by a BOM, followed by extra data, or not JSON) is
+handed to ``json.loads``, the same decoder, which accepts or rejects it with
+its own exact message.  Required and typed fields are then checked without
+building a list; the message lists are built only for a line that fails.
 """
 
 from __future__ import annotations
@@ -73,6 +80,11 @@ def table_lines(source, what: str) -> Iterator[tuple[int, str]]:
             yield lineno, stripped
 
 
+# One decoder, configured as json.loads' own; its raw_decode does one C scan.
+_DECODER = json.JSONDecoder()
+_JSON_SPACE = " \t\n\r"
+
+
 def jsonl_records(path, fields=None) -> Iterator[tuple[int, dict | DataError]]:
     """(line number, object) for each non-blank line of a JSON Lines file.
 
@@ -84,28 +96,46 @@ def jsonl_records(path, fields=None) -> Iterator[tuple[int, dict | DataError]]:
     """
     fields = fields or {}
     typed = [(key, *FIELD_KINDS[kind]) for key, kind in fields.items() if kind is not None]
+    raw_decode = _DECODER.raw_decode
     try:
         with open(path, encoding="utf-8") as fh:
             for lineno, line in enumerate(fh, start=1):
-                if not line.strip():
-                    continue
                 try:
-                    record = json.loads(line)
+                    try:
+                        record, end = raw_decode(line)
+                    except json.JSONDecodeError:
+                        end = None
+                    if end is None or line[end:].strip(_JSON_SPACE):
+                        # Blank, padded, a BOM, extra data or bad JSON: json.loads
+                        # accepts or rejects exactly as before, with its own message.
+                        if not line.strip():
+                            continue
+                        record = json.loads(line)
                 except json.JSONDecodeError as exc:
                     record = DataError(f"line {lineno}: invalid record ({exc.msg})")
+                except RecursionError:
+                    record = DataError(f"line {lineno}: invalid record (nested too deeply)")
+                except ValueError:
+                    # The only other ValueError: an integer past int_max_str_digits.
+                    record = DataError(f"line {lineno}: invalid record (integer too long)")
                 else:
                     if not isinstance(record, dict):
                         record = DataError(f"line {lineno}: expected a JSON object")
-                    elif missing := [key for key in fields if key not in record]:
+                    elif not fields.keys() <= record.keys():
+                        missing = [key for key in fields if key not in record]
                         record = DataError(
                             f"line {lineno}: missing field(s) {', '.join(missing)}"
                         )
-                    elif wrong := [
-                        f"{key} must be {phrase}"
-                        for key, test, phrase in typed
-                        if not test(record[key])
-                    ]:
-                        record = DataError(f"line {lineno}: {'; '.join(wrong)}")
+                    else:
+                        for key, test, _ in typed:
+                            if not test(record[key]):
+                                wrong = [
+                                    f"{name} must be {phrase}"
+                                    for name, check, phrase in typed
+                                    if not check(record[name])
+                                ]
+                                record = DataError(f"line {lineno}: {'; '.join(wrong)}")
+                                break
                 yield lineno, record
     except UnicodeDecodeError as exc:
         raise _not_utf8(path, exc) from None
@@ -120,6 +150,10 @@ def json_document(path) -> dict:
         raise _not_utf8(path, exc) from None
     except json.JSONDecodeError as exc:
         raise DataError(f"{path}: invalid JSON ({exc.msg})") from None
+    except RecursionError:
+        raise DataError(f"{path}: invalid JSON (nested too deeply)") from None
+    except ValueError:
+        raise DataError(f"{path}: invalid JSON (integer too long)") from None
     if not isinstance(document, dict):
         raise DataError(f"{path}: expected a JSON object")
     return document

@@ -21,6 +21,7 @@ import json
 import math
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
+from itertools import chain
 
 import numpy as np
 
@@ -520,6 +521,11 @@ def write_examples(path, examples: list[TrainExample]) -> None:
 READ_BLOCK_ROWS = 4096
 
 
+def _float_block(rows: list[list], dim: int) -> np.ndarray:
+    """Rows of ``dim`` JSON numbers as one float64 array, the values np.array gives."""
+    return np.fromiter(chain.from_iterable(rows), np.float64, len(rows) * dim).reshape(-1, dim)
+
+
 def read_examples(path) -> ExampleSet:
     """The examples of a JSON Lines file; the first bad line raises a DataError citing it."""
     blocks, rows, ys, us = [], [], [], []
@@ -527,27 +533,27 @@ def read_examples(path) -> ExampleSet:
     for lineno, rec in jsonl_records(path, {"features": "numbers", "y": "int", "u": "int"}):
         if isinstance(rec, DataError):
             raise rec
-        features = rec["features"]
-        if dim is None:
+        features, y, u = rec["features"], rec["y"], rec["u"]
+        if len(features) != dim:
+            if dim is not None:
+                raise DataError(f"line {lineno}: feature dimension {len(features)} != {dim}")
             dim = len(features)
             if dim == 0:
                 raise DataError(f"line {lineno}: features must not be empty")
-        elif len(features) != dim:
-            raise DataError(f"line {lineno}: feature dimension {len(features)} != {dim}")
-        if rec["y"] not in (0, 1):
+        if y not in (0, 1):
             raise DataError(f"line {lineno}: y must be 0 or 1")
-        if rec["u"] not in SCORE_LEVELS:
+        if u not in SCORE_LEVELS:
             raise DataError(f"line {lineno}: u outside {{-3..3}}")
         rows.append(features)
-        ys.append(rec["y"])
-        us.append(rec["u"])
+        ys.append(y)
+        us.append(u)
         if len(rows) == READ_BLOCK_ROWS:
-            blocks.append(np.array(rows, dtype=np.float64))
+            blocks.append(_float_block(rows, dim))
             rows = []
     if not ys:
         raise DataError(f"no examples in {path}")
     if rows:
-        blocks.append(np.array(rows, dtype=np.float64))
+        blocks.append(_float_block(rows, dim))
     return ExampleSet(np.concatenate(blocks), np.array(ys), np.array(us))
 
 

@@ -386,6 +386,41 @@ class TestMalformedInput:
         assert "Traceback" not in err
         assert not out.exists()
 
+    # Lines the JSON decoder itself cannot turn into a value, with the reason given.
+    UNDECODABLE = pytest.mark.parametrize(
+        "line, reason",
+        [("[" * 100_000 + "]" * 100_000, "nested too deeply"), ("1" * 5000, "integer too long")],
+        ids=["nested", "long-integer"],
+    )
+
+    @UNDECODABLE
+    @pytest.mark.parametrize(
+        "command, target",
+        [("validate", "dataset"), ("train", "examples"), ("eval", "examples")],
+    )
+    def test_undecodable_line(self, tmp_path, capsys, files, command, target, line, reason):
+        lineno = len(files[target].read_text().splitlines()) + 1
+        with open(files[target], "a") as fh:
+            fh.write(line + "\n")
+        out = tmp_path / "out"
+        code, _, err = run_cli(capsys, *self.argv(command, files, out))
+        assert code == 2
+        assert f"line {lineno}: invalid record ({reason})" in err
+        assert "Traceback" not in err
+        assert not out.exists()
+
+    @UNDECODABLE
+    def test_undecodable_report_line_is_malformed(self, tmp_path, capsys, files, line, reason):
+        first, *rest = files["reports"].read_text().splitlines()
+        files["reports"].write_text("\n".join([first, line, *rest]) + "\n")
+        out = tmp_path / "out"
+        code, stdout, _ = run_cli(capsys, *self.argv("build", files, out))
+        assert code == 0
+        assert "(1 malformed)" in stdout
+        assert out.read_text() == files["dataset"].read_text()
+        stats = json.loads((tmp_path / "out.stats.json").read_text())
+        assert stats["malformed_records"] == [f"line 2: invalid record ({reason})"]
+
     @pytest.mark.parametrize(
         "command, target, patch, message",
         [
@@ -420,6 +455,10 @@ class TestMalformedInput:
              "mismatched shapes"),
             ('{"architecture": "linear", "weights": {"W": [["a"]], "b": [0, 0]}}',
              "arrays of numbers"),
+            pytest.param("[" * 100_000 + "]" * 100_000, "invalid JSON (nested too deeply)",
+                         id="nested"),
+            pytest.param('{"hidden_width": ' + "1" * 5000 + "}",
+                         "invalid JSON (integer too long)", id="long-integer"),
         ],
     )
     def test_bad_model_file(self, tmp_path, capsys, files, content, message):
