@@ -276,8 +276,10 @@ def cmd_gen_synthetic(args) -> int:
     write_examples(args.out, data.examples)
     if args.truth_out:
         with open(args.truth_out, "w", encoding="utf-8", newline="\n") as fh:
-            for i, label in enumerate(data.true_labels):
-                fh.write(json.dumps({"index": i, "true_y": int(label)}) + "\n")
+            fh.writelines(
+                f'{{"index": {i}, "true_y": {label}}}\n'
+                for i, label in enumerate(data.true_labels.tolist())
+            )
     print(f"wrote {args.n} examples to {args.out}")
     return 0
 

@@ -259,13 +259,19 @@ _REQUIRED_FIELDS = {
 }
 
 
+# validate_dataset quotes this many problems and counts the rest, so a badly
+# broken file gives a short error rather than one naming every bad record.
+MAX_REPORTED_PROBLEMS = 20
+
+
 def validate_dataset(path, params: SmoothingParams = DEFAULT_PARAMS) -> DatasetStats:
     """Re-check every labeled-record invariant in a dataset file.
 
     Verifies the schema, the score range, r against the conversion formula,
     and the target against the smoothed effective label, all at the file's
-    six-decimal precision.  Raises DataError listing every violation with its
-    line number; returns recomputed stats when clean.
+    six-decimal precision.  Raises DataError naming the first
+    MAX_REPORTED_PROBLEMS violations with their line numbers and counting the
+    rest ("; and N more problem(s)"); returns recomputed stats when clean.
     """
     known = set(CATEGORY_NAMES)
     expected_text = _expected_text(params)
@@ -308,5 +314,8 @@ def validate_dataset(path, params: SmoothingParams = DEFAULT_PARAMS) -> DatasetS
         per_category[name] = per_category.get(name, 0) + 1
         per_score[u] = per_score.get(u, 0) + 1
     if problems:
-        raise DataError("; ".join(problems))
+        text = "; ".join(problems[:MAX_REPORTED_PROBLEMS])
+        if len(problems) > MAX_REPORTED_PROBLEMS:
+            text += f"; and {len(problems) - MAX_REPORTED_PROBLEMS} more problem(s)"
+        raise DataError(text)
     return stats

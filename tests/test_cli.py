@@ -13,6 +13,8 @@ import glsmooth
 from corpus_util import make_reports
 from glsmooth.cli import main
 
+DATA_DIR = Path(__file__).parent / "data"
+
 
 def run_cli(capsys, *argv):
     code = main(list(argv))
@@ -109,6 +111,21 @@ class TestBuildValidate:
         assert code == 2
         code, _, _ = run_cli(capsys, "validate", "--input", str(out), "--k", "0.375")
         assert code == 0
+
+    @pytest.mark.parametrize("bad", [20, 25])
+    def test_validate_quotes_twenty_problems(self, tmp_path, capsys, bad):
+        record = {"study_id": "s", "category": "Nope", "y": 1, "u": 3, "r": -0.25,
+                  "target_neg": 0.0, "target_pos": 1.0, "cue": None}
+        path = tmp_path / "ds.jsonl"
+        path.write_text("".join(json.dumps(record) + "\n" for _ in range(bad)))
+        code, _, err = run_cli(capsys, "validate", "--input", str(path))
+        assert code == 2
+        quoted = [f"line {i}: unknown category 'Nope'" for i in range(1, 21)]
+        more = f"; and {bad - 20} more problem(s)" if bad > 20 else ""
+        assert err == "error: " + "; ".join(quoted) + more + "\n"
+        with pytest.raises(glsmooth.errors.DataError) as exc:
+            glsmooth.validate_dataset(path)
+        assert f"error: {exc.value}\n" == err
 
     def test_build_idempotent(self, tmp_path, capsys):
         src = tmp_path / "reports.jsonl"
@@ -309,6 +326,18 @@ class TestTrainEval:
         )
         assert code == 1
         assert "flux_capacitor" in err
+
+    def test_gen_synthetic_golden_bytes(self, tmp_path, capsys):
+        # the committed files pin the example and truth formats byte for byte
+        out, truth = tmp_path / "gen.jsonl", tmp_path / "gen.truth.jsonl"
+        code, _, _ = run_cli(
+            capsys, "gen-synthetic", "--n", "50", "--d", "3",
+            "--profile", "3:0.02,2:0.1,1:0.25,0:0.45", "--seed", "7",
+            "--out", str(out), "--truth-out", str(truth),
+        )
+        assert code == 0
+        assert out.read_bytes() == (DATA_DIR / "gen_synthetic_golden.jsonl").read_bytes()
+        assert truth.read_bytes() == (DATA_DIR / "gen_synthetic_golden.truth.jsonl").read_bytes()
 
 
 class TestMalformedInput:

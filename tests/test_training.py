@@ -593,6 +593,113 @@ class TestReaderBlocks:
         assert str(got.value) == str(expected.value)
 
 
+# ---------------------------------------------------------------------------
+# Reference implementations: the row-at-a-time json.dumps writer and the
+# generator that built one TrainExample per row, replaced by the block-wise
+# f-string writer and the columnar generator.  Bytes and bits must not move.
+
+
+def oracle_write_examples(path, examples):
+    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+        for ex in examples:
+            features = np.asarray(ex.features, dtype=np.float64).tolist()
+            fh.write(json.dumps({"features": features, "y": int(ex.y), "u": int(ex.u)}) + "\n")
+
+
+def oracle_generator(n, d, noise_profile, seed):
+    rng = np.random.default_rng(seed)
+    true = rng.integers(0, 2, size=n)
+    direction = np.ones(d) / math.sqrt(d)
+    X = rng.standard_normal((n, d)) + np.where(true[:, None] == 1, 1.0, -1.0) * direction
+
+    levels = np.array(sorted(noise_profile), dtype=np.int64)
+    magnitude = levels[rng.integers(0, len(levels), size=n)]
+    flip_p = np.array([noise_profile[int(m)] for m in magnitude])
+    flipped = rng.random(n) < flip_p
+    observed = np.where(flipped, 1 - true, true)
+
+    examples = [
+        TrainExample(features=X[i], y=int(observed[i]), u=int(magnitude[i]))
+        for i in range(n)
+    ]
+    return examples, true
+
+
+MAX_FLOAT = 1.7976931348623157e308
+SPECIAL_FLOATS = [0.0, -0.0, 5e-324, -1e-310, 2.2250738585072014e-308, 1e16, 1e-5, 1e300,
+                  MAX_FLOAT, -MAX_FLOAT, 0.1, 1 / 3, 123456789.0]
+finite_float = st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False), st.sampled_from(SPECIAL_FLOATS)
+)
+
+
+def random_special_rows(n, d, seed):
+    """An ExampleSet whose rows cycle through SPECIAL_FLOATS among random normals."""
+    rng = np.random.default_rng(seed)
+    X = rng.standard_normal((n, d)) * 10.0 ** rng.integers(-8, 9, size=(n, d))
+    flat = X.ravel()
+    flat[: len(SPECIAL_FLOATS)] = SPECIAL_FLOATS[: flat.size]
+    return ExampleSet(X, rng.integers(0, 2, size=n), rng.integers(-3, 4, size=n))
+
+
+def assert_same_bits(got: ExampleSet, X, y, u):
+    assert got.X.tobytes() == X.tobytes() and got.X.shape == X.shape
+    assert got.y.tobytes() == y.tobytes() and got.u.tobytes() == u.tobytes()
+
+
+class TestWriterAndGenerator:
+    @settings(max_examples=150, deadline=None)
+    @given(data=st.data(), n=st.integers(1, 12), d=st.integers(1, 5), as_list=st.booleans())
+    def test_writer_matches_json_dumps(self, tmp_path_factory, data, n, d, as_list):
+        rows = data.draw(st.lists(st.lists(finite_float, min_size=d, max_size=d),
+                                  min_size=n, max_size=n))
+        y = data.draw(st.lists(st.integers(0, 1), min_size=n, max_size=n))
+        u = data.draw(st.lists(st.integers(-3, 3), min_size=n, max_size=n))
+        examples = ExampleSet(np.array(rows, dtype=np.float64), y, u)
+        base = tmp_path_factory.getbasetemp()
+        oracle_write_examples(base / "oracle.jsonl", examples)
+        write_examples(base / "got.jsonl", list(examples) if as_list else examples)
+        assert (base / "got.jsonl").read_bytes() == (base / "oracle.jsonl").read_bytes()
+        assert_same_bits(read_examples(base / "got.jsonl"), examples.X, examples.y, examples.u)
+
+    probability = st.one_of(
+        st.just(0), st.floats(0.0, 0.5), st.sampled_from([0.0, 0.5, 0.02, 0.1, 0.25, 0.45])
+    )
+
+    @settings(max_examples=80, deadline=None)
+    @given(
+        seed=st.integers(0, 2**63),
+        n=st.integers(1, 300),
+        d=st.integers(2, 6),
+        profile=st.dictionaries(st.integers(0, 3), probability, min_size=1),
+    )
+    def test_generator_matches_row_generator(self, seed, n, d, profile):
+        examples, true = oracle_generator(n, d, profile, seed)
+        data = synthetic_noisy_generator(n, d, profile, seed)
+        assert isinstance(data.examples, ExampleSet)
+        assert_same_bits(data.examples, *oracle_as_arrays(examples))
+        assert data.true_labels.tobytes() == true.tobytes()
+
+    @pytest.mark.parametrize("n", [3, 4, 5, 9])
+    def test_blocks_match_json_dumps(self, tmp_path, monkeypatch, n):
+        monkeypatch.setattr("glsmooth.training.WRITE_BLOCK_ROWS", 4)
+        monkeypatch.setattr("glsmooth.training.READ_BLOCK_ROWS", 4)
+        examples = random_special_rows(n, 3, seed=n)
+        oracle_write_examples(tmp_path / "oracle.jsonl", examples)
+        write_examples(tmp_path / "got.jsonl", examples)
+        assert (tmp_path / "got.jsonl").read_bytes() == (tmp_path / "oracle.jsonl").read_bytes()
+        assert len((tmp_path / "got.jsonl").read_text().splitlines()) == n
+        assert_same_bits(read_examples(tmp_path / "got.jsonl"), examples.X, examples.y, examples.u)
+
+    def test_non_finite_feature_is_not_written(self, tmp_path):
+        examples = toy_separable(n=5, seed=1)
+        examples[2] = TrainExample(np.array([np.nan, 1.0]), 1, 3)
+        path = tmp_path / "nan.jsonl"
+        with pytest.raises(DataError, match="non-finite"):
+            write_examples(path, examples)
+        assert not path.exists()
+
+
 class TestExampleSet:
     def test_list_and_columns_agree(self):
         examples = toy_separable(n=30, seed=4)
@@ -625,3 +732,28 @@ class TestExampleSet:
         theta = model.weights["W1"].base
         assert theta.shape == (4 * 3 + 3 + 3 * 2 + 2,)
         assert all(w.base is theta for w in model.weights.values())
+
+    @pytest.mark.parametrize("index", [0, 3, -1, -5, np.int64(2), np.int32(4)])
+    def test_integer_index_gives_one_example(self, index):
+        examples = toy_separable(n=5, seed=2)
+        columns = ExampleSet(*oracle_as_arrays(examples))
+        row = columns[index]
+        assert isinstance(row, TrainExample)
+        assert row.features.tobytes() == examples[int(index)].features.tobytes()
+        assert (type(row.y), type(row.u)) == (int, int)
+        assert (row.y, row.u) == (examples[int(index)].y, examples[int(index)].u)
+
+    @pytest.mark.parametrize(
+        "index", [slice(1, 4), slice(None, None, -2), slice(7, 9), np.array([4, 0, 0, 2])]
+    )
+    def test_slice_or_index_array_gives_an_example_set(self, index):
+        X, y, u = oracle_as_arrays(toy_separable(n=5, seed=2))
+        part = ExampleSet(X, y, u)[index]
+        assert isinstance(part, ExampleSet)
+        assert_same_bits(part, X[index], y[index], u[index])
+
+    @pytest.mark.parametrize("index", [5, -6, np.int64(99)])
+    def test_index_out_of_range(self, index):
+        columns = ExampleSet(*oracle_as_arrays(toy_separable(n=5, seed=2)))
+        with pytest.raises(IndexError):
+            columns[index]
