@@ -4,12 +4,16 @@ Lines are numbered from 1 as written, blank and comment lines included, so a
 message cites the line a user sees in an editor.  Bytes that are not UTF-8
 raise a DataError naming the input: no line of it can be trusted.
 
-A JSON Lines line is decoded by one ``raw_decode`` call, the C scanner alone,
-and accepted when only JSON whitespace follows the value.  Any other line
-(blank, padded in front, led by a BOM, followed by extra data, or not JSON) is
-handed to ``json.loads``, the same decoder, which accepts or rejects it with
-its own exact message.  Required and typed fields are then checked without
-building a list; the message lists are built only for a line that fails.
+A JSON Lines file is read one line at a time (``numbered_lines``) and
+decoded line by line (``decode_records``): one ``raw_decode`` call, the C
+scanner alone, and the line is accepted when only JSON whitespace follows the
+value.  Any other line (blank, padded in front, led by a BOM, followed by
+extra data, or not JSON) is handed to ``json.loads``, the same decoder, which
+accepts or rejects it with its own exact message.  Required and typed fields
+are then checked without building a list; the message lists are built only
+for a line that fails.  A reader that knows its lines' exact layout may group
+the numbered lines into blocks, decode a whole block at once and hand any
+block it cannot take to ``decode_records`` (``training.read_examples`` does).
 """
 
 from __future__ import annotations
@@ -84,61 +88,72 @@ def table_lines(source, what: str) -> Iterator[tuple[int, str]]:
 _DECODER = json.JSONDecoder()
 _JSON_SPACE = " \t\n\r"
 
+def numbered_lines(path) -> Iterator[tuple[int, str]]:
+    """(line number, line) for every line of a UTF-8 text file, blank ones included.
 
-def jsonl_records(path, fields=None) -> Iterator[tuple[int, dict | DataError]]:
-    """(line number, object) for each non-blank line of a JSON Lines file.
+    Bytes that are not UTF-8 raise a DataError naming the file when the
+    reader reaches them.
+    """
+    try:
+        with open(path, encoding="utf-8") as fh:
+            yield from enumerate(fh, start=1)
+    except UnicodeDecodeError as exc:
+        raise _not_utf8(path, exc) from None
+
+
+def decode_records(numbered, fields=None) -> Iterator[tuple[int, dict | DataError]]:
+    """(line number, object) for each non-blank line of ``numbered``, (line number, line) pairs.
 
     ``fields`` maps each required field to the kind of value it must hold (a
     key of FIELD_KINDS), or to None for any value.  A line that does not
     decode to an object, lacks a required field or holds a value of the wrong
     kind comes back as a DataError citing its line, so each caller keeps its
-    own policy: collect it or raise it.  The file is read one line at a time.
+    own policy: collect it or raise it.
     """
     fields = fields or {}
     typed = [(key, *FIELD_KINDS[kind]) for key, kind in fields.items() if kind is not None]
     raw_decode = _DECODER.raw_decode
-    try:
-        with open(path, encoding="utf-8") as fh:
-            for lineno, line in enumerate(fh, start=1):
-                try:
-                    try:
-                        record, end = raw_decode(line)
-                    except json.JSONDecodeError:
-                        end = None
-                    if end is None or line[end:].strip(_JSON_SPACE):
-                        # Blank, padded, a BOM, extra data or bad JSON: json.loads
-                        # accepts or rejects exactly as before, with its own message.
-                        if not line.strip():
-                            continue
-                        record = json.loads(line)
-                except json.JSONDecodeError as exc:
-                    record = DataError(f"line {lineno}: invalid record ({exc.msg})")
-                except RecursionError:
-                    record = DataError(f"line {lineno}: invalid record (nested too deeply)")
-                except ValueError:
-                    # The only other ValueError: an integer past int_max_str_digits.
-                    record = DataError(f"line {lineno}: invalid record (integer too long)")
-                else:
-                    if not isinstance(record, dict):
-                        record = DataError(f"line {lineno}: expected a JSON object")
-                    elif not fields.keys() <= record.keys():
-                        missing = [key for key in fields if key not in record]
-                        record = DataError(
-                            f"line {lineno}: missing field(s) {', '.join(missing)}"
-                        )
-                    else:
-                        for key, test, _ in typed:
-                            if not test(record[key]):
-                                wrong = [
-                                    f"{name} must be {phrase}"
-                                    for name, check, phrase in typed
-                                    if not check(record[name])
-                                ]
-                                record = DataError(f"line {lineno}: {'; '.join(wrong)}")
-                                break
-                yield lineno, record
-    except UnicodeDecodeError as exc:
-        raise _not_utf8(path, exc) from None
+    for lineno, line in numbered:
+        try:
+            try:
+                record, end = raw_decode(line)
+            except json.JSONDecodeError:
+                end = None
+            if end is None or line[end:].strip(_JSON_SPACE):
+                # Blank, padded, a BOM, extra data or bad JSON: json.loads
+                # accepts or rejects exactly as before, with its own message.
+                if not line.strip():
+                    continue
+                record = json.loads(line)
+        except json.JSONDecodeError as exc:
+            record = DataError(f"line {lineno}: invalid record ({exc.msg})")
+        except RecursionError:
+            record = DataError(f"line {lineno}: invalid record (nested too deeply)")
+        except ValueError:
+            # The only other ValueError: an integer past int_max_str_digits.
+            record = DataError(f"line {lineno}: invalid record (integer too long)")
+        else:
+            if not isinstance(record, dict):
+                record = DataError(f"line {lineno}: expected a JSON object")
+            elif not fields.keys() <= record.keys():
+                missing = [key for key in fields if key not in record]
+                record = DataError(f"line {lineno}: missing field(s) {', '.join(missing)}")
+            else:
+                for key, test, _ in typed:
+                    if not test(record[key]):
+                        wrong = [
+                            f"{name} must be {phrase}"
+                            for name, check, phrase in typed
+                            if not check(record[name])
+                        ]
+                        record = DataError(f"line {lineno}: {'; '.join(wrong)}")
+                        break
+        yield lineno, record
+
+
+def jsonl_records(path, fields=None) -> Iterator[tuple[int, dict | DataError]]:
+    """``decode_records`` over a JSON Lines file, read one line at a time."""
+    return decode_records(numbered_lines(path), fields)
 
 
 def json_document(path) -> dict:

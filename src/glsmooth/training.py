@@ -19,14 +19,17 @@ from __future__ import annotations
 
 import json
 import math
+import re
+import sys
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
-from itertools import chain
+from itertools import chain, repeat
+from typing import Iterator
 
 import numpy as np
 
 from .errors import ConfigError, DataError, NumericError
-from .fileio import json_document, jsonl_records
+from .fileio import decode_records, json_document, numbered_lines
 from .smoothing import SCORE_LEVELS, SmoothingParams, smoothing_rate
 from .smoothing import batch_loss, batch_targets, effective_labels, softmax
 
@@ -407,7 +410,13 @@ def evaluate(model: Model, dataset: ExampleSet | list[TrainExample]) -> float:
         raise DataError(
             f"data has {data.X.shape[1]} features, model expects {model.feature_dim}"
         )
-    return auc(predict_proba(model, data.X)[:, 1], effective_labels(data.y, data.u))
+    # Finite weights can still overflow on the data; the check below reports
+    # it (NumericError), so numpy's warnings would only be noise.
+    with np.errstate(over="ignore", invalid="ignore"):
+        scores = predict_proba(model, data.X)[:, 1]
+    if not np.isfinite(scores).all():
+        raise NumericError("non-finite scores: the model overflows on this data")
+    return auc(scores, effective_labels(data.y, data.u))
 
 
 @dataclass
@@ -512,14 +521,16 @@ def sweep(
 # File formats: training examples (JSON lines) and model checkpoints (JSON).
 
 
-# read_examples holds at most this many rows as Python floats before it converts
-# them to one float64 block, so a large file never sits in memory as lists.
-READ_BLOCK_ROWS = 4096
+# read_examples takes this many lines of a file at a time: it decodes them as
+# one block where it can and converts each block's rows to float64 at once, so
+# a large file never sits in memory as lists.  128 to 1024 read a 20k-line file
+# at one speed; the smaller the block, the less a train-and-eval pass of two
+# such files peaks at (16.9 MB at 256, 17.4 at 512, 17.8 at 1024).
+READ_BLOCK_LINES = 256
 # write_examples turns this many rows at a time into Python floats to format
-# them.  Smaller than the read block because the allocator keeps a block's float
-# objects resident after the call: with 4096-row blocks a 10k-row gen-synthetic
-# left more memory resident than writing row by row, with 1024 less, at the
-# same speed.
+# them.  The allocator keeps a block's float objects resident after the call:
+# with 4096-row blocks a 10k-row gen-synthetic left more memory resident than
+# writing row by row, with 1024 less, at the same speed.
 WRITE_BLOCK_ROWS = 1024
 
 
@@ -547,34 +558,115 @@ def _float_block(rows: list[list], dim: int) -> np.ndarray:
     return np.fromiter(chain.from_iterable(rows), np.float64, len(rows) * dim).reshape(-1, dim)
 
 
+_EXAMPLE_FIELDS = {"features": "numbers", "y": "int", "u": "int"}
+# A line as write_examples and json.dumps write it: only number characters in
+# features, y 0 or 1, u -3..3, and nothing else on the line.
+_EXAMPLE_LINE = re.compile(
+    r'^\{"features": \[([-0-9.eE+, ]*)\], "y": ([01]), "u": (-?[0-3])\}$', re.MULTILINE
+)
+_FLOAT_MAX = sys.float_info.max
+
+
+def _line_blocks(path) -> Iterator[tuple[int, list[str]]]:
+    """(number of the first line, lines) for consecutive READ_BLOCK_LINES-line blocks of a file.
+
+    Bytes that are not UTF-8 raise their DataError only after the block of
+    lines read before them, so a bad line there fails first, as line by line.
+    """
+    first, lines, error = 1, [], None
+    try:
+        for lineno, line in numbered_lines(path):
+            lines.append(line)
+            if len(lines) == READ_BLOCK_LINES:
+                yield first, lines
+                first, lines = lineno + 1, []
+    except DataError as exc:
+        error = exc
+    if lines:
+        yield first, lines
+    if error is not None:
+        raise error
+
+
+def _decode_block(
+    lines: list[str], dim: int | None
+) -> tuple[np.ndarray, Iterator[int], Iterator[int]] | None:
+    """(X, y values, u values) of a block whose every line has the written layout, else None.
+
+    The features of all lines are decoded as one flat list by one json.loads,
+    the decoder the line-by-line path uses, so each number comes out as it
+    would there; each line's comma count gives its row length.  None when a
+    line has another layout, the numbers do not decode, a row is empty or its
+    length differs from ``dim`` or from the others, or a value is not below
+    the float maximum in magnitude: an integer just past the float range
+    rounds to the maximum, which the line-by-line check rejects as no number.
+    """
+    # The first line alone turns away a file of another layout, before a
+    # search of the whole block that would try every position in it.
+    if _EXAMPLE_LINE.match(lines[0]) is None:
+        return None
+    found = _EXAMPLE_LINE.findall("".join(lines))
+    if len(found) != len(lines):  # a match never spans lines, so one did not match
+        return None
+    features, ys, us = zip(*found)
+    commas = list(map(str.count, features, repeat(",")))
+    width = commas[0] + 1
+    if commas.count(commas[0]) != len(commas) or (dim is not None and width != dim):
+        return None
+    try:
+        values = np.array(json.loads("[" + ", ".join(features) + "]"), dtype=np.float64)
+    except (ValueError, OverflowError):  # bad number syntax, or past the float range
+        return None
+    # A line's features hold one value more than their commas, or none ("[]").
+    if values.size != len(lines) * width:
+        return None
+    if not (-_FLOAT_MAX < values.min() and values.max() < _FLOAT_MAX):
+        return None
+    return values.reshape(-1, width), map(int, ys), map(int, us)
+
+
 def read_examples(path) -> ExampleSet:
-    """The examples of a JSON Lines file; the first bad line raises a DataError citing it."""
-    blocks, rows, ys, us = [], [], [], []
+    """The examples of a JSON Lines file; the first bad line raises a DataError citing it.
+
+    The file is read a block of READ_BLOCK_LINES lines at a time.  A
+    block whose every line has the layout write_examples writes is decoded
+    as a whole; any other block (blank, padded or reordered lines, other
+    separators, a non-number in ``features``, a bad line) is read line by line
+    with every check, so each line gives the same values or the same error.
+    """
+    blocks, ys, us = [], [], []
     dim = None
-    for lineno, rec in jsonl_records(path, {"features": "numbers", "y": "int", "u": "int"}):
-        if isinstance(rec, DataError):
-            raise rec
-        features, y, u = rec["features"], rec["y"], rec["u"]
-        if len(features) != dim:
-            if dim is not None:
-                raise DataError(f"line {lineno}: feature dimension {len(features)} != {dim}")
-            dim = len(features)
-            if dim == 0:
-                raise DataError(f"line {lineno}: features must not be empty")
-        if y not in (0, 1):
-            raise DataError(f"line {lineno}: y must be 0 or 1")
-        if u not in SCORE_LEVELS:
-            raise DataError(f"line {lineno}: u outside {{-3..3}}")
-        rows.append(features)
-        ys.append(y)
-        us.append(u)
-        if len(rows) == READ_BLOCK_ROWS:
+    for first, lines in _line_blocks(path):
+        decoded = _decode_block(lines, dim)
+        if decoded is not None:
+            X, block_y, block_u = decoded
+            dim = X.shape[1]
+            blocks.append(X)
+            ys.extend(block_y)
+            us.extend(block_u)
+            continue
+        rows = []
+        for lineno, rec in decode_records(enumerate(lines, first), _EXAMPLE_FIELDS):
+            if isinstance(rec, DataError):
+                raise rec
+            features, y, u = rec["features"], rec["y"], rec["u"]
+            if len(features) != dim:
+                if dim is not None:
+                    raise DataError(f"line {lineno}: feature dimension {len(features)} != {dim}")
+                dim = len(features)
+                if dim == 0:
+                    raise DataError(f"line {lineno}: features must not be empty")
+            if y not in (0, 1):
+                raise DataError(f"line {lineno}: y must be 0 or 1")
+            if u not in SCORE_LEVELS:
+                raise DataError(f"line {lineno}: u outside {{-3..3}}")
+            rows.append(features)
+            ys.append(y)
+            us.append(u)
+        if rows:
             blocks.append(_float_block(rows, dim))
-            rows = []
     if not ys:
         raise DataError(f"no examples in {path}")
-    if rows:
-        blocks.append(_float_block(rows, dim))
     return ExampleSet(np.concatenate(blocks), np.array(ys), np.array(us))
 
 

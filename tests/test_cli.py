@@ -544,6 +544,26 @@ class TestDivergence:
         assert proc.stderr == f"error: training diverged: non-finite {what} after epoch 1\n"
         assert not model.exists()
 
+    def test_eval_overflow_exits_3(self, tmp_path, capsys):
+        # Finite weights whose scores overflow: 10 * 1e308 is inf, and inf - inf is NaN.
+        data, model = tmp_path / "ex.jsonl", tmp_path / "model.json"
+        rows = [([10.0, 10.0], 1), ([-10.0, -10.0], 0), ([5.0, 5.0], 1)]
+        data.write_text("".join(
+            json.dumps({"features": features, "y": y, "u": 3}) + "\n" for features, y in rows
+        ))
+        weights = {"W": [[1e308, -1e308], [1e308, -1e308]], "b": [0.0, 0.0]}
+        model.write_text(json.dumps(
+            {"architecture": "linear", "hidden_width": None, "weights": weights}
+        ))
+        argv = ["eval", "--data", str(data), "--model", str(model)]
+        error = "error: non-finite scores: the model overflows on this data\n"
+        assert run_cli(capsys, *argv) == (3, "", error)
+        proc = subprocess.run(
+            [sys.executable, "-m", "glsmooth.cli", *argv], capture_output=True, text=True,
+            env={**os.environ, "PYTHONPATH": str(Path(glsmooth.__file__).parents[1])},
+        )
+        assert (proc.returncode, proc.stdout, proc.stderr) == (3, "", error)
+
     def test_negative_lr_warmup_is_usage_error(self, tmp_path, capsys):
         data = tmp_path / "ex.jsonl"
         argv = ["gen-synthetic", "--n", "20", "--d", "2", "--profile", "3:0.0", "--out", str(data)]

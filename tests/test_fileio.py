@@ -112,3 +112,24 @@ def test_decoder_matches_json_loads_reader(tmp_path_factory, fields, lines, last
     path.write_bytes(text.encode("utf-8"))
     expected = outcome(oracle_jsonl_records(path, fields))
     assert outcome(jsonl_records(path, fields)) == expected
+
+
+def test_records_before_invalid_utf8_come_first(tmp_path):
+    # Good and bad lines, then bytes that are not UTF-8 more than one text-decoder
+    # chunk later, all inside one block: every line before the chunk holding
+    # the bad bytes is yielded, then the error is raised, as line by line.
+    lines = [json.dumps({"y": i, "features": [0.5] * 20}) for i in range(300)]
+    lines[3] = "{"
+    path = tmp_path / "utf8.jsonl"
+    path.write_bytes(("\n".join(lines) + "\n").encode("utf-8") + b'{"y": "\xff"}\n')
+
+    def until_error(records):
+        seen = []
+        with pytest.raises(DataError) as error:
+            for item in records:
+                seen.append(item)
+        return outcome(seen), str(error.value)
+
+    expected = until_error(oracle_jsonl_records(path, EXAMPLE_FIELDS))
+    assert len(expected[0]) > 100 and expected[1] == f"{path}: not valid UTF-8 (invalid start byte)"
+    assert until_error(jsonl_records(path, EXAMPLE_FIELDS)) == expected

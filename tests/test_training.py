@@ -2,12 +2,16 @@
 
 import json
 import math
+from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from glsmooth import training
+from glsmooth.cli import main
 from glsmooth.errors import ConfigError, DataError, NumericError
 from glsmooth.smoothing import (
     SCORE_LEVELS,
@@ -41,6 +45,10 @@ from glsmooth.training import (
     train,
     write_examples,
 )
+from test_fileio import oracle_jsonl_records
+
+DATA_DIR = Path(__file__).parent / "data"
+MAX_FLOAT = 1.7976931348623157e308
 
 
 def brute_force_auc(scores, labels) -> float:
@@ -386,6 +394,47 @@ def oracle_read_examples(path):
     return examples
 
 
+def oracle_line_reader(path):
+    """The reader as it was, line by line: json.loads and typed fields per line, then the
+    line checks, then one float64 array; the first problem raises."""
+    rows, ys, us = [], [], []
+    dim = None
+    for lineno, rec in oracle_jsonl_records(path, {"features": "numbers", "y": "int", "u": "int"}):
+        if isinstance(rec, DataError):
+            raise rec
+        features, y, u = rec["features"], rec["y"], rec["u"]
+        if dim is None:
+            dim = len(features)
+            if dim == 0:
+                raise DataError(f"line {lineno}: features must not be empty")
+        elif len(features) != dim:
+            raise DataError(f"line {lineno}: feature dimension {len(features)} != {dim}")
+        if y not in (0, 1):
+            raise DataError(f"line {lineno}: y must be 0 or 1")
+        if u not in SCORE_LEVELS:
+            raise DataError(f"line {lineno}: u outside {{-3..3}}")
+        rows.append(features)
+        ys.append(y)
+        us.append(u)
+    if not rows:
+        raise DataError(f"no examples in {path}")
+    X = np.array(rows, dtype=np.float64)
+    if not np.all(np.isfinite(X)):
+        raise DataError("features contain non-finite values")
+    return X, np.array(ys, dtype=np.int64), np.array(us, dtype=np.int64)
+
+
+def read_outcome(read, path):
+    """(X bytes, shape, y bytes, u bytes) of what ``read`` returns, or its DataError's text."""
+    try:
+        got = read(path)
+    except DataError as exc:
+        return str(exc)
+    X, y, u = (got.X, got.y, got.u) if isinstance(got, ExampleSet) else got
+    assert y.dtype == u.dtype == np.int64
+    return X.tobytes(), X.shape, y.tobytes(), u.tobytes()
+
+
 def oracle_train(dataset, config):
     """The trainer with one weight array per layer and Adam as a per-key loop."""
     X, y, u = oracle_as_arrays(dataset)
@@ -517,50 +566,84 @@ class TestAgainstReference:
         st.integers(-(2**80), 2**80),
         st.sampled_from([0.0, -0.0, 1e-320, 1.7976931348623157e308, 10**300]),
     )
+    # Feature tokens as written by hand: -0 is the integer 0, 1e400 is inf,
+    # int(MAX_FLOAT) + 1 rounds to the float maximum but is past it, so no number.
+    token = st.one_of(
+        number.map(json.dumps),
+        st.sampled_from([
+            "-0", "1E+05", "2.5e-3", "1e400", "-1e400", str(10**309), str(int(MAX_FLOAT)),
+            str(int(MAX_FLOAT) + 1), "true", "null", '"1.0"', "[]",
+        ]),
+    )
 
-    @settings(max_examples=150, deadline=None)
-    @given(data=st.data(), d=st.integers(1, 4))
-    def test_columnar_reader_matches_row_reader(self, tmp_path_factory, data, d):
+    @staticmethod
+    @st.composite
+    def odd_line(draw, tokens, y, u):
+        """An example line in one of the layouts json.dumps does not write, but a reader takes."""
+        features = "[" + draw(st.sampled_from([", ", ",", " , "])).join(tokens) + "]"
+        items = [f'"features": {features}', f'"y": {y}', f'"u": {u}']
+        layout = draw(st.sampled_from(["compact", "reordered", "extra", "canonical"]))
+        if layout == "reordered":
+            items = draw(st.permutations(items))
+        elif layout == "extra":
+            extra = draw(st.sampled_from(['"note": "a"', '"r": 0.5']))
+            items.insert(draw(st.integers(0, 3)), extra)
+        line = "{" + (",".join(items) if layout == "compact" else ", ".join(items)) + "}"
+        padding = st.sampled_from(["", "", " ", "\t", "  "])
+        return draw(padding) + line + draw(padding)
+
+    @settings(max_examples=200, deadline=None)
+    @given(data=st.data(), d=st.integers(1, 4), block=st.sampled_from([2, 3, 1024]))
+    def test_columnar_reader_matches_row_reader(self, tmp_path_factory, data, d, block):
         n = data.draw(st.integers(1, 8))
-        rows = [
-            {
-                "features": data.draw(st.lists(self.number, min_size=d, max_size=d)),
-                "y": data.draw(st.sampled_from([0, 1, 1, 0, 2])),
-                "u": data.draw(st.integers(-4, 4)),
-            }
-            for _ in range(n)
-        ]
-        if data.draw(st.booleans()):
-            rows[-1]["features"] = rows[-1]["features"] + [1.0]
         path = tmp_path_factory.getbasetemp() / "reader-property.jsonl"
-        path.write_text("".join(json.dumps(row) + "\n" for row in rows))
-
-        def outcome(read):
-            try:
-                return read(path)
-            except DataError as exc:
-                return str(exc)
-
-        expected = outcome(lambda p: oracle_as_arrays(oracle_read_examples(p)))
-        got = outcome(read_examples)
-        if isinstance(expected, str):
-            assert got == expected
+        if data.draw(st.booleans()):
+            # Lines as json.dumps writes them, also checked against the json.loads oracle.
+            rows = [
+                {
+                    "features": data.draw(st.lists(self.number, min_size=d, max_size=d)),
+                    "y": data.draw(st.sampled_from([0, 1, 1, 0, 2])),
+                    "u": data.draw(st.integers(-4, 4)),
+                }
+                for _ in range(n)
+            ]
+            if data.draw(st.booleans()):
+                rows[-1]["features"] = rows[-1]["features"] + [1.0]
+            path.write_text("".join(json.dumps(row) + "\n" for row in rows))
+            expected = read_outcome(lambda p: oracle_as_arrays(oracle_read_examples(p)), path)
+            assert read_outcome(oracle_line_reader, path) == expected
         else:
-            X, y, u = expected
-            assert isinstance(got, ExampleSet)
-            assert got.X.tobytes() == X.tobytes() and got.X.shape == X.shape
-            assert got.y.tobytes() == y.tobytes() and got.y.dtype == y.dtype
-            assert got.u.tobytes() == u.tobytes() and got.u.dtype == u.dtype
+            # Hand-written lines: other layouts, blank and padded lines, \r\n
+            # endings, a last line without a newline, and odd feature tokens.
+            lines = []
+            for _ in range(n):
+                width = d + data.draw(st.sampled_from([0] * 8 + [1, -1]))
+                tokens = data.draw(st.lists(self.token, min_size=width, max_size=width))
+                y = data.draw(st.sampled_from(["0", "1", "1", "0", "2", "true"]))
+                u = data.draw(st.sampled_from(["-3", "-1", "0", "2", "3", "-0", "4", "1.0"]))
+                if data.draw(st.booleans()):
+                    line = f'{{"features": [{", ".join(tokens)}], "y": {y}, "u": {u}}}'
+                else:
+                    line = data.draw(self.odd_line(tokens, y, u))
+                if data.draw(st.integers(0, 5)) == 0:
+                    lines.append(data.draw(st.sampled_from(["", " ", "\t"])))
+                lines.append(line)
+            end = data.draw(st.sampled_from(["\n", "\r\n"]))
+            text = end.join(lines) + (end if data.draw(st.booleans()) else "")
+            path.write_bytes(text.encode("utf-8"))
+            expected = read_outcome(oracle_line_reader, path)
+        with mock.patch.object(training, "READ_BLOCK_LINES", block):
+            assert read_outcome(read_examples, path) == expected
 
 
 class TestReaderBlocks:
-    """read_examples converts rows to float64 a block at a time."""
+    """read_examples reads and converts a block of lines at a time."""
 
     BLOCK = 4
 
     @pytest.mark.parametrize("n", [BLOCK - 1, BLOCK, BLOCK + 1, 2 * BLOCK + 1])
     def test_blocks_match_row_reader(self, tmp_path, monkeypatch, n):
-        monkeypatch.setattr("glsmooth.training.READ_BLOCK_ROWS", self.BLOCK)
+        monkeypatch.setattr("glsmooth.training.READ_BLOCK_LINES", self.BLOCK)
         examples = random_examples(n, n, 3)
         examples[-1] = TrainExample(np.array([-0.0, 1e300, 5e-324]), 1, -2)
         path = tmp_path / "blocks.jsonl"
@@ -580,7 +663,7 @@ class TestReaderBlocks:
         ],
     )
     def test_bad_line_after_a_block_boundary(self, tmp_path, monkeypatch, good, bad):
-        monkeypatch.setattr("glsmooth.training.READ_BLOCK_ROWS", self.BLOCK)
+        monkeypatch.setattr("glsmooth.training.READ_BLOCK_LINES", self.BLOCK)
         path = tmp_path / "bad.jsonl"
         write_examples(path, random_examples(good, good, 3))
         with open(path, "a", encoding="utf-8") as fh:
@@ -591,6 +674,97 @@ class TestReaderBlocks:
         with pytest.raises(DataError) as got:
             read_examples(path)
         assert str(got.value) == str(expected.value)
+
+    BAD_LINES = {
+        "dimension": '{"features": [1.0, 2.0], "y": 0, "u": 1}',
+        "y": '{"features": [1.0, 2.0, 3.0], "y": 2, "u": 1}',
+        "bool": '{"features": [1.0, true, 3.0], "y": 0, "u": 1}',
+        "rounds to float max": f'{{"features": [1.0, {int(MAX_FLOAT) + 1}, 3.0], "y": 0, "u": 1}}',
+        "overflows float": f'{{"features": [1.0, {10**309}, 3.0], "y": 0, "u": 1}}',
+        "prefix": 'x{"features": [1.0, 2.0, 3.0], "y": 0, "u": 1}',
+        "empty": '{"features": [], "y": 0, "u": 1}',
+    }
+    ODD_LINES = {
+        "compact": '{"features":[1.5,-0,1E+05],"y":1,"u":-3}',
+        "padded": ' {"features": [1.5, -0, 1E+05], "y": 1, "u": -3}\t',
+        "reordered": '{"u": -3, "y": 1, "features": [1.5, -0, 1E+05]}',
+    }
+
+    @pytest.mark.parametrize("bad", [None, *BAD_LINES])
+    @pytest.mark.parametrize("odd", ODD_LINES)
+    @pytest.mark.parametrize("bad_at, odd_at", [(4, 5), (5, 4), (3, 6), (6, 3)])
+    def test_bad_and_odd_lines_across_a_block_boundary(
+        self, tmp_path, monkeypatch, bad, odd, bad_at, odd_at
+    ):
+        # Lines 1-4 are the first block, 5-8 the second: either side may take
+        # the block path or be read line by line.
+        monkeypatch.setattr("glsmooth.training.READ_BLOCK_LINES", self.BLOCK)
+        path = tmp_path / "mixed.jsonl"
+        write_examples(path, random_examples(10, 10, 3))
+        lines = path.read_text().splitlines()
+        lines[odd_at - 1] = self.ODD_LINES[odd]
+        if bad is not None:
+            lines[bad_at - 1] = self.BAD_LINES[bad]
+        path.write_text("\n".join(lines) + "\n")
+        expected = read_outcome(oracle_line_reader, path)
+        if bad is not None:
+            assert expected.startswith(f"line {bad_at}: ")
+        assert read_outcome(read_examples, path) == expected
+
+    @pytest.mark.parametrize(
+        "widths, error",
+        [
+            # 3 + 4 + 2 + 3 values would fill four rows of 3, but rows 2 and 3 are ragged.
+            ([3, 4, 2, 3], "line 2: feature dimension 4 != 3"),
+            # An empty row alone in the second block has no comma, like a row of 1.
+            ([1, 1, 1, 1, 0], "line 5: feature dimension 0 != 1"),
+        ],
+    )
+    def test_rows_of_another_width_in_a_block(self, tmp_path, monkeypatch, widths, error):
+        monkeypatch.setattr("glsmooth.training.READ_BLOCK_LINES", self.BLOCK)
+        path = tmp_path / "ragged.jsonl"
+        path.write_text("".join(
+            json.dumps({"features": [0.5] * width, "y": 1, "u": 2}) + "\n" for width in widths
+        ))
+        assert read_outcome(oracle_line_reader, path) == error
+        assert read_outcome(read_examples, path) == error
+
+    @pytest.mark.parametrize("bad_record", [True, False])
+    def test_bad_line_before_invalid_utf8_in_one_block(self, tmp_path, monkeypatch, bad_record):
+        # A bad line 2, then far more than one text-decoder chunk of good lines,
+        # then bytes that are not UTF-8, all inside one block: read line by
+        # line, line 2 fails first; the bad bytes are the first error only
+        # when line 2 is good.
+        monkeypatch.setattr("glsmooth.training.READ_BLOCK_LINES", 1024)
+        path = tmp_path / "utf8.jsonl"
+        write_examples(path, random_examples(400, 400, 8))
+        lines = path.read_bytes().splitlines(keepends=True)
+        assert sum(map(len, lines[2:])) > 64 * 1024
+        if bad_record:
+            lines[1] = b'{"features": [1.0], "y": 0, "u": 1}\n'
+        lines.append(b'{"features": [1.0, 2.0], "y": 0, "u": 1, "note": "\xff"}\n')
+        path.write_bytes(b"".join(lines))
+        with pytest.raises(DataError) as expected:
+            oracle_line_reader(path)
+        with pytest.raises(DataError) as got:
+            read_examples(path)
+        assert str(got.value) == str(expected.value)
+        assert str(got.value).startswith("line 2: " if bad_record else f"{path}: not valid UTF-8")
+
+    def test_written_file_takes_the_block_path(self, tmp_path, monkeypatch, capsys):
+        # A gen-synthetic file of several blocks is read without the line-by-line decoder.
+        path = tmp_path / "synthetic.jsonl"
+        argv = ["gen-synthetic", "--n", "2500", "--d", "5", "--profile", "3:0.02,1:0.25",
+                "--seed", "3", "--out", str(path)]
+        assert main(argv) == 0
+        capsys.readouterr()
+
+        def no_line_decoding(*args, **kwargs):
+            raise AssertionError("a written file was read line by line")
+
+        monkeypatch.setattr("glsmooth.training.decode_records", no_line_decoding)
+        for written in (path, DATA_DIR / "gen_synthetic_golden.jsonl"):
+            assert read_outcome(read_examples, written) == read_outcome(oracle_line_reader, written)
 
 
 # ---------------------------------------------------------------------------
@@ -625,7 +799,6 @@ def oracle_generator(n, d, noise_profile, seed):
     return examples, true
 
 
-MAX_FLOAT = 1.7976931348623157e308
 SPECIAL_FLOATS = [0.0, -0.0, 5e-324, -1e-310, 2.2250738585072014e-308, 1e16, 1e-5, 1e300,
                   MAX_FLOAT, -MAX_FLOAT, 0.1, 1 / 3, 123456789.0]
 finite_float = st.one_of(
@@ -683,7 +856,7 @@ class TestWriterAndGenerator:
     @pytest.mark.parametrize("n", [3, 4, 5, 9])
     def test_blocks_match_json_dumps(self, tmp_path, monkeypatch, n):
         monkeypatch.setattr("glsmooth.training.WRITE_BLOCK_ROWS", 4)
-        monkeypatch.setattr("glsmooth.training.READ_BLOCK_ROWS", 4)
+        monkeypatch.setattr("glsmooth.training.READ_BLOCK_LINES", 4)
         examples = random_special_rows(n, 3, seed=n)
         oracle_write_examples(tmp_path / "oracle.jsonl", examples)
         write_examples(tmp_path / "got.jsonl", examples)
