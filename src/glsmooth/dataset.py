@@ -144,9 +144,11 @@ def build_dataset(
     """
     stats = DatasetStats()
     vocabulary = taxonomy.vocabulary()
+    # The parser finds only the taxonomy's own (normalized) phrases: all map.
+    categories = {phrase: (category._value_, category) for phrase, category in taxonomy.items()}
     seen_studies: set[str] = set()
-    # (study_id, category) -> (u, cue)
-    merged: dict[tuple[str, DiseaseCategory], tuple[int, str | None]] = {}
+    # (study_id, category name) -> (u, cue, category)
+    merged: dict[tuple[str, str], tuple[int, str | None, DiseaseCategory]] = {}
 
     for position, item in enumerate(records, start=1):
         try:
@@ -154,24 +156,25 @@ def build_dataset(
         except DataError as exc:
             stats.malformed_records.append(str(exc))
             continue
-        if record.study_id in seen_studies:
-            raise DataError(f"duplicate study_id: {record.study_id!r}")
-        seen_studies.add(record.study_id)
+        study_id = record.study_id
+        if study_id in seen_studies:
+            raise DataError(f"duplicate study_id: {study_id!r}")
+        seen_studies.add(study_id)
 
         for finding in extract_findings(record.text, lexicon, vocabulary):
-            # The parser finds only the taxonomy's own (normalized) phrases: all map.
-            category = taxonomy.map_diagnosis(finding.raw_phrase)
-            key = (record.study_id, category)
+            name, category = categories[finding.raw_phrase]
+            key = (study_id, name)
+            u = finding.u
             current = merged.get(key)
-            if current is None or (abs(finding.u), finding.u) > (
-                abs(current[0]),
-                current[0],
-            ):
-                merged[key] = (finding.u, finding.cue)
+            if current is None or (abs(u), u) > (abs(current[0]), current[0]):
+                merged[key] = (u, finding.cue, category)
 
     rate_and_target = _rate_and_target(params)
     labeled = []
-    for (study_id, category), (u, cue) in merged.items():
+    per_category, per_score = stats.per_category_counts, stats.per_score_counts
+    for key in sorted(merged):
+        study_id, name = key
+        u, cue, category = merged[key]
         r, target = rate_and_target(1, u)
         labeled.append(
             LabeledRecord(
@@ -185,24 +188,24 @@ def build_dataset(
                 cue=cue,
             )
         )
-    labeled.sort(key=lambda rec: (rec.study_id, rec.category.value))
-
+        per_category[name] = per_category.get(name, 0) + 1
+        per_score[u] = per_score.get(u, 0) + 1
     stats.record_count = len(labeled)
-    for rec in labeled:
-        name = rec.category.value
-        stats.per_category_counts[name] = stats.per_category_counts.get(name, 0) + 1
-        stats.per_score_counts[rec.u] = stats.per_score_counts.get(rec.u, 0) + 1
     return labeled, stats
 
 
-def record_to_line(rec: LabeledRecord) -> str:
-    """One output line; rate and target fields carry exactly six decimals."""
+def record_to_line(rec: LabeledRecord, json_text=json.dumps) -> str:
+    """One output line; rate and target fields carry exactly six decimals.
+
+    ``json_text`` formats the study id and the cue as JSON text; it must
+    give what ``json.dumps`` gives (``write_dataset`` passes a memo of it).
+    """
     return (
-        f'{{"study_id": {json.dumps(rec.study_id)}, '
-        f'"category": "{rec.category.value}", '
+        f'{{"study_id": {json_text(rec.study_id)}, '
+        f'"category": "{rec.category._value_}", '
         f'"y": {rec.y}, "u": {rec.u}, "r": {rec.r:.6f}, '
         f'"target_neg": {rec.target_neg:.6f}, "target_pos": {rec.target_pos:.6f}, '
-        f'"cue": {json.dumps(rec.cue)}}}'
+        f'"cue": {json_text(rec.cue)}}}'
     )
 
 
@@ -212,11 +215,17 @@ def stats_path_for(out_path) -> Path:
 
 
 def write_dataset(labeled: list[LabeledRecord], stats: DatasetStats, out_path) -> None:
-    """Write the labeled records plus the stats sidecar (<out>.stats.json)."""
+    """Write the labeled records plus the stats sidecar (<out>.stats.json).
+
+    A memo of the last 64 texts turns study ids and cues into JSON text:
+    records come sorted by study id, so each id is formatted once, and the
+    few cues stay in the memo.
+    """
     out_path = Path(out_path)
+    json_text = functools.lru_cache(maxsize=64)(json.dumps)
     with open(out_path, "w", encoding="utf-8", newline="\n") as fh:
         for rec in labeled:
-            fh.write(record_to_line(rec) + "\n")
+            fh.write(record_to_line(rec, json_text) + "\n")
     with open(stats_path_for(out_path), "w", encoding="utf-8", newline="\n") as fh:
         fh.write(stats.to_json())
 

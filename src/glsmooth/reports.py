@@ -17,6 +17,14 @@ Scope rules:
     already claimed span is dropped ("effusion" inside "pleural effusion");
   * a mention with no cue in its sentence scores +3 (plain affirmative).
 
+Matching is narrowed once per report.  ``extract_findings`` joins the
+report's sentences with newlines and keeps, of the vocabulary table and of
+the lexicon, only the rows whose phrase occurs somewhere in that text; each
+sentence and each mention then walks those few rows.  The narrowing is
+exact: every sentence is a substring of the join, so a phrase found in a
+sentence is in the join too, and the kept rows keep their precedence order
+and index.  It builds new small tables and never changes the shared ones.
+
 A loaded lexicon is immutable and freely shareable across threads;
 extraction is a pure function per report, so reports can be parsed in
 parallel.
@@ -53,6 +61,17 @@ class ExtractedFinding:
     cue: str | None
 
 
+def _word_bounded(phrase: str) -> re.Pattern:
+    """A regex that matches what ``\\bphrase\\b`` matches.
+
+    The literal comes first, so the regex engine searches for it directly; a
+    lookbehind then checks the boundary before it.  Leading with ``\\b``
+    makes the engine try every position of the sentence instead.
+    """
+    literal = re.escape(phrase)
+    return re.compile(literal + r"(?<=\b" + literal + r")\b")
+
+
 class _PhraseTable:
     """Word-boundary matchers for a fixed phrase list, longest first.
 
@@ -60,20 +79,32 @@ class _PhraseTable:
     its precedence index.  A matcher is literal and case-sensitive, so it can
     only match where its phrase is a substring: ``occurrences`` runs the regex
     of just those phrases, and finds exactly what running every regex would.
+
+    ``narrowed(text)`` is the same table with only the rows whose phrase is a
+    substring of ``text``.  On any substring of ``text`` (a sentence of the
+    report the text joins) it finds exactly what the whole table finds: a
+    dropped phrase is in no substring, and the kept rows keep their order and
+    precedence indices.
     """
 
     def __init__(self, phrases):
         self.phrases = tuple(sorted(phrases, key=lambda p: -len(p)))
-        self._rows = tuple(
-            (p, re.compile(r"\b" + re.escape(p) + r"\b"), i) for i, p in enumerate(self.phrases)
-        )
+        self._rows = tuple((p, _word_bounded(p), i) for i, p in enumerate(self.phrases))
 
-    def occurrences(self, sentence: str):
+    def narrowed(self, text: str) -> _PhraseTable:
+        table = object.__new__(_PhraseTable)
+        table.phrases = self.phrases
+        table._rows = [row for row in self._rows if row[0] in text]
+        return table
+
+    def occurrences(self, sentence: str) -> list[tuple[int, int, int]]:
         """(start, end, precedence_index) per match; phrase by phrase, then by start."""
-        for phrase, regex, idx in self._rows:
-            if phrase in sentence:
-                for m in regex.finditer(sentence):
-                    yield m.start(), m.end(), idx
+        return [
+            (m.start(), m.end(), idx)
+            for phrase, regex, idx in self._rows
+            if phrase in sentence
+            for m in regex.finditer(sentence)
+        ]
 
 
 class Lexicon:
@@ -90,6 +121,17 @@ class Lexicon:
 
     def __len__(self) -> int:
         return len(self.entries)
+
+    def narrowed(self, text: str) -> Lexicon:
+        """This lexicon with only the cues that occur in ``text``.
+
+        ``matches`` on any substring of ``text`` gives what this lexicon's
+        ``matches`` gives, precedence indices included; ``entries`` is shared.
+        """
+        lexicon = object.__new__(Lexicon)
+        lexicon.entries = self.entries
+        lexicon._table = self._table.narrowed(text)
+        return lexicon
 
     def matches(self, sentence: str) -> list[tuple[int, int, int, LexiconEntry]]:
         """All cue occurrences as (start, end, precedence_index, entry) tuples.
@@ -152,21 +194,16 @@ def _data_path(name: str) -> Path:
     return Path(__file__).parent / "data" / name
 
 
-_SENTENCE_SPLIT = re.compile(r"[.!?]|\n+")
+_SENTENCE_SPLIT = re.compile(r"[.!?]|[\r\n]+")
 
 
 def split_sentences(report_text: str) -> list[str]:
-    """Lowercased sentences split on '.', '!', '?' and newline runs.
+    """Lowercased sentences split on '.', '!', '?' and runs of line breaks ('\\n', '\\r').
 
     Whitespace runs collapse to single spaces; empty segments are dropped.
     """
-    text = report_text.replace("\r\n", "\n").replace("\r", "\n")
-    sentences = []
-    for part in _SENTENCE_SPLIT.split(text):
-        sentence = " ".join(part.lower().split())
-        if sentence:
-            sentences.append(sentence)
-    return sentences
+    parts = [" ".join(part.lower().split()) for part in _SENTENCE_SPLIT.split(report_text)]
+    return [sentence for sentence in parts if sentence]
 
 
 def score_mention(
@@ -181,7 +218,9 @@ def score_mention(
     hits = lexicon.matches(sentence)
     if not hits:
         return AFFIRMATIVE_DEFAULT_SCORE, None
-    best = min(hits, key=lambda h: (abs(h[0] - mention_offset), h[2]))
+    best = hits[0] if len(hits) == 1 else min(
+        hits, key=lambda h: (abs(h[0] - mention_offset), h[2])
+    )
     return best[3].score, best[3].pattern
 
 
@@ -190,10 +229,12 @@ def _vocabulary_matches(sentence: str, table: _PhraseTable) -> list[tuple[int, s
     claimed: list[tuple[int, int]] = []
     found = []
     for start, end, idx in table.occurrences(sentence):
-        if any(start < c[1] and c[0] < end for c in claimed):
-            continue
-        claimed.append((start, end))
-        found.append((start, table.phrases[idx]))
+        for claimed_start, claimed_end in claimed:
+            if start < claimed_end and claimed_start < end:
+                break
+        else:
+            claimed.append((start, end))
+            found.append((start, table.phrases[idx]))
     found.sort()
     return found
 
@@ -217,14 +258,19 @@ def extract_findings(
 
     Each word-boundary occurrence of a vocabulary phrase yields one finding;
     duplicates across sentences are the caller's business (the dataset
-    builder merges them).
+    builder merges them).  Both tables are narrowed to the phrases of this
+    report first (see the module docstring).
     """
     table = compile_vocabulary(vocabulary)
+    sentences = split_sentences(report_text)
+    text = "\n".join(sentences)
+    table = table.narrowed(text)
+    if not table._rows:
+        return []
+    lexicon = lexicon.narrowed(text)
     findings = []
-    for index, sentence in enumerate(split_sentences(report_text)):
+    for index, sentence in enumerate(sentences):
         for offset, phrase in _vocabulary_matches(sentence, table):
             u, cue = score_mention(sentence, offset, lexicon)
-            findings.append(
-                ExtractedFinding(raw_phrase=phrase, sentence_index=index, u=u, cue=cue)
-            )
+            findings.append(ExtractedFinding(phrase, index, u, cue))
     return findings

@@ -633,6 +633,8 @@ def read_examples(path) -> ExampleSet:
     as a whole; any other block (blank, padded or reordered lines, other
     separators, a non-number in ``features``, a bad line) is read line by line
     with every check, so each line gives the same values or the same error.
+    A NaN or infinite feature (``NaN``, ``Infinity``, ``1e400``) is an error
+    of its line; a block holding one is always read line by line.
     """
     blocks, ys, us = [], [], []
     dim = None
@@ -660,6 +662,8 @@ def read_examples(path) -> ExampleSet:
                 raise DataError(f"line {lineno}: y must be 0 or 1")
             if u not in SCORE_LEVELS:
                 raise DataError(f"line {lineno}: u outside {{-3..3}}")
+            if not all(map(math.isfinite, features)):
+                raise DataError(f"line {lineno}: features contain non-finite values")
             rows.append(features)
             ys.append(y)
             us.append(u)

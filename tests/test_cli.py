@@ -149,6 +149,22 @@ class TestBuildValidate:
         assert [(r["category"], r["u"]) for r in custom] == [("Consolidation", 1), ("Effusion", 3)]
         assert outs[0].read_text() == outs[2].read_text() == ""
 
+    @pytest.mark.parametrize(
+        "golden, extra", [("build_golden", []), ("build_golden.k0375", ["--k", "0.375"])]
+    )
+    def test_build_golden_bytes(self, tmp_path, capsys, golden, extra):
+        # multi-mention and multi-cue reports, merged duplicates, escaped study
+        # ids and malformed lines: the committed files pin dataset and sidecar bytes
+        out = tmp_path / "ds.jsonl"
+        code, stdout, _ = run_cli(
+            capsys, "build", "--input", str(DATA_DIR / "build_golden.reports.jsonl"),
+            "--out", str(out), *extra,
+        )
+        assert (code, stdout) == (0, f"wrote 25 records to {out} (6 malformed)\n")
+        assert out.read_bytes() == (DATA_DIR / f"{golden}.jsonl").read_bytes()
+        stats = tmp_path / "ds.jsonl.stats.json"
+        assert stats.read_bytes() == (DATA_DIR / f"{golden}.jsonl.stats.json").read_bytes()
+
 
 class TestTrainEval:
     @pytest.fixture()
@@ -510,6 +526,23 @@ class TestMalformedInput:
         code, _, err = run_cli(capsys, *self.argv(command, files, out))
         assert code == 2
         assert "line 1: features must not be empty" in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["train", "eval", "sweep"])
+    @pytest.mark.parametrize("token", ["NaN", "1e400"])
+    @pytest.mark.parametrize("bad_y", [False, True], ids=["alone", "before-bad-y"])
+    def test_non_finite_feature_names_its_line(self, tmp_path, capsys, files, command, token,
+                                               bad_y):
+        # a non-finite feature fails its own line, before a later line can fail
+        lines = files["examples"].read_text().splitlines()
+        features = ["1.0"] * (len(json.loads(lines[0])["features"]) - 1) + [token]
+        lines[1] = f'{{"features": [{", ".join(features)}], "y": 1, "u": 3}}'
+        if bad_y:
+            lines[3] = json.dumps({**json.loads(lines[3]), "y": 5})
+        files["examples"].write_text("\n".join(lines) + "\n")
+        out = tmp_path / "out"
+        code, _, err = run_cli(capsys, *self.argv(command, files, out))
+        assert (code, err) == (2, "error: line 2: features contain non-finite values\n")
         assert not out.exists()
 
     def test_sweep_split_without_eval_rows(self, tmp_path, capsys, files):

@@ -1,0 +1,99 @@
+"""Byte-mutation fuzz of the build path's exit-code contract.
+
+Each example takes one input of ``build`` or ``validate`` (a report file, a
+lexicon, a taxonomy or a dataset), mutates its bytes and runs the command in
+process through ``cli.main``.  Whatever the bytes, the exit code is one of
+0 (success), 1 (usage), 2 (data) or 3 (numeric), stderr holds no traceback,
+and a dataset that ``build`` writes passes ``validate`` with the same slope.
+"""
+
+import contextlib
+import io
+from pathlib import Path
+
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
+
+import glsmooth
+from glsmooth.cli import main
+
+DATA_DIR = Path(__file__).parent / "data"
+PACKAGE_DATA = Path(glsmooth.__file__).parent / "data"
+
+SEEDS = {
+    "reports": (DATA_DIR / "build_golden.reports.jsonl").read_bytes(),
+    "dataset": (DATA_DIR / "build_golden.jsonl").read_bytes(),
+    "lexicon": (PACKAGE_DATA / "lexicon.tsv").read_bytes(),
+    "taxonomy": (PACKAGE_DATA / "taxonomy.tsv").read_bytes(),
+}
+
+# Bytes that mean something to one of the readers: JSON and TSV syntax, line
+# ends, a NUL, a lone UTF-8 lead byte, a byte that is never UTF-8, a BOM, a
+# Unicode line separator, and text that parses as a number or a category.
+SPECIAL = [
+    b"\x00", b"\xff", b"\xc3", b"\xef\xbb\xbf", b"\xe2\x80\xa8", b"\t", b"\n", b"\r", b"\r\n",
+    b'"', b"\\", b"{", b"}", b"[", b"]", b",", b":", b"#", b" ", b"-", b"0", b"7", b"1e400",
+    b"NaN", b"null", b"true", b"Pneumonia", b"no", b".", b"\xce\xa3",
+]
+
+
+@st.composite
+def mutated(draw, data: bytes) -> bytes:
+    """``data`` after one to four edits: overwrite, insert, delete, copy a line or cut short."""
+    for _ in range(draw(st.integers(1, 4))):
+        at = draw(st.integers(0, len(data)))
+        edit = draw(st.sampled_from(["overwrite", "insert", "delete", "line", "truncate"]))
+        piece = draw(st.one_of(st.sampled_from(SPECIAL), st.binary(min_size=1, max_size=4)))
+        if edit == "overwrite":
+            data = data[:at] + piece + data[at + len(piece):]
+        elif edit == "insert":
+            data = data[:at] + piece + data[at:]
+        elif edit == "delete":
+            data = data[:at] + data[at + draw(st.integers(1, 16)):]
+        elif edit == "line":
+            lines = data.splitlines(keepends=True) or [b""]
+            data += lines[draw(st.integers(0, len(lines) - 1))]
+        else:
+            data = data[:at]
+    return data
+
+
+def run(*argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main([str(arg) for arg in argv])
+    return code, err.getvalue()
+
+
+def check(code, err):
+    assert code in (0, 1, 2, 3), (code, err)
+    assert "Traceback" not in err, err
+
+
+@settings(max_examples=200, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(
+    kind=st.sampled_from(sorted(SEEDS)),
+    data=st.data(),
+    k=st.sampled_from([[], ["--k", "0.375"]]),
+)
+def test_mutated_input_keeps_the_exit_code_contract(tmp_path_factory, kind, data, k):
+    work = tmp_path_factory.getbasetemp() / "fuzz"
+    files = {name: work / f"{name}.in" for name in SEEDS}
+    if not work.exists():
+        work.mkdir()
+        for name, seed in SEEDS.items():
+            files[name].write_bytes(seed)
+    files[kind] = work / f"{kind}.mutated"
+    files[kind].write_bytes(data.draw(mutated(SEEDS[kind])))
+    out = work / "out.jsonl"
+    out.unlink(missing_ok=True)
+    if kind == "dataset":
+        check(*run("validate", "--input", files["dataset"], *k))
+        return
+    code, err = run(
+        "build", "--input", files["reports"], "--out", out,
+        "--lexicon", files["lexicon"], "--taxonomy", files["taxonomy"], *k,
+    )
+    check(code, err)
+    if code == 0:
+        assert run("validate", "--input", out, *k) == (0, "")

@@ -9,10 +9,13 @@ from hypothesis import strategies as st
 
 from glsmooth.errors import DataError
 from glsmooth.reports import (
+    AFFIRMATIVE_DEFAULT_SCORE,
     CUE_KINDS,
+    ExtractedFinding,
     Lexicon,
     LexiconEntry,
     _vocabulary_matches,
+    _word_bounded,
     compile_vocabulary,
     default_lexicon,
     extract_findings,
@@ -271,6 +274,21 @@ class TestMatchersAgainstOracle:
         assert found == oracle_vocabulary_matches(sentence, vocabulary)
 
 
+# Word characters (letters, digits, "_", a combining mark, a non-ASCII letter)
+# and non-word ones, so every kind of boundary shows up on both sides.
+BOUNDARY_ALPHABET = "ab_1\u0301é -,.(\n"
+
+
+@settings(max_examples=500, deadline=None)
+@given(
+    phrase=st.text(alphabet=BOUNDARY_ALPHABET, max_size=4),
+    sentence=st.text(alphabet=BOUNDARY_ALPHABET, max_size=16),
+)
+def test_word_bounded_matches_what_a_leading_boundary_matches(phrase, sentence):
+    expected = [m.span() for m in _oracle_word_regex(phrase).finditer(sentence)]
+    assert [m.span() for m in _word_bounded(phrase).finditer(sentence)] == expected
+
+
 class TestOverlapSemantics:
     def test_self_overlapping_cue(self):
         no_no = LexiconEntry("no no", -1, "negation_cue")
@@ -299,4 +317,99 @@ class TestOverlapSemantics:
         assert [f.raw_phrase for f in long] == ["pleural effusion"]
         assert [f.raw_phrase for f in extract_findings(text, lexicon, ["effusion"])] == [
             "effusion"
+        ]
+
+
+# ---------------------------------------------------------------------------
+# Reference parser: the splitter and the per-sentence, full-table scan that
+# per-report narrowing replaced.  Narrowing must change no finding.
+
+
+def oracle_split_sentences(report_text):
+    """Line breaks made '\\n' first, then split on '.', '!', '?' and newline runs."""
+    text = report_text.replace("\r\n", "\n").replace("\r", "\n")
+    sentences = []
+    for part in re.split(r"[.!?]|\n+", text):
+        sentence = " ".join(part.lower().split())
+        if sentence:
+            sentences.append(sentence)
+    return sentences
+
+
+def oracle_extract_findings(report_text, lexicon, vocabulary):
+    """Every sentence runs every vocabulary regex, every mention every cue regex."""
+    findings = []
+    for index, sentence in enumerate(oracle_split_sentences(report_text)):
+        for offset, phrase in oracle_vocabulary_matches(sentence, vocabulary):
+            hits = oracle_lexicon_matches(lexicon, sentence)
+            if hits:
+                best = min(hits, key=lambda h: (abs(h[0] - offset), h[2]))
+                u, cue = best[3].score, best[3].pattern
+            else:
+                u, cue = AFFIRMATIVE_DEFAULT_SCORE, None
+            findings.append(
+                ExtractedFinding(raw_phrase=phrase, sentence_index=index, u=u, cue=cue)
+            )
+    return findings
+
+
+# Phrases the Python API accepts as they are: punctuation at either end or
+# inside, upper case (never found in a lowercased sentence), and a newline,
+# which no sentence holds but the newline-joined report text does.
+PUNCTUATED = ["no,", "(a)", "a-b", "c-d", "b)", "a, b", "-b", "a.b", "A", "NO", "a\nb", "d\nno"]
+api_phrases = st.one_of(phrases, st.sampled_from(PUNCTUATED))
+REPORT_TOKENS = TOKENS + FILLER + ["A", "NO", "B-C", "(A)", "a,", "b)"]
+# Sentence ends: each puts the next sentence in another segment of the split.
+SEPARATORS = [". ", ".", "! ", "? ", "\n", "\r\n", "\r", ".\n", " . ", "\n\n", "..."]
+
+
+@st.composite
+def reports(draw):
+    sentences = draw(
+        st.lists(st.lists(st.sampled_from(REPORT_TOKENS), max_size=8).map(" ".join), max_size=5)
+    )
+    text = ""
+    for sentence in sentences:
+        text += sentence + draw(st.sampled_from(SEPARATORS))
+    return draw(st.sampled_from(["", " ", "\t"])) + text
+
+
+class TestNarrowingAgainstOracle:
+    """Narrowing both tables to a report's phrases finds what the full scan finds."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        cues=st.lists(api_phrases, max_size=8, unique=True),
+        scores=st.lists(st.integers(-3, 3), min_size=8, max_size=8),
+        vocabulary=st.lists(api_phrases, max_size=8),
+        report=reports(),
+    )
+    def test_extract_findings(self, cues, scores, vocabulary, report):
+        lexicon = Lexicon([LexiconEntry(p, s, CUE_KINDS[s % 2]) for p, s in zip(cues, scores)])
+        before = list(lexicon._table._rows)
+        found = extract_findings(report, lexicon, vocabulary)
+        assert found == oracle_extract_findings(report, lexicon, vocabulary)
+        # the shared, memoised tables are never narrowed in place
+        assert lexicon._table._rows == tuple(before)
+        assert len(compile_vocabulary(vocabulary)._rows) == len(vocabulary)
+
+    @settings(max_examples=150, deadline=None)
+    @given(text=st.one_of(reports(), st.text(alphabet="aAΣσς .!?\r\n\t\u0130\u2028", max_size=20)))
+    def test_split_sentences(self, text):
+        assert split_sentences(text) == oracle_split_sentences(text)
+
+    def test_phrase_only_in_another_sentence(self, lexicon, vocabulary):
+        # "likely" is in the report but not in the pneumothorax sentence
+        text = "No pneumothorax. Likely pneumonia."
+        assert extract_findings(text, lexicon, vocabulary) == oracle_extract_findings(
+            text, lexicon, vocabulary
+        )
+        assert [f.cue for f in extract_findings(text, lexicon, vocabulary)] == ["no", "likely"]
+
+    def test_phrase_spanning_a_sentence_join(self):
+        # "b\nno" is in the newline-joined text, but in no sentence: no finding, no cue
+        lexicon = Lexicon([LexiconEntry("b\nno", -3, "negation_cue")])
+        assert extract_findings("A b. No a.", lexicon, ["a", "b\nno"]) == [
+            ExtractedFinding("a", 0, 3, None),
+            ExtractedFinding("a", 1, 3, None),
         ]

@@ -390,13 +390,15 @@ def oracle_read_examples(path):
                 raise DataError(f"line {lineno}: y must be 0 or 1")
             if rec["u"] not in SCORE_LEVELS:
                 raise DataError(f"line {lineno}: u outside {{-3..3}}")
+            if not np.all(np.isfinite(features)):
+                raise DataError(f"line {lineno}: features contain non-finite values")
             examples.append(TrainExample(features=features, y=rec["y"], u=rec["u"]))
     return examples
 
 
 def oracle_line_reader(path):
-    """The reader as it was, line by line: json.loads and typed fields per line, then the
-    line checks, then one float64 array; the first problem raises."""
+    """The reader line by line: json.loads and typed fields per line, then the line
+    checks (a non-finite feature last), then one float64 array; the first problem raises."""
     rows, ys, us = [], [], []
     dim = None
     for lineno, rec in oracle_jsonl_records(path, {"features": "numbers", "y": "int", "u": "int"}):
@@ -413,14 +415,14 @@ def oracle_line_reader(path):
             raise DataError(f"line {lineno}: y must be 0 or 1")
         if u not in SCORE_LEVELS:
             raise DataError(f"line {lineno}: u outside {{-3..3}}")
+        if not np.all(np.isfinite(np.array(features, dtype=np.float64))):
+            raise DataError(f"line {lineno}: features contain non-finite values")
         rows.append(features)
         ys.append(y)
         us.append(u)
     if not rows:
         raise DataError(f"no examples in {path}")
     X = np.array(rows, dtype=np.float64)
-    if not np.all(np.isfinite(X)):
-        raise DataError("features contain non-finite values")
     return X, np.array(ys, dtype=np.int64), np.array(us, dtype=np.int64)
 
 
