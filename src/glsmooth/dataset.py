@@ -194,18 +194,19 @@ def build_dataset(
     return labeled, stats
 
 
-def record_to_line(rec: LabeledRecord, json_text=json.dumps) -> str:
-    """One output line; rate and target fields carry exactly six decimals.
+# Study ids and cues as JSON text.  Records come sorted by study id, so each
+# id is formatted once, and the few cues stay in the memo.
+_json_text = functools.lru_cache(maxsize=64)(json.dumps)
 
-    ``json_text`` formats the study id and the cue as JSON text; it must
-    give what ``json.dumps`` gives (``write_dataset`` passes a memo of it).
-    """
+
+def record_to_line(rec: LabeledRecord) -> str:
+    """One output line; rate and target fields carry exactly six decimals."""
     return (
-        f'{{"study_id": {json_text(rec.study_id)}, '
+        f'{{"study_id": {_json_text(rec.study_id)}, '
         f'"category": "{rec.category._value_}", '
         f'"y": {rec.y}, "u": {rec.u}, "r": {rec.r:.6f}, '
         f'"target_neg": {rec.target_neg:.6f}, "target_pos": {rec.target_pos:.6f}, '
-        f'"cue": {json_text(rec.cue)}}}'
+        f'"cue": {_json_text(rec.cue)}}}'
     )
 
 
@@ -215,17 +216,11 @@ def stats_path_for(out_path) -> Path:
 
 
 def write_dataset(labeled: list[LabeledRecord], stats: DatasetStats, out_path) -> None:
-    """Write the labeled records plus the stats sidecar (<out>.stats.json).
-
-    A memo of the last 64 texts turns study ids and cues into JSON text:
-    records come sorted by study id, so each id is formatted once, and the
-    few cues stay in the memo.
-    """
+    """Write the labeled records plus the stats sidecar (<out>.stats.json)."""
     out_path = Path(out_path)
-    json_text = functools.lru_cache(maxsize=64)(json.dumps)
     with open(out_path, "w", encoding="utf-8", newline="\n") as fh:
         for rec in labeled:
-            fh.write(record_to_line(rec, json_text) + "\n")
+            fh.write(record_to_line(rec) + "\n")
     with open(stats_path_for(out_path), "w", encoding="utf-8", newline="\n") as fh:
         fh.write(stats.to_json())
 
