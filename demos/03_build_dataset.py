@@ -6,11 +6,18 @@ soft target.  Output order and formatting are deterministic, so rebuilt
 files diff clean.
 """
 
+import json
 import tempfile
 from pathlib import Path
 
 from glsmooth import default_lexicon, default_taxonomy
-from glsmooth.dataset import build_dataset, record_to_line, validate_dataset, write_dataset
+from glsmooth.dataset import (
+    build_dataset,
+    read_report_file,
+    record_to_line,
+    validate_dataset,
+    write_dataset,
+)
 
 reports = [
     {"patient_id": "p001", "study_id": "s0001",
@@ -22,23 +29,26 @@ reports = [
     # two mentions of the same category merge: the most confident wins
     {"patient_id": "p002", "study_id": "s0004",
      "text": "Possible pneumonia in the left base. Pneumonia."},
-    # a malformed record is collected, not fatal
+    # a malformed report is collected with its line number, not fatal
     {"study_id": "s0005", "text": "Edema."},
 ]
 
-labeled, stats = build_dataset(reports, default_lexicon(), default_taxonomy())
-
-print("labeled records (y is always 1; the signed score carries polarity):")
-for rec in labeled:
-    print(f"  {record_to_line(rec)}")
-
-print(f"\nstats: {stats.record_count} records, "
-      f"{len(stats.malformed_records)} malformed input(s)")
-print(f"  per score: { {u: c for u, c in sorted(stats.per_score_counts.items())} }")
-print(f"  malformed: {stats.malformed_records}")
-
-# Round-trip through disk: write, then re-check every invariant.
 with tempfile.TemporaryDirectory() as tmp:
+    # Reports arrive as JSON Lines; read_report_file checks each line once.
+    src = Path(tmp) / "reports.jsonl"
+    src.write_text("".join(json.dumps(report) + "\n" for report in reports))
+    labeled, stats = build_dataset(read_report_file(src), default_lexicon(), default_taxonomy())
+
+    print("labeled records (y is always 1; the signed score carries polarity):")
+    for rec in labeled:
+        print(f"  {record_to_line(rec)}")
+
+    print(f"\nstats: {stats.record_count} records, "
+          f"{len(stats.malformed_records)} malformed input(s)")
+    print(f"  per score: { {u: c for u, c in sorted(stats.per_score_counts.items())} }")
+    print(f"  malformed: {stats.malformed_records}")
+
+    # Round-trip through disk: write, then re-check every invariant.
     out = Path(tmp) / "dataset.jsonl"
     write_dataset(labeled, stats, out)
     revalidated = validate_dataset(out)

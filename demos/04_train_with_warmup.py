@@ -7,13 +7,13 @@ Watch samples_used jump when the warm-up ends.
 
 import numpy as np
 
-from glsmooth import TrainConfig, predict, synthetic_noisy_generator, train
+from glsmooth import TrainConfig, predict_proba, synthetic_noisy_generator, train
 
 # Noisy two-cluster data: confidence level controls the label flip rate.
 data = synthetic_noisy_generator(
     n=2000, d=8, noise_profile={3: 0.0, 2: 0.1, 1: 0.25, 0: 0.5}, seed=42
 )
-extreme = sum(1 for ex in data.examples if abs(ex.u) == 3)
+extreme = int(np.sum(np.abs(data.examples.u) == 3))
 print(f"{len(data.examples)} examples, {extreme} with extreme confidence\n")
 
 config = TrainConfig(
@@ -38,5 +38,5 @@ identical = all(
 print(f"\nre-run with the same seed is bitwise identical: {identical}")
 
 # The trained model is an ordinary probability machine.
-x = data.examples[0].features
-print(f"predict(example 0) = {np.round(predict(model, x), 4).tolist()}")
+x = data.examples.X[0]
+print(f"predict_proba(example 0) = {np.round(predict_proba(model, x[None])[0], 4).tolist()}")

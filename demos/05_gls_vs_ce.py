@@ -23,7 +23,7 @@ for seed in range(N_SEEDS):
     data = synthetic_noisy_generator(4000, 10, PROFILE, seed=1000 + seed)
     train_split, eval_split = data.examples[:3000], data.examples[3000:]
     clean_eval = data.true_labels[3000:]
-    X_eval = np.stack([ex.features for ex in eval_split])
+    X_eval = eval_split.X
 
     common = dict(
         epochs=40,

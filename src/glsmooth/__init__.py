@@ -24,10 +24,8 @@ from .taxonomy import DiseaseCategory, default_taxonomy, load_taxonomy
 from .training import (
     ExampleSet,
     TrainConfig,
-    TrainExample,
     auc,
     evaluate,
-    predict,
     predict_proba,
     sweep,
     synthetic_noisy_generator,
@@ -41,7 +39,6 @@ __all__ = [
     "ExampleSet",
     "SmoothingParams",
     "TrainConfig",
-    "TrainExample",
     "auc",
     "build_dataset",
     "default_lexicon",
@@ -54,7 +51,6 @@ __all__ = [
     "gls_target",
     "load_lexicon",
     "load_taxonomy",
-    "predict",
     "predict_proba",
     "score_rate_table",
     "smoothing_rate",

@@ -33,11 +33,26 @@ from .smoothing import (
 from .taxonomy import CATEGORY_NAMES, DiseaseCategory, TaxonomyMap
 
 
+# The fields of a report line, each holding any JSON value until ReportRecord checks it.
+_REPORT_FIELDS = {"patient_id": None, "study_id": None, "text": None}
+
+
 @dataclass(frozen=True)
 class ReportRecord:
+    """One input report, checked when it is made: three strings, neither id empty."""
+
     patient_id: str
     study_id: str
     text: str
+
+    def __post_init__(self) -> None:
+        for name in _REPORT_FIELDS:
+            if not isinstance(getattr(self, name), str):
+                raise DataError(f"field {name!r} must be a string")
+        if not self.patient_id:
+            raise DataError("empty patient_id")
+        if not self.study_id:
+            raise DataError("empty study_id")
 
 
 @dataclass(frozen=True)
@@ -74,34 +89,6 @@ class DatasetStats:
         return json.dumps(payload, indent=2) + "\n"
 
 
-_REPORT_FIELDS = ("patient_id", "study_id", "text")
-
-
-def _coerce_record(item, where: str) -> ReportRecord:
-    """Check one report; ``where`` leads any error.  A DataError item is raised."""
-    if isinstance(item, DataError):
-        raise item
-    if isinstance(item, ReportRecord):
-        record = item
-    elif isinstance(item, dict):
-        missing = [k for k in _REPORT_FIELDS if k not in item]
-        if missing:
-            raise DataError(f"{where}: missing field(s) {', '.join(missing)}")
-        record = ReportRecord(
-            patient_id=item["patient_id"], study_id=item["study_id"], text=item["text"]
-        )
-    else:
-        raise DataError(f"{where}: expected mapping, got {type(item).__name__}")
-    for name in _REPORT_FIELDS:
-        if not isinstance(getattr(record, name), str):
-            raise DataError(f"{where}: field {name!r} must be a string")
-    if not record.patient_id:
-        raise DataError(f"{where}: empty patient_id")
-    if not record.study_id:
-        raise DataError(f"{where}: empty study_id")
-    return record
-
-
 def _rate_and_target(params: SmoothingParams):
     """(y, u) -> (r, target); lazy, so a rate over 1 fails only where its score occurs."""
 
@@ -129,7 +116,7 @@ def _expected_text(params: SmoothingParams):
 
 
 def build_dataset(
-    records: Iterable,
+    records: Iterable[ReportRecord | DataError],
     lexicon: Lexicon,
     taxonomy: TaxonomyMap,
     params: SmoothingParams = DEFAULT_PARAMS,
@@ -138,9 +125,9 @@ def build_dataset(
 
     Duplicate findings for the same (study, category) merge by the largest
     |u|, ties toward the positive score; the cue of the first winning mention
-    is kept.  A duplicated study_id is a hard error; a malformed record is
-    collected into the stats and processing continues.  Items are dicts,
-    ReportRecords, or the DataErrors ``read_report_file`` yields.
+    is kept.  A duplicated study_id is a hard error.  Items are what
+    ``read_report_file`` yields: a DataError, one malformed line, is collected
+    into the stats and processing continues.
     """
     stats = DatasetStats()
     vocabulary = taxonomy.vocabulary()
@@ -150,11 +137,9 @@ def build_dataset(
     # (study_id, category name) -> (u, cue, category)
     merged: dict[tuple[str, str], tuple[int, str | None, DiseaseCategory]] = {}
 
-    for position, item in enumerate(records, start=1):
-        try:
-            record = _coerce_record(item, f"record {position}")
-        except DataError as exc:
-            stats.malformed_records.append(str(exc))
+    for record in records:
+        if isinstance(record, DataError):
+            stats.malformed_records.append(str(record))
             continue
         study_id = record.study_id
         if study_id in seen_studies:
@@ -231,11 +216,13 @@ def read_report_file(path) -> Iterator[ReportRecord | DataError]:
     Yields a ReportRecord for each well-formed line and a DataError citing
     "line N" for each malformed one, which build_dataset counts and skips.
     """
-    for lineno, item in jsonl_records(path):
-        try:
-            yield _coerce_record(item, f"line {lineno}")
-        except DataError as exc:
-            yield exc
+    for lineno, item in jsonl_records(path, _REPORT_FIELDS):
+        if not isinstance(item, DataError):
+            try:
+                item = ReportRecord(item["patient_id"], item["study_id"], item["text"])
+            except DataError as exc:
+                item = DataError(f"line {lineno}: {exc}")
+        yield item
 
 
 def build_dataset_file(

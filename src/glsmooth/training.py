@@ -39,20 +39,12 @@ LOSS_MODES = ("gls", "ce")
 PROB_FLOOR = 1e-12  # clamp applied to probabilities before log, trainer-only
 
 
-@dataclass(frozen=True)
-class TrainExample:
-    features: np.ndarray
-    y: int
-    u: int
-
-
 @dataclass(frozen=True, eq=False)
 class ExampleSet:
     """A whole example set as columns: features X (n, d), labels y and scores u (n,).
 
     Checked once, when it is made; ``train``, ``evaluate``, ``sweep`` and
-    ``write_examples`` take it as it is.  Iterating yields one TrainExample per
-    row; ``examples[i]`` is row i, ``examples[a:b]`` another ExampleSet.
+    ``write_examples`` take it as it is.  Row i is ``X[i]``, ``y[i]``, ``u[i]``.
     """
 
     X: np.ndarray
@@ -79,18 +71,8 @@ class ExampleSet:
     def __len__(self) -> int:
         return len(self.X)
 
-    def __iter__(self):
-        for features, y, u in zip(self.X, self.y.tolist(), self.u.tolist()):
-            yield TrainExample(features=features, y=y, u=u)
-
-    def __getitem__(self, index) -> TrainExample | ExampleSet:
-        """One row as a TrainExample for an integer; an ExampleSet for a slice or index array."""
-        if isinstance(index, (int, np.integer)):
-            return TrainExample(self.X[index], int(self.y[index]), int(self.u[index]))
-        return self.take(index)
-
-    def take(self, index: np.ndarray) -> ExampleSet:
-        """The rows at ``index``, in that order."""
+    def __getitem__(self, index) -> ExampleSet:
+        """The rows at ``index``, a slice or an index array, in that order."""
         return ExampleSet(self.X[index], self.y[index], self.u[index])
 
 
@@ -153,7 +135,6 @@ class EpochMetrics:
 class Model:
     architecture: str
     weights: dict[str, np.ndarray]
-    hidden_width: int | None = None
 
     @property
     def feature_dim(self) -> int:
@@ -176,7 +157,6 @@ def init_model(feature_dim: int, config: TrainConfig, rng: np.random.Generator) 
     The weights are views into one flat parameter vector (their common
     ``base``), which the optimiser updates in one pass.
     """
-    h = None
     if config.architecture == "linear":
         weights = {
             "W": rng.uniform(-1.0, 1.0, size=(feature_dim, 2)) / math.sqrt(feature_dim),
@@ -191,7 +171,7 @@ def init_model(feature_dim: int, config: TrainConfig, rng: np.random.Generator) 
             "b2": np.zeros(2),
         }
     theta = np.concatenate([w.ravel() for w in weights.values()])
-    return Model(config.architecture, _views(theta, weights), hidden_width=h)
+    return Model(config.architecture, _views(theta, weights))
 
 
 def _forward(model: Model, X: np.ndarray):
@@ -220,21 +200,30 @@ def predict_proba(model: Model, X) -> np.ndarray:
     return softmax(logits)
 
 
-def predict(model: Model, features) -> np.ndarray:
-    """Probability pair for a single feature vector."""
-    return predict_proba(model, [features])[0]
+def _backward(model: Model, Xb: np.ndarray, hidden, G: np.ndarray, g: dict[str, np.ndarray]):
+    """The batch gradient into ``g``, given G = d(mean loss)/d(logits) = (P - targets) / n.
+
+    ``hidden`` is the forward pass's tanh output (None for linear); it is
+    overwritten with tanh' in place.
+    """
+    if model.architecture == "linear":
+        np.matmul(Xb.T, G, out=g["W"])
+        G.sum(axis=0, out=g["b"])
+        return
+    np.matmul(hidden.T, G, out=g["W2"])
+    G.sum(axis=0, out=g["b2"])
+    # dH = (G @ W2.T) * (1 - hidden**2), with tanh' in hidden's buffer.
+    np.square(hidden, out=hidden)
+    np.subtract(1.0, hidden, out=hidden)
+    dH = G @ model.weights["W2"].T
+    dH *= hidden
+    np.matmul(Xb.T, dH, out=g["W1"])
+    dH.sum(axis=0, out=g["b1"])
 
 
-def _as_arrays(dataset: ExampleSet | list[TrainExample]) -> ExampleSet:
-    if not len(dataset):
+def _require_rows(data: ExampleSet) -> None:
+    if not len(data):
         raise ConfigError("dataset is empty")
-    if isinstance(dataset, ExampleSet):
-        return dataset
-    return ExampleSet(
-        np.stack([np.asarray(ex.features, dtype=np.float64) for ex in dataset]),
-        np.array([ex.y for ex in dataset], dtype=np.int64),
-        np.array([ex.u for ex in dataset], dtype=np.int64),
-    )
 
 
 def _lr_at(epoch: int, config: TrainConfig) -> float:
@@ -247,9 +236,7 @@ def _lr_at(epoch: int, config: TrainConfig) -> float:
     return config.learning_rate * 0.5 * (1.0 + math.cos(math.pi * progress))
 
 
-def train(
-    dataset: ExampleSet | list[TrainExample], config: TrainConfig
-) -> tuple[Model, list[EpochMetrics]]:
+def train(dataset: ExampleSet, config: TrainConfig) -> tuple[Model, list[EpochMetrics]]:
     """Train a model on (features, y, u) triples.
 
     Epochs 1..warmup_epochs see only the |u| = 3 examples; afterwards every
@@ -260,8 +247,8 @@ def train(
     AUC pass, on non-finite weights or scores, so a diverged model is never
     returned.
     """
-    data = _as_arrays(dataset)
-    X, y, u = data.X, data.y, data.u
+    _require_rows(dataset)
+    X, y, u = dataset.X, dataset.y, dataset.u
     n = len(X)
 
     if config.loss == "gls":
@@ -283,12 +270,11 @@ def train(
 
     rng = np.random.default_rng(config.seed)
     model = init_model(X.shape[1], config, rng)
-    w = model.weights
     # Parameters, gradients and both moments are flat vectors; the dicts hold
     # per-layer views of them for the forward and backward passes.
-    theta = next(iter(w.values())).base
+    theta = next(iter(model.weights.values())).base
     grad = np.empty_like(theta)
-    g = _views(grad, w)
+    g = _views(grad, model.weights)
     opt_m = np.zeros_like(theta)
     opt_v = np.zeros_like(theta)
     # Scratch for the Adam update, so a step allocates no parameter-sized array.
@@ -323,19 +309,7 @@ def train(
                 G = P
                 G -= T[batch]
                 G /= len(batch)
-                if model.architecture == "linear":
-                    np.matmul(Xb.T, G, out=g["W"])
-                    G.sum(axis=0, out=g["b"])
-                else:
-                    np.matmul(hidden.T, G, out=g["W2"])
-                    G.sum(axis=0, out=g["b2"])
-                    # dH = (G @ W2.T) * (1 - hidden**2), with tanh' in hidden's buffer.
-                    np.square(hidden, out=hidden)
-                    np.subtract(1.0, hidden, out=hidden)
-                    dH = G @ w["W2"].T
-                    dH *= hidden
-                    np.matmul(Xb.T, dH, out=g["W1"])
-                    dH.sum(axis=0, out=g["b1"])
+                _backward(model, Xb, hidden, G, g)
 
                 # Adam with decoupled weight decay, one pass over all parameters:
                 #   m = b1*m + (1-b1)*g;  v = b2*v + (1-b2)*g**2
@@ -403,20 +377,20 @@ def auc(scores, labels) -> float:
     return (rank_sum_pos - n_pos * (n_pos + 1) / 2.0) / (n_pos * n_neg)
 
 
-def evaluate(model: Model, dataset: ExampleSet | list[TrainExample]) -> float:
+def evaluate(model: Model, dataset: ExampleSet) -> float:
     """Held-out AUC of the class-1 probability against effective labels."""
-    data = _as_arrays(dataset)
-    if data.X.shape[1] != model.feature_dim:
+    _require_rows(dataset)
+    if dataset.X.shape[1] != model.feature_dim:
         raise DataError(
-            f"data has {data.X.shape[1]} features, model expects {model.feature_dim}"
+            f"data has {dataset.X.shape[1]} features, model expects {model.feature_dim}"
         )
     # Finite weights can still overflow on the data; the check below reports
     # it (NumericError), so numpy's warnings would only be noise.
     with np.errstate(over="ignore", invalid="ignore"):
-        scores = predict_proba(model, data.X)[:, 1]
+        scores = predict_proba(model, dataset.X)[:, 1]
     if not np.isfinite(scores).all():
         raise NumericError("non-finite scores: the model overflows on this data")
-    return auc(scores, effective_labels(data.y, data.u))
+    return auc(scores, effective_labels(dataset.y, dataset.u))
 
 
 @dataclass
@@ -475,11 +449,11 @@ def cell_seed(base_seed: int, index: int) -> int:
 
 
 def sweep(
-    dataset: ExampleSet | list[TrainExample],
+    dataset: ExampleSet,
     base_config: TrainConfig,
     k_values: list,
     warmup_values: list[int],
-    eval_dataset: ExampleSet | list[TrainExample] | None = None,
+    eval_dataset: ExampleSet | None = None,
 ) -> list[SweepCell]:
     """Grid of held-out AUCs over rate slopes and warm-up durations.
 
@@ -489,19 +463,19 @@ def sweep(
     """
     if not k_values or not warmup_values:
         raise ConfigError("sweep grid must have at least one k and one warm-up value")
-    data = _as_arrays(dataset)
     if eval_dataset is None:
         rng = np.random.default_rng(base_config.seed)
-        perm = rng.permutation(len(data))
-        cut = max(1, int(0.75 * len(data)))
-        if cut == len(data):
+        perm = rng.permutation(len(dataset))
+        cut = max(1, int(0.75 * len(dataset)))
+        if cut == len(dataset):
             raise DataError(
-                f"the 75/25 split of {len(data)} example(s) leaves the eval split empty"
+                f"the 75/25 split of {len(dataset)} example(s) leaves the eval split empty"
                 " (need at least 2 examples)"
             )
-        train_split, eval_split = data.take(perm[:cut]), data.take(perm[cut:])
+        train_split, eval_split = dataset[perm[:cut]], dataset[perm[cut:]]
     else:
-        train_split, eval_split = data, _as_arrays(eval_dataset)
+        _require_rows(eval_dataset)
+        train_split, eval_split = dataset, eval_dataset
 
     cells = []
     for index, (k, w) in enumerate((k, w) for k in k_values for w in warmup_values):
@@ -534,21 +508,22 @@ READ_BLOCK_LINES = 256
 WRITE_BLOCK_ROWS = 1024
 
 
-def write_examples(path, examples: ExampleSet | list[TrainExample]) -> None:
+def write_examples(path, examples: ExampleSet) -> None:
     """One JSON Lines record per example: ``{"features": [...], "y": y, "u": u}``.
 
     Each line is the bytes ``json.dumps`` gives: both write a float as its
     ``repr`` and separate items with ``", "``, and an ExampleSet holds only
-    finite floats, so a non-finite feature raises DataError before any write.
+    finite floats.  An empty set raises ConfigError and writes no file.
     """
-    data = _as_arrays(examples)
+    _require_rows(examples)
+    X, y, u = examples.X, examples.y, examples.u
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        for start in range(0, len(data), WRITE_BLOCK_ROWS):
+        for start in range(0, len(X), WRITE_BLOCK_ROWS):
             block = slice(start, start + WRITE_BLOCK_ROWS)
             fh.writelines(
-                f'{{"features": {row!r}, "y": {y}, "u": {u}}}\n'
-                for row, y, u in zip(
-                    data.X[block].tolist(), data.y[block].tolist(), data.u[block].tolist()
+                f'{{"features": {row!r}, "y": {label}, "u": {score}}}\n'
+                for row, label, score in zip(
+                    X[block].tolist(), y[block].tolist(), u[block].tolist()
                 )
             )
 
@@ -675,9 +650,10 @@ def read_examples(path) -> ExampleSet:
 
 
 def save_model(model: Model, path) -> None:
+    """The model as JSON; ``hidden_width`` is W1's width, or null for a linear model."""
     payload = {
         "architecture": model.architecture,
-        "hidden_width": model.hidden_width,
+        "hidden_width": model.weights["W1"].shape[1] if "W1" in model.weights else None,
         "weights": {k: w.tolist() for k, w in model.weights.items()},
     }
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
@@ -702,4 +678,4 @@ def load_model(path) -> Model:
     shapes = {"W": (d, 2), "b": (2,), "W1": (d, h), "b1": (h,), "W2": (h, 2), "b2": (2,)}
     if any(w.shape != shapes[k] or not np.all(np.isfinite(w)) for k, w in weights.items()):
         raise DataError(f"{path}: model weights have mismatched shapes or non-finite values")
-    return Model(architecture, weights, hidden_width=payload.get("hidden_width"))
+    return Model(architecture, weights)

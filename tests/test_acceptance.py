@@ -17,7 +17,7 @@ import pytest
 
 from corpus_util import make_reports
 from glsmooth.cli import main as cli_main
-from glsmooth.dataset import build_dataset, validate_dataset, write_dataset
+from glsmooth.dataset import ReportRecord, build_dataset, validate_dataset, write_dataset
 from glsmooth.reports import default_lexicon, extract_findings
 from glsmooth.smoothing import (
     effective_label,
@@ -241,7 +241,7 @@ def test_taxonomy_fidelity():
 def test_dataset_determinism(tmp_path):
     lexicon = default_lexicon()
     taxonomy = default_taxonomy()
-    reports = make_reports(1000, seed=77)
+    reports = [ReportRecord(**r) for r in make_reports(1000, seed=77)]
     permuted = list(reports)
     np.random.default_rng(5).shuffle(permuted)
 
@@ -308,7 +308,7 @@ def test_gls_beats_plain_ce_on_noisy_labels():
         train_split = data.examples[:3000]
         eval_split = data.examples[3000:]
         true_eval = data.true_labels[3000:]
-        X_eval = np.stack([ex.features for ex in eval_split])
+        X_eval = eval_split.X
         common = dict(
             epochs=40,
             warmup_epochs=5,
@@ -337,7 +337,7 @@ def test_gls_beats_plain_ce_on_noisy_labels():
 @criterion("10-warmup-schedule", 60.0)
 def test_warmup_schedule_and_reproducibility():
     data = synthetic_noisy_generator(600, 6, {3: 0.0, 1: 0.2, 0: 0.5}, seed=42)
-    extreme_count = sum(1 for ex in data.examples if abs(ex.u) == 3)
+    extreme_count = int(np.sum(np.abs(data.examples.u) == 3))
     assert 0 < extreme_count < len(data.examples)
 
     config = TrainConfig(epochs=8, warmup_epochs=5, learning_rate=0.05, seed=7)

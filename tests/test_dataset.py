@@ -11,6 +11,7 @@ from glsmooth.dataset import (
     ReportRecord,
     build_dataset,
     build_dataset_file,
+    read_report_file,
     record_to_line,
     stats_path_for,
     validate_dataset,
@@ -34,6 +35,10 @@ def taxonomy():
 
 def one_report(text, study="s1", patient="p1"):
     return [ReportRecord(patient_id=patient, study_id=study, text=text)]
+
+
+def report_records(n, seed):
+    return [ReportRecord(**r) for r in make_reports(n, seed)]
 
 
 class TestBuildDataset:
@@ -81,16 +86,35 @@ class TestBuildDataset:
         with pytest.raises(DataError, match="dup"):
             build_dataset(records, lexicon, taxonomy)
 
-    def test_malformed_record_collected(self, lexicon, taxonomy):
+    def test_malformed_record_collected(self, tmp_path, lexicon, taxonomy):
         records = [
             {"patient_id": "p1", "study_id": "s1", "text": "Pneumonia."},
             {"study_id": "s2", "text": "Edema."},
             {"patient_id": "", "study_id": "s3", "text": "Edema."},
         ]
-        labeled, stats = build_dataset(records, lexicon, taxonomy)
+        src = tmp_path / "reports.jsonl"
+        src.write_text("".join(json.dumps(r) + "\n" for r in records))
+        labeled, stats = build_dataset(read_report_file(src), lexicon, taxonomy)
         assert stats.record_count == 1
-        assert len(stats.malformed_records) == 2
-        assert any("patient_id" in m for m in stats.malformed_records)
+        assert stats.malformed_records == [
+            "line 2: missing field(s) patient_id",
+            "line 3: empty patient_id",
+        ]
+
+    @pytest.mark.parametrize(
+        "fields, message",
+        [
+            (("p1", "s1", None), "field 'text' must be a string"),
+            ((7, "s1", "Edema."), "field 'patient_id' must be a string"),
+            (("p1", ["s1"], 3), "field 'study_id' must be a string"),
+            (("", "s1", "Edema."), "empty patient_id"),
+            (("p1", "", "Edema."), "empty study_id"),
+        ],
+    )
+    def test_report_record_checks_itself(self, fields, message):
+        with pytest.raises(DataError) as exc:
+            ReportRecord(*fields)
+        assert str(exc.value) == message
 
     def test_emitted_records_satisfy_kernel_invariants(self, lexicon, taxonomy):
         labeled, _ = build_dataset(
@@ -110,13 +134,13 @@ class TestBuildDataset:
             assert rec.target_neg + rec.target_pos == pytest.approx(1.0, abs=1e-12)
 
     def test_stats_sum_to_record_count(self, lexicon, taxonomy):
-        labeled, stats = build_dataset(make_reports(100, seed=5), lexicon, taxonomy)
+        labeled, stats = build_dataset(report_records(100, seed=5), lexicon, taxonomy)
         assert sum(stats.per_category_counts.values()) == stats.record_count
         assert sum(stats.per_score_counts.values()) == stats.record_count
         assert stats.record_count == len(labeled)
 
     def test_order_independence(self, lexicon, taxonomy):
-        reports = make_reports(200, seed=9)
+        reports = report_records(200, seed=9)
         forward, _ = build_dataset(reports, lexicon, taxonomy)
         backward, _ = build_dataset(list(reversed(reports)), lexicon, taxonomy)
         assert forward == backward
@@ -130,7 +154,7 @@ class TestBuildDataset:
 
 class TestWriteAndValidate:
     def test_round_trip(self, tmp_path, lexicon, taxonomy):
-        labeled, stats = build_dataset(make_reports(50, seed=3), lexicon, taxonomy)
+        labeled, stats = build_dataset(report_records(50, seed=3), lexicon, taxonomy)
         out = tmp_path / "ds.jsonl"
         write_dataset(labeled, stats, out)
         revalidated = validate_dataset(out)

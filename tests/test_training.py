@@ -2,6 +2,7 @@
 
 import json
 import math
+from collections import namedtuple
 from pathlib import Path
 from unittest import mock
 
@@ -28,15 +29,16 @@ from glsmooth.training import (
     ExampleSet,
     Model,
     TrainConfig,
-    TrainExample,
     auc,
     batch_loss,
+    _backward,
+    _forward,
     _lr_at,
+    _views,
     cell_seed,
     evaluate,
     init_model,
     load_model,
-    predict,
     predict_proba,
     read_examples,
     save_model,
@@ -49,6 +51,17 @@ from test_fileio import oracle_jsonl_records
 
 DATA_DIR = Path(__file__).parent / "data"
 MAX_FLOAT = 1.7976931348623157e308
+
+# One example as the row-wise reference implementations below read and build it.
+Row = namedtuple("Row", "features y u")
+
+
+def rows_of(examples: ExampleSet) -> list[Row]:
+    return list(map(Row, examples.X, examples.y.tolist(), examples.u.tolist()))
+
+
+def example_set(rows) -> ExampleSet:
+    return ExampleSet(*oracle_as_arrays(rows))
 
 
 def brute_force_auc(scores, labels) -> float:
@@ -69,12 +82,12 @@ def brute_force_auc(scores, labels) -> float:
 def toy_separable(n=200, seed=0):
     """Linearly separable two-feature set, all extreme-confidence."""
     rng = np.random.default_rng(seed)
-    examples = []
+    rows = []
     for _ in range(n):
         y = int(rng.integers(0, 2))
         x = rng.normal(loc=(3.0 if y else -3.0), scale=0.5, size=2)
-        examples.append(TrainExample(features=x, y=y, u=3))
-    return examples
+        rows.append(Row(features=x, y=y, u=3))
+    return example_set(rows)
 
 
 class TestAuc:
@@ -112,7 +125,7 @@ class TestAuc:
 class TestPredict:
     def test_zero_weight_model_is_uniform(self):
         model = Model("linear", {"W": np.zeros((3, 2)), "b": np.zeros(2)})
-        np.testing.assert_array_equal(predict(model, [1.0, -2.0, 0.5]), [0.5, 0.5])
+        np.testing.assert_array_equal(predict_proba(model, [[1.0, -2.0, 0.5]])[0], [0.5, 0.5])
 
     def test_single_equals_batched(self):
         """Prediction is per-row pure; BLAS batching only moves the last ulp."""
@@ -120,21 +133,21 @@ class TestPredict:
         model = Model("linear", {"W": rng.normal(size=(4, 2)), "b": rng.normal(size=2)})
         X = rng.normal(size=(10, 4))
         batched = predict_proba(model, X)
-        singles = np.stack([predict(model, x) for x in X])
+        singles = np.stack([predict_proba(model, x[None])[0] for x in X])
         np.testing.assert_allclose(batched, singles, rtol=0, atol=1e-12)
 
     def test_linear_monotonicity(self):
         model = Model(
             "linear", {"W": np.array([[0.0, 1.0], [0.0, 0.0]]), "b": np.zeros(2)}
         )
-        low = predict(model, [0.0, 0.0])[1]
-        high = predict(model, [2.0, 0.0])[1]
+        low = predict_proba(model, [[0.0, 0.0]])[0, 1]
+        high = predict_proba(model, [[2.0, 0.0]])[0, 1]
         assert high > low
 
     def test_dimension_mismatch(self):
         model = Model("linear", {"W": np.zeros((3, 2)), "b": np.zeros(2)})
         with pytest.raises(ValueError):
-            predict(model, [1.0, 2.0])
+            predict_proba(model, [[1.0, 2.0]])
 
     @pytest.mark.parametrize("architecture", ARCHITECTURES)
     def test_inputs_left_unmodified(self, architecture):
@@ -157,10 +170,9 @@ class TestTrain:
     def test_warmup_sample_counts(self):
         data = toy_separable(n=60, seed=1)
         # downgrade 20 examples to moderate confidence
-        mixed = [
-            TrainExample(ex.features, ex.y, 1 if i < 20 else ex.u)
-            for i, ex in enumerate(data)
-        ]
+        u = data.u.copy()
+        u[:20] = 1
+        mixed = ExampleSet(data.X, data.y, u)
         config = TrainConfig(epochs=8, warmup_epochs=5, seed=3)
         _, history = train(mixed, config)
         for metrics in history[:5]:
@@ -178,16 +190,25 @@ class TestTrain:
         assert history_a == history_b
 
     def test_warmup_without_extremes_rejected(self):
-        examples = [
-            TrainExample(np.array([0.1, 0.2]), 1, 1),
-            TrainExample(np.array([0.3, -0.2]), 0, 2),
-        ]
+        examples = ExampleSet([[0.1, 0.2], [0.3, -0.2]], [1, 0], [1, 2])
         with pytest.raises(ConfigError, match="extreme"):
             train(examples, TrainConfig(epochs=3, warmup_epochs=1))
 
-    def test_empty_dataset_rejected(self):
-        with pytest.raises(ConfigError):
-            train([], TrainConfig())
+    def test_empty_dataset_rejected(self, tmp_path):
+        empty = ExampleSet(np.zeros((0, 2)), [], [])
+        examples = toy_separable(n=8, seed=0)
+        model, _ = train(examples, TrainConfig(epochs=1))
+        path = tmp_path / "empty.jsonl"
+        for call in (
+            lambda: train(empty, TrainConfig()),
+            lambda: evaluate(model, empty),
+            lambda: sweep(empty, TrainConfig(), [1], [0]),
+            lambda: sweep(examples, TrainConfig(), [1], [0], eval_dataset=empty),
+            lambda: write_examples(path, empty),
+        ):
+            with pytest.raises(ConfigError, match="dataset is empty"):
+                call()
+        assert not path.exists()
 
     def test_single_step_reduces_loss(self):
         """One small optimizer step on one example lowers that example's loss."""
@@ -196,7 +217,7 @@ class TestTrain:
             x = rng.normal(size=3)
             y = int(rng.integers(0, 2))
             u = int(rng.integers(-3, 4))
-            example = TrainExample(features=x, y=y, u=u)
+            example = ExampleSet(x[None, :], [y], [u])
             config = TrainConfig(
                 epochs=1,
                 learning_rate=1e-4,
@@ -215,7 +236,7 @@ class TestTrain:
             r = smoothing_rate(u)
             y_eff = effective_label(y, u)
             before = batch_loss(predict_proba(before_model, x[None, :]), [y_eff], [r])[0]
-            model, _ = train([example], config)
+            model, _ = train(example, config)
             after = batch_loss(predict_proba(model, x[None, :]), [y_eff], [r])[0]
             assert after < before
 
@@ -248,8 +269,7 @@ class TestSyntheticGenerator:
 
     def test_flip_rates_match_profile(self):
         data = synthetic_noisy_generator(4000, 10, self.PROFILE, seed=123)
-        y_obs = np.array([ex.y for ex in data.examples])
-        u = np.array([ex.u for ex in data.examples])
+        y_obs, u = data.examples.y, data.examples.u
         flips = y_obs != data.true_labels
         for level, p in self.PROFILE.items():
             mask = u == level
@@ -258,15 +278,15 @@ class TestSyntheticGenerator:
 
     def test_no_noise_limit(self):
         data = synthetic_noisy_generator(500, 4, {3: 0.0, 1: 0.0}, seed=7)
-        y_obs = np.array([ex.y for ex in data.examples])
+        y_obs = data.examples.y
         np.testing.assert_array_equal(y_obs, data.true_labels)
 
     def test_seeding(self):
         a = synthetic_noisy_generator(100, 3, self.PROFILE, seed=1)
         b = synthetic_noisy_generator(100, 3, self.PROFILE, seed=1)
         c = synthetic_noisy_generator(100, 3, self.PROFILE, seed=2)
-        np.testing.assert_array_equal(a.examples[0].features, b.examples[0].features)
-        assert not np.array_equal(a.examples[0].features, c.examples[0].features)
+        np.testing.assert_array_equal(a.examples.X[0], b.examples.X[0])
+        assert not np.array_equal(a.examples.X[0], c.examples.X[0])
         assert len(c.examples) == 100
 
     def test_invalid_flip_probability(self):
@@ -312,8 +332,8 @@ class TestSweep:
         rng = np.random.default_rng(base.seed)
         perm = rng.permutation(len(data.examples))
         cut = max(1, int(0.75 * len(data.examples)))
-        train_split = [data.examples[i] for i in perm[:cut]]
-        eval_split = [data.examples[i] for i in perm[cut:]]
+        train_split = data.examples[perm[:cut]]
+        eval_split = data.examples[perm[cut:]]
         config = replace(base, warmup_epochs=1, seed=cell_seed(base.seed, 0))
         model, _ = train(train_split, config)
         assert cells[0].auc == evaluate(model, eval_split)
@@ -326,9 +346,9 @@ class TestFileFormats:
         write_examples(path, data.examples)
         loaded = read_examples(path)
         assert len(loaded) == 25
-        for orig, back in zip(data.examples, loaded):
-            np.testing.assert_array_equal(orig.features, back.features)
-            assert (orig.y, orig.u) == (back.y, back.u)
+        np.testing.assert_array_equal(loaded.X, data.examples.X)
+        np.testing.assert_array_equal(loaded.y, data.examples.y)
+        np.testing.assert_array_equal(loaded.u, data.examples.u)
 
     def test_read_rejects_ragged_dims(self, tmp_path):
         path = tmp_path / "bad.jsonl"
@@ -350,6 +370,71 @@ class TestFileFormats:
         assert loaded.architecture == model.architecture
         for key in model.weights:
             np.testing.assert_array_equal(loaded.weights[key], model.weights[key])
+
+    @pytest.mark.parametrize(
+        "architecture, weights, hidden_width",
+        [
+            ("linear", {"W": [[0.5, -1.0]], "b": [0.0, 0.25]}, None),
+            ("mlp_1hidden",
+             {"W1": [[0.5, -1.0]], "b1": [0.0, 0.25], "W2": [[1.5, 2.0], [-0.5, 3.0]],
+              "b2": [0.125, -0.0]},
+             2),
+        ],
+    )
+    def test_model_file_bytes(self, tmp_path, architecture, weights, hidden_width):
+        # hidden_width is W1's width (null for linear), whatever a loaded file held.
+        expected = json.dumps(
+            {"architecture": architecture, "hidden_width": hidden_width, "weights": weights},
+            indent=2,
+        ) + "\n"
+        model = Model(architecture, {k: np.array(w) for k, w in weights.items()})
+        path = tmp_path / "model.json"
+        save_model(model, path)
+        assert path.read_text() == expected
+        path.write_text(expected.replace(f'"hidden_width": {json.dumps(hidden_width)}',
+                                         '"hidden_width": 99'))
+        save_model(load_model(path), path)
+        assert path.read_text() == expected
+
+
+class TestBackward:
+    """The trainer's backward pass against central differences of the mean loss."""
+
+    @pytest.mark.parametrize("architecture", ARCHITECTURES)
+    def test_matches_central_differences(self, architecture):
+        rng = np.random.default_rng(8)
+        n, d = 7, 3
+        X = rng.normal(size=(n, d))
+        y = rng.integers(0, 2, size=n)
+        u = np.array([3, -3, 3, -3, 2, 0, -1])
+        r = np.array([smoothing_rate(int(level)) for level in u])
+        assert (r < 0).sum() == 4  # targets outside [0, 1]
+        y_eff = effective_labels(y, u)
+        config = TrainConfig(architecture=architecture, hidden_width=4)
+        model = init_model(d, config, rng)
+        theta = next(iter(model.weights.values())).base
+
+        def mean_loss():
+            P = softmax(_forward(model, X)[0])
+            assert PROB_FLOOR < P.min() and P.max() < 1 - PROB_FLOOR  # no clipping
+            return batch_loss(P, y_eff, r).mean()
+
+        logits, hidden = _forward(model, X)
+        G = (softmax(logits) - batch_targets(y_eff, r)) / n
+        grad = np.empty_like(theta)
+        _backward(model, X, hidden, G, _views(grad, model.weights))
+
+        step = 1e-6
+        numeric = np.empty_like(theta)
+        for i in range(theta.size):
+            saved = theta[i]
+            theta[i] = saved + step
+            up = mean_loss()
+            theta[i] = saved - step
+            down = mean_loss()
+            theta[i] = saved
+            numeric[i] = (up - down) / (2 * step)
+        np.testing.assert_allclose(grad, numeric, rtol=1e-6, atol=1e-9)
 
 
 # ---------------------------------------------------------------------------
@@ -392,7 +477,7 @@ def oracle_read_examples(path):
                 raise DataError(f"line {lineno}: u outside {{-3..3}}")
             if not np.all(np.isfinite(features)):
                 raise DataError(f"line {lineno}: features contain non-finite values")
-            examples.append(TrainExample(features=features, y=rec["y"], u=rec["u"]))
+            examples.append(Row(features=features, y=rec["y"], u=rec["u"]))
     return examples
 
 
@@ -525,7 +610,7 @@ def random_examples(seed, n, d):
     u[0] = 3  # a warm-up needs one extreme-confidence example
     y = rng.integers(0, 2, size=n)
     X = rng.standard_normal((n, d)) + np.where(y[:, None] == 1, 0.7, -0.7)
-    return [TrainExample(X[i], int(y[i]), int(u[i])) for i in range(n)]
+    return [Row(X[i], int(y[i]), int(u[i])) for i in range(n)]
 
 
 class TestAgainstReference:
@@ -542,11 +627,10 @@ class TestAgainstReference:
         warmup=st.integers(0, 4),
         lr_warmup=st.integers(0, 3),
         loss=st.sampled_from(LOSS_MODES),
-        columnar=st.booleans(),
     )
     def test_flat_adam_matches_per_key_loop(
         self, seed, n, d, architecture, hidden_width, weight_decay, batch_size, epochs,
-        warmup, lr_warmup, loss, columnar,
+        warmup, lr_warmup, loss,
     ):
         examples = random_examples(seed, n, d)
         config = TrainConfig(
@@ -556,8 +640,7 @@ class TestAgainstReference:
             hidden_width=hidden_width, loss=loss,
         )
         expected_weights, expected_history = oracle_train(examples, config)
-        dataset = ExampleSet(*oracle_as_arrays(examples)) if columnar else examples
-        model, history = train(dataset, config)
+        model, history = train(example_set(examples), config)
         assert list(model.weights) == list(expected_weights)
         for key, w in expected_weights.items():
             assert model.weights[key].tobytes() == w.tobytes(), key
@@ -647,9 +730,9 @@ class TestReaderBlocks:
     def test_blocks_match_row_reader(self, tmp_path, monkeypatch, n):
         monkeypatch.setattr("glsmooth.training.READ_BLOCK_LINES", self.BLOCK)
         examples = random_examples(n, n, 3)
-        examples[-1] = TrainExample(np.array([-0.0, 1e300, 5e-324]), 1, -2)
+        examples[-1] = Row(np.array([-0.0, 1e300, 5e-324]), 1, -2)
         path = tmp_path / "blocks.jsonl"
-        write_examples(path, examples)
+        write_examples(path, example_set(examples))
         X, y, u = oracle_as_arrays(oracle_read_examples(path))
         got = read_examples(path)
         assert got.X.tobytes() == X.tobytes() and got.X.shape == X.shape
@@ -667,7 +750,7 @@ class TestReaderBlocks:
     def test_bad_line_after_a_block_boundary(self, tmp_path, monkeypatch, good, bad):
         monkeypatch.setattr("glsmooth.training.READ_BLOCK_LINES", self.BLOCK)
         path = tmp_path / "bad.jsonl"
-        write_examples(path, random_examples(good, good, 3))
+        write_examples(path, example_set(random_examples(good, good, 3)))
         with open(path, "a", encoding="utf-8") as fh:
             fh.write(json.dumps(bad) + "\n")
         with pytest.raises(DataError) as expected:
@@ -702,7 +785,7 @@ class TestReaderBlocks:
         # the block path or be read line by line.
         monkeypatch.setattr("glsmooth.training.READ_BLOCK_LINES", self.BLOCK)
         path = tmp_path / "mixed.jsonl"
-        write_examples(path, random_examples(10, 10, 3))
+        write_examples(path, example_set(random_examples(10, 10, 3)))
         lines = path.read_text().splitlines()
         lines[odd_at - 1] = self.ODD_LINES[odd]
         if bad is not None:
@@ -739,7 +822,7 @@ class TestReaderBlocks:
         # when line 2 is good.
         monkeypatch.setattr("glsmooth.training.READ_BLOCK_LINES", 1024)
         path = tmp_path / "utf8.jsonl"
-        write_examples(path, random_examples(400, 400, 8))
+        write_examples(path, example_set(random_examples(400, 400, 8)))
         lines = path.read_bytes().splitlines(keepends=True)
         assert sum(map(len, lines[2:])) > 64 * 1024
         if bad_record:
@@ -771,7 +854,7 @@ class TestReaderBlocks:
 
 # ---------------------------------------------------------------------------
 # Reference implementations: the row-at-a-time json.dumps writer and the
-# generator that built one TrainExample per row, replaced by the block-wise
+# generator that built one example object per row, replaced by the block-wise
 # f-string writer and the columnar generator.  Bytes and bits must not move.
 
 
@@ -795,7 +878,7 @@ def oracle_generator(n, d, noise_profile, seed):
     observed = np.where(flipped, 1 - true, true)
 
     examples = [
-        TrainExample(features=X[i], y=int(observed[i]), u=int(magnitude[i]))
+        Row(features=X[i], y=int(observed[i]), u=int(magnitude[i]))
         for i in range(n)
     ]
     return examples, true
@@ -824,16 +907,16 @@ def assert_same_bits(got: ExampleSet, X, y, u):
 
 class TestWriterAndGenerator:
     @settings(max_examples=150, deadline=None)
-    @given(data=st.data(), n=st.integers(1, 12), d=st.integers(1, 5), as_list=st.booleans())
-    def test_writer_matches_json_dumps(self, tmp_path_factory, data, n, d, as_list):
+    @given(data=st.data(), n=st.integers(1, 12), d=st.integers(1, 5))
+    def test_writer_matches_json_dumps(self, tmp_path_factory, data, n, d):
         rows = data.draw(st.lists(st.lists(finite_float, min_size=d, max_size=d),
                                   min_size=n, max_size=n))
         y = data.draw(st.lists(st.integers(0, 1), min_size=n, max_size=n))
         u = data.draw(st.lists(st.integers(-3, 3), min_size=n, max_size=n))
         examples = ExampleSet(np.array(rows, dtype=np.float64), y, u)
         base = tmp_path_factory.getbasetemp()
-        oracle_write_examples(base / "oracle.jsonl", examples)
-        write_examples(base / "got.jsonl", list(examples) if as_list else examples)
+        oracle_write_examples(base / "oracle.jsonl", rows_of(examples))
+        write_examples(base / "got.jsonl", examples)
         assert (base / "got.jsonl").read_bytes() == (base / "oracle.jsonl").read_bytes()
         assert_same_bits(read_examples(base / "got.jsonl"), examples.X, examples.y, examples.u)
 
@@ -860,7 +943,7 @@ class TestWriterAndGenerator:
         monkeypatch.setattr("glsmooth.training.WRITE_BLOCK_ROWS", 4)
         monkeypatch.setattr("glsmooth.training.READ_BLOCK_LINES", 4)
         examples = random_special_rows(n, 3, seed=n)
-        oracle_write_examples(tmp_path / "oracle.jsonl", examples)
+        oracle_write_examples(tmp_path / "oracle.jsonl", rows_of(examples))
         write_examples(tmp_path / "got.jsonl", examples)
         assert (tmp_path / "got.jsonl").read_bytes() == (tmp_path / "oracle.jsonl").read_bytes()
         assert len((tmp_path / "got.jsonl").read_text().splitlines()) == n
@@ -868,25 +951,15 @@ class TestWriterAndGenerator:
 
     def test_non_finite_feature_is_not_written(self, tmp_path):
         examples = toy_separable(n=5, seed=1)
-        examples[2] = TrainExample(np.array([np.nan, 1.0]), 1, 3)
+        X = examples.X.copy()
+        X[2] = [np.nan, 1.0]
         path = tmp_path / "nan.jsonl"
         with pytest.raises(DataError, match="non-finite"):
-            write_examples(path, examples)
+            write_examples(path, ExampleSet(X, examples.y, examples.u))
         assert not path.exists()
 
 
 class TestExampleSet:
-    def test_list_and_columns_agree(self):
-        examples = toy_separable(n=30, seed=4)
-        columns = ExampleSet(*oracle_as_arrays(examples))
-        assert len(columns) == 30
-        for orig, back in zip(examples, columns):
-            np.testing.assert_array_equal(orig.features, back.features)
-            assert (orig.y, orig.u) == (back.y, back.u)
-        config = TrainConfig(epochs=2, seed=1)
-        model, _ = train(examples, config)
-        assert evaluate(model, columns) == evaluate(model, examples)
-
     @pytest.mark.parametrize(
         "X, y, u, message",
         [
@@ -908,27 +981,18 @@ class TestExampleSet:
         assert theta.shape == (4 * 3 + 3 + 3 * 2 + 2,)
         assert all(w.base is theta for w in model.weights.values())
 
-    @pytest.mark.parametrize("index", [0, 3, -1, -5, np.int64(2), np.int32(4)])
-    def test_integer_index_gives_one_example(self, index):
-        examples = toy_separable(n=5, seed=2)
-        columns = ExampleSet(*oracle_as_arrays(examples))
-        row = columns[index]
-        assert isinstance(row, TrainExample)
-        assert row.features.tobytes() == examples[int(index)].features.tobytes()
-        assert (type(row.y), type(row.u)) == (int, int)
-        assert (row.y, row.u) == (examples[int(index)].y, examples[int(index)].u)
-
     @pytest.mark.parametrize(
         "index", [slice(1, 4), slice(None, None, -2), slice(7, 9), np.array([4, 0, 0, 2])]
     )
     def test_slice_or_index_array_gives_an_example_set(self, index):
-        X, y, u = oracle_as_arrays(toy_separable(n=5, seed=2))
-        part = ExampleSet(X, y, u)[index]
+        examples = toy_separable(n=5, seed=2)
+        X, y, u = examples.X, examples.y, examples.u
+        part = examples[index]
         assert isinstance(part, ExampleSet)
         assert_same_bits(part, X[index], y[index], u[index])
 
     @pytest.mark.parametrize("index", [5, -6, np.int64(99)])
     def test_index_out_of_range(self, index):
-        columns = ExampleSet(*oracle_as_arrays(toy_separable(n=5, seed=2)))
+        columns = toy_separable(n=5, seed=2)
         with pytest.raises(IndexError):
             columns[index]
