@@ -20,6 +20,7 @@ import functools
 import json
 import math
 import sys
+from dataclasses import asdict
 from fractions import Fraction
 from pathlib import Path
 
@@ -27,9 +28,11 @@ from .dataset import build_dataset_file, validate_dataset
 from .errors import ConfigError, DataError, NumericError
 from .fileio import table_lines
 from .reports import default_lexicon, load_lexicon
-from .smoothing import SmoothingParams, score_rate_table
+from .smoothing import DEFAULT_PARAMS, SmoothingParams, score_rate_table
 from .taxonomy import default_taxonomy, load_taxonomy
 from .training import (
+    ARCHITECTURES,
+    LOSS_MODES,
     TrainConfig,
     evaluate,
     load_model,
@@ -51,24 +54,26 @@ class _Parser(argparse.ArgumentParser):
         raise _UsageError(message)
 
 
-# Flags that may also come from the config file, with their parse type and
-# built-in default.  A flag left unset falls back to config file, then here.
+# The training flags in the order they are registered.  Each sets the
+# TrainConfig field of its name, but for the two in _FIELD_OF.
+_TRAIN_FLAGS = ("epochs", "warmup_epochs", "lr", "batch_size", "weight_decay",
+                "lr_warmup_epochs", "arch", "hidden_width", "loss", "seed")
+_FIELD_OF = {"lr": "learning_rate", "arch": "architecture"}
+_DEFAULT_CONFIG = TrainConfig()
+
+# Flags that may also come from the config file, with their built-in default;
+# the default's type parses the flag and the file value.  A flag left unset
+# falls back to the config file, then here.  Training defaults are
+# TrainConfig's, rate defaults DEFAULT_PARAMS'; seed leads, as -v prints it.
 _SETTINGS = {
-    "seed": (int, 42),
-    "k": (str, "5/12"),
-    "r0": (str, "1"),
-    "epochs": (int, 30),
-    "warmup_epochs": (int, 0),
-    "lr": (float, 1e-2),
-    "batch_size": (int, 32),
-    "weight_decay": (float, 0.0),
-    "lr_warmup_epochs": (int, 5),
-    "arch": (str, "linear"),
-    "hidden_width": (int, 16),
-    "loss": (str, "gls"),
-    "n": (int, 1000),
-    "d": (int, 10),
+    "seed": _DEFAULT_CONFIG.seed,
+    "k": str(DEFAULT_PARAMS.k),
+    "r0": str(DEFAULT_PARAMS.r0),
+    **{key: getattr(_DEFAULT_CONFIG, _FIELD_OF.get(key, key)) for key in _TRAIN_FLAGS},
+    "n": 1000,
+    "d": 10,
 }
+_CHOICES = {"arch": ARCHITECTURES, "loss": LOSS_MODES}
 
 
 def _read_config_file(path: str) -> dict[str, str]:
@@ -86,14 +91,14 @@ def _read_config_file(path: str) -> dict[str, str]:
 
 def _resolve_settings(args: argparse.Namespace) -> None:
     file_values = _read_config_file(args.config) if getattr(args, "config", None) else {}
-    for key, (parse, default) in _SETTINGS.items():
+    for key, default in _SETTINGS.items():
         if not hasattr(args, key):
             continue
         if getattr(args, key) is not None:
             continue
         if key in file_values:
             try:
-                setattr(args, key, parse(file_values[key]))
+                setattr(args, key, type(default)(file_values[key]))
             except ValueError:
                 raise ConfigError(f"config key {key}: cannot parse {file_values[key]!r}")
         else:
@@ -108,7 +113,9 @@ def _fraction(text: str, flag: str) -> Fraction:
 
 
 def _smoothing_params(args) -> SmoothingParams:
-    return SmoothingParams(k=_fraction(args.k, "--k"), r0=_fraction(args.r0, "--r0"))
+    """The rate parameters of the subcommand's flags; one it lacks keeps its default."""
+    keys = [key for key in ("k", "r0") if hasattr(args, key)]
+    return SmoothingParams(**{key: _fraction(getattr(args, key), f"--{key}") for key in keys})
 
 
 def _require_file(path: str, what: str) -> Path:
@@ -130,20 +137,11 @@ def _load_taxonomy_arg(args):
     return load_taxonomy(_require_file(args.taxonomy, "taxonomy"))
 
 
-def _train_config(args, warmup_override=None, smoothing=None) -> TrainConfig:
-    return TrainConfig(
-        epochs=args.epochs,
-        warmup_epochs=args.warmup_epochs if warmup_override is None else warmup_override,
-        learning_rate=args.lr,
-        weight_decay=args.weight_decay,
-        batch_size=args.batch_size,
-        seed=args.seed,
-        smoothing_params=smoothing if smoothing is not None else _smoothing_params(args),
-        lr_warmup_epochs=args.lr_warmup_epochs,
-        architecture=args.arch,
-        hidden_width=args.hidden_width,
-        loss=args.loss,
-    )
+def _train_config(args) -> TrainConfig:
+    """The TrainConfig of the settings; a key the subcommand lacks keeps its default."""
+    keys = [key for key in _TRAIN_FLAGS if hasattr(args, key)]
+    fields = {_FIELD_OF.get(key, key): getattr(args, key) for key in keys}
+    return TrainConfig(smoothing_params=_smoothing_params(args), **fields)
 
 
 def cmd_build(args) -> int:
@@ -180,17 +178,7 @@ def cmd_train(args) -> int:
     if args.metrics_out:
         with open(args.metrics_out, "w", encoding="utf-8", newline="\n") as fh:
             for m in history:
-                fh.write(
-                    json.dumps(
-                        {
-                            "epoch": m.epoch,
-                            "mean_loss": m.mean_loss,
-                            "auc": _metric_value(m.auc),
-                            "samples_used": m.samples_used,
-                        }
-                    )
-                    + "\n"
-                )
+                fh.write(json.dumps({**asdict(m), "auc": _metric_value(m.auc)}) + "\n")
             final = history[-1]
             fh.write(
                 json.dumps(
@@ -231,9 +219,7 @@ def cmd_sweep(args) -> int:
             except ValueError:
                 raise ConfigError(f"--warmup entries must be integers, got {tok!r}")
     k_values = [_fraction(tok, "--k") for tok in k_tokens]
-    base_params = SmoothingParams(r0=_fraction(args.r0, "--r0"))
-    base = _train_config(args, warmup_override=0, smoothing=base_params)
-    cells = sweep(examples, base, k_values, warmups, eval_dataset=eval_examples)
+    cells = sweep(examples, _train_config(args), k_values, warmups, eval_dataset=eval_examples)
     labels = [token for token in k_tokens for _ in warmups]
     lines = ["k\twarmup\tauc"] + [
         f"{token}\t{cell.warmup_epochs}\t{cell.auc:.6f}" for token, cell in zip(labels, cells)
@@ -293,21 +279,18 @@ def build_parser() -> _Parser:
     )
     sub = parser.add_subparsers(dest="command", metavar="command")
 
-    def add_rate_flags(p):
-        p.add_argument("--k", help="rate slope as a rational (default 5/12)")
-        p.add_argument("--r0", help="rate intercept as a rational (default 1)")
+    def add_setting(p, key, **kwargs):
+        p.add_argument("--" + key.replace("_", "-"), dest=key, type=type(_SETTINGS[key]),
+                       choices=_CHOICES.get(key), **kwargs)
 
-    def add_train_flags(p):
-        p.add_argument("--epochs", type=int)
-        p.add_argument("--warmup-epochs", dest="warmup_epochs", type=int)
-        p.add_argument("--lr", type=float)
-        p.add_argument("--batch-size", dest="batch_size", type=int)
-        p.add_argument("--weight-decay", dest="weight_decay", type=float)
-        p.add_argument("--lr-warmup-epochs", dest="lr_warmup_epochs", type=int)
-        p.add_argument("--arch", choices=["linear", "mlp_1hidden"])
-        p.add_argument("--hidden-width", dest="hidden_width", type=int)
-        p.add_argument("--loss", choices=["gls", "ce"])
-        p.add_argument("--seed", type=int)
+    def add_rate_flags(p):
+        add_setting(p, "k", help=f"rate slope as a rational (default {_SETTINGS['k']})")
+        add_setting(p, "r0", help=f"rate intercept as a rational (default {_SETTINGS['r0']})")
+
+    def add_train_flags(p, *skip):
+        for key in _TRAIN_FLAGS:
+            if key not in skip:
+                add_setting(p, key)
 
     p = sub.add_parser("build", help="parse reports into a labeled dataset")
     p.add_argument("--input", required=True)
@@ -341,8 +324,8 @@ def build_parser() -> _Parser:
     p.add_argument("--k", dest="k_values", required=True, help="comma-separated rationals")
     p.add_argument("--warmup", required=True, help="comma-separated epoch counts")
     p.add_argument("--out", required=True)
-    add_train_flags(p)
-    p.add_argument("--r0")
+    add_train_flags(p, "warmup_epochs")  # the grid's --warmup sets warm-up
+    add_setting(p, "r0")
     p.set_defaults(func=cmd_sweep)
 
     p = sub.add_parser("table1", help="print the seven-level score/rate/target mapping")
@@ -350,12 +333,12 @@ def build_parser() -> _Parser:
     p.set_defaults(func=cmd_table1)
 
     p = sub.add_parser("gen-synthetic", help="generate a noisy synthetic training file")
-    p.add_argument("--n", type=int)
-    p.add_argument("--d", type=int)
+    add_setting(p, "n")
+    add_setting(p, "d")
     p.add_argument("--profile", required=True, help='e.g. "3:0.0,2:0.1,1:0.25,0:0.5"')
     p.add_argument("--out", required=True)
     p.add_argument("--truth-out", dest="truth_out", help="write hidden true labels here")
-    p.add_argument("--seed", type=int)
+    add_setting(p, "seed")
     p.set_defaults(func=cmd_gen_synthetic)
 
     return parser

@@ -20,7 +20,6 @@ from __future__ import annotations
 import json
 import math
 import re
-import sys
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from itertools import chain, repeat
@@ -29,7 +28,7 @@ from typing import Iterator
 import numpy as np
 
 from .errors import ConfigError, DataError, NumericError
-from .fileio import decode_records, json_document, numbered_lines
+from .fileio import _FLOAT_MAX, decode_records, json_document, numbered_lines
 from .smoothing import SCORE_LEVELS, SmoothingParams, smoothing_rate
 from .smoothing import batch_loss, batch_targets, effective_labels, softmax
 
@@ -37,14 +36,18 @@ ARCHITECTURES = ("linear", "mlp_1hidden")
 LOSS_MODES = ("gls", "ce")
 
 PROB_FLOOR = 1e-12  # clamp applied to probabilities before log, trainer-only
+# Adam's decay rates for the first and second moments.
+ADAM_BETA1 = 0.9
+ADAM_BETA2 = 0.999
 
 
 @dataclass(frozen=True, eq=False)
 class ExampleSet:
     """A whole example set as columns: features X (n, d), labels y and scores u (n,).
 
-    Checked once, when it is made; ``train``, ``evaluate``, ``sweep`` and
-    ``write_examples`` take it as it is.  Row i is ``X[i]``, ``y[i]``, ``u[i]``.
+    Checked once, when it is made, and read-only after (a caller's float64 X is
+    kept, not copied, so it is frozen too); ``train``, ``evaluate``, ``sweep``
+    and ``write_examples`` take it as it is.  Row i is ``X[i]``, ``y[i]``, ``u[i]``.
     """
 
     X: np.ndarray
@@ -63,9 +66,10 @@ class ExampleSet:
             raise DataError("features contain non-finite values")
         if not np.all((y == 0) | (y == 1)):
             raise DataError("labels must be 0 or 1")
-        if not np.all((u >= -3) & (u <= 3)):
+        if not np.all((u >= SCORE_LEVELS[0]) & (u <= SCORE_LEVELS[-1])):
             raise DataError("uncertainty scores must lie in {-3..3}")
         for name, value in (("X", X), ("y", y), ("u", u)):
+            value.flags.writeable = False
             object.__setattr__(self, name, value)
 
     def __len__(self) -> int:
@@ -73,7 +77,10 @@ class ExampleSet:
 
     def __getitem__(self, index) -> ExampleSet:
         """The rows at ``index``, a slice or an index array, in that order."""
-        return ExampleSet(self.X[index], self.y[index], self.u[index])
+        X = self.X[index]
+        if X.ndim == 1:  # an integer; indexing first lets one out of range raise IndexError
+            raise TypeError("an ExampleSet takes a slice or an index array, not an integer")
+        return ExampleSet(X, self.y[index], self.u[index])
 
 
 @dataclass
@@ -81,8 +88,6 @@ class TrainConfig:
     epochs: int = 30
     warmup_epochs: int = 0
     learning_rate: float = 1e-2
-    beta1: float = 0.9
-    beta2: float = 0.999
     weight_decay: float = 0.0
     batch_size: int = 32
     seed: int = 42
@@ -101,10 +106,6 @@ class TrainConfig:
             )
         if self.learning_rate <= 0:
             raise ConfigError(f"learning_rate must be positive, got {self.learning_rate}")
-        for name in ("beta1", "beta2"):
-            b = getattr(self, name)
-            if not 0 <= b < 1:
-                raise ConfigError(f"{name} must be in [0, 1), got {b}")
         if self.weight_decay < 0:
             raise ConfigError(f"weight_decay must be >= 0, got {self.weight_decay}")
         if self.lr_warmup_epochs < 0:
@@ -316,15 +317,15 @@ def train(dataset: ExampleSet, config: TrainConfig) -> tuple[Model, list[EpochMe
                 #   theta -= lr * (m_hat / (sqrt(v_hat) + eps) + decay*theta)
                 # with m_hat computed in buf_a and v_hat in buf_b.
                 step += 1
-                opt_m *= config.beta1
-                np.multiply(1 - config.beta1, grad, out=buf_a)
+                opt_m *= ADAM_BETA1
+                np.multiply(1 - ADAM_BETA1, grad, out=buf_a)
                 opt_m += buf_a
-                opt_v *= config.beta2
+                opt_v *= ADAM_BETA2
                 np.square(grad, out=buf_a)
-                buf_a *= 1 - config.beta2
+                buf_a *= 1 - ADAM_BETA2
                 opt_v += buf_a
-                np.divide(opt_m, 1 - config.beta1**step, out=buf_a)
-                np.divide(opt_v, 1 - config.beta2**step, out=buf_b)
+                np.divide(opt_m, 1 - ADAM_BETA1**step, out=buf_a)
+                np.divide(opt_v, 1 - ADAM_BETA2**step, out=buf_b)
                 np.sqrt(buf_b, out=buf_b)
                 buf_b += eps
                 buf_a /= buf_b
@@ -539,7 +540,6 @@ _EXAMPLE_FIELDS = {"features": "numbers", "y": "int", "u": "int"}
 _EXAMPLE_LINE = re.compile(
     r'^\{"features": \[([-0-9.eE+, ]*)\], "y": ([01]), "u": (-?[0-3])\}$', re.MULTILINE
 )
-_FLOAT_MAX = sys.float_info.max
 
 
 def _line_blocks(path) -> Iterator[tuple[int, list[str]]]:

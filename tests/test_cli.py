@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+import typing
 from pathlib import Path
 
 import numpy as np
@@ -11,7 +12,8 @@ import pytest
 
 import glsmooth
 from corpus_util import make_reports
-from glsmooth.cli import main
+from glsmooth.cli import _FIELD_OF, _SETTINGS, _TRAIN_FLAGS, main
+from glsmooth.training import TrainConfig, read_examples, save_model, train
 
 DATA_DIR = Path(__file__).parent / "data"
 
@@ -327,6 +329,28 @@ class TestTrainEval:
         lines = metrics_path.read_text().splitlines()
         assert len(lines) == 5  # 4 epochs + summary
 
+    def test_sweep_ignores_config_warmup_epochs(self, tmp_path, capsys, data_file):
+        # A config file train and sweep share may set warmup_epochs; the grid's
+        # --warmup sets sweep's warm-up.  With 2 epochs, a base config that
+        # took warmup_epochs=3 would be rejected (exit 1).
+        config = tmp_path / "run.conf"
+        config.write_text("warmup_epochs=3\n")
+        tables = []
+        for prefix in ((), ("--config", str(config))):
+            out = tmp_path / f"sweep{len(prefix)}.tsv"
+            argv = [*prefix, "sweep", "--data", str(data_file), "--k", "0.375,5/12",
+                    "--warmup", "0,1", "--out", str(out), "--epochs", "2"]
+            assert run_cli(capsys, *argv)[0] == 0
+            tables.append(out.read_bytes())
+        assert tables[0] == tables[1]
+
+    def test_bare_train_uses_library_defaults(self, tmp_path, capsys, data_file):
+        cli_model, lib_model = tmp_path / "cli.json", tmp_path / "lib.json"
+        argv = ["train", "--data", str(data_file), "--model-out", str(cli_model)]
+        assert run_cli(capsys, *argv)[0] == 0
+        save_model(train(read_examples(data_file), TrainConfig())[0], lib_model)
+        assert cli_model.read_bytes() == lib_model.read_bytes()
+
     def test_unknown_config_key(self, tmp_path, capsys, data_file):
         config = tmp_path / "run.conf"
         config.write_text("flux_capacitor=1\n")
@@ -620,6 +644,25 @@ class TestUsageErrors:
     def test_missing_required_flag(self, capsys):
         code, _, err = run_cli(capsys, "eval", "--data", "x.jsonl")
         assert code == 1
+
+    def test_sweep_has_no_warmup_epochs_flag(self, tmp_path):
+        argv = ["sweep", "--data", "x.jsonl", "--k", "0.375", "--warmup", "1",
+                "--out", str(tmp_path / "s.tsv"), "--warmup-epochs", "2"]
+        proc = subprocess.run(
+            [sys.executable, "-m", "glsmooth.cli", *argv], capture_output=True, text=True,
+            env={**os.environ, "PYTHONPATH": str(Path(glsmooth.__file__).parents[1])},
+        )
+        assert proc.returncode == 1
+        assert proc.stderr.startswith("error: unrecognized arguments: --warmup-epochs 2\n")
+        assert "Traceback" not in proc.stderr
+        assert not (tmp_path / "s.tsv").exists()
+
+    def test_setting_types_match_train_config(self):
+        # A flag parses with its default's type, so each training default must
+        # have the type its TrainConfig field declares.
+        declared = typing.get_type_hints(TrainConfig)
+        for key in _TRAIN_FLAGS:
+            assert type(_SETTINGS[key]) is declared[_FIELD_OF.get(key, key)]
 
     def test_gen_synthetic_bad_profile(self, tmp_path, capsys):
         code, _, err = run_cli(

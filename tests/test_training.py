@@ -22,6 +22,8 @@ from glsmooth.smoothing import (
     softmax,
 )
 from glsmooth.training import (
+    ADAM_BETA1,
+    ADAM_BETA2,
     ARCHITECTURES,
     LOSS_MODES,
     PROB_FLOOR,
@@ -588,10 +590,10 @@ def oracle_train(dataset, config):
                 }
             step += 1
             for key, g in grads.items():
-                opt_m[key] = config.beta1 * opt_m[key] + (1 - config.beta1) * g
-                opt_v[key] = config.beta2 * opt_v[key] + (1 - config.beta2) * g**2
-                m_hat = opt_m[key] / (1 - config.beta1**step)
-                v_hat = opt_v[key] / (1 - config.beta2**step)
+                opt_m[key] = ADAM_BETA1 * opt_m[key] + (1 - ADAM_BETA1) * g
+                opt_v[key] = ADAM_BETA2 * opt_v[key] + (1 - ADAM_BETA2) * g**2
+                m_hat = opt_m[key] / (1 - ADAM_BETA1**step)
+                v_hat = opt_v[key] / (1 - ADAM_BETA2**step)
                 weights[key] -= lr * (
                     m_hat / (np.sqrt(v_hat) + eps) + config.weight_decay * weights[key]
                 )
@@ -996,3 +998,24 @@ class TestExampleSet:
         columns = toy_separable(n=5, seed=2)
         with pytest.raises(IndexError):
             columns[index]
+
+    @pytest.mark.parametrize("index", [0, np.int64(1)])
+    def test_integer_index_is_a_type_error(self, index):
+        examples = toy_separable(n=5, seed=2)
+        with pytest.raises(TypeError, match="a slice or an index array, not an integer"):
+            examples[index]
+
+    def test_columns_are_read_only(self, tmp_path):
+        # A float64 X is kept without a copy, so the caller's array is frozen too.
+        X = np.zeros((2, 2))
+        examples = ExampleSet(X, [0, 1], [3, 3])
+        assert examples.X is X
+        with pytest.raises(ValueError, match="read-only"):
+            X[0, 0] = np.nan
+        for column in (examples.y, examples.u):
+            with pytest.raises(ValueError, match="read-only"):
+                column[0] = 1
+        path = tmp_path / "ex.jsonl"
+        write_examples(path, examples)
+        assert "nan" not in path.read_text()
+        assert_same_bits(read_examples(path), X, examples.y, examples.u)
