@@ -76,8 +76,13 @@ _SETTINGS = {
 _CHOICES = {"arch": ARCHITECTURES, "loss": LOSS_MODES}
 
 
-def _read_config_file(path: str) -> dict[str, str]:
-    values: dict[str, str] = {}
+def _read_config_file(path: str) -> dict[str, object]:
+    """The file's settings, each parsed as its flag would be.
+
+    Every value is checked here, whether or not the subcommand takes it, so a
+    config file is valid or invalid for all subcommands alike.
+    """
+    values: dict[str, object] = {}
     for lineno, line in table_lines(_require_file(path, "config"), "config"):
         if "=" not in line:
             raise ConfigError(f"config line {lineno}: expected key=value, got {line!r}")
@@ -85,24 +90,22 @@ def _read_config_file(path: str) -> dict[str, str]:
         key, value = key.strip(), value.strip()
         if key not in _SETTINGS:
             raise ConfigError(f"config line {lineno}: unknown key {key!r}")
-        values[key] = value
+        try:
+            values[key] = type(_SETTINGS[key])(value)
+        except ValueError:
+            raise ConfigError(f"config key {key}: cannot parse {value!r}")
+        if key in ("k", "r0"):
+            _fraction(value, f"config key {key}")
+        if key in _CHOICES and value not in _CHOICES[key]:
+            raise ConfigError(f"config key {key}: {value!r} is not one of {_CHOICES[key]}")
     return values
 
 
 def _resolve_settings(args: argparse.Namespace) -> None:
     file_values = _read_config_file(args.config) if getattr(args, "config", None) else {}
     for key, default in _SETTINGS.items():
-        if not hasattr(args, key):
-            continue
-        if getattr(args, key) is not None:
-            continue
-        if key in file_values:
-            try:
-                setattr(args, key, type(default)(file_values[key]))
-            except ValueError:
-                raise ConfigError(f"config key {key}: cannot parse {file_values[key]!r}")
-        else:
-            setattr(args, key, default)
+        if hasattr(args, key) and getattr(args, key) is None:
+            setattr(args, key, file_values.get(key, default))
 
 
 def _fraction(text: str, flag: str) -> Fraction:

@@ -367,6 +367,31 @@ class TestTrainEval:
         assert code == 1
         assert "flux_capacitor" in err
 
+    @pytest.mark.parametrize("line, command", [
+        ("epochs=two", ["table1"]),
+        ("epochs=two", ["build", "--input", "reports.jsonl", "--out", "ds.jsonl"]),
+        ("n=ten", ["train", "--data", "ex.jsonl", "--model-out", "m.json"]),
+        ("k=abc", ["eval", "--data", "ex.jsonl", "--model", "m.json"]),
+        ("r0=1/0", ["validate", "--input", "ds.jsonl"]),
+        ("arch=cnn", ["table1"]),
+        ("loss=focal", ["gen-synthetic", "--profile", "3:0.0", "--out", "ex.jsonl"]),
+    ])
+    def test_bad_config_value_is_usage_error_for_every_command(self, tmp_path, line, command):
+        # Every value is checked when the file is read, also one the command
+        # has no flag for; the input files need not exist, as none is opened.
+        config = tmp_path / "run.conf"
+        config.write_text(f"seed=1\n{line}\n")
+        proc = subprocess.run(
+            [sys.executable, "-m", "glsmooth.cli", "--config", str(config), *command],
+            capture_output=True, text=True, cwd=tmp_path,
+            env={**os.environ, "PYTHONPATH": str(Path(glsmooth.__file__).parents[1])},
+        )
+        key = line.partition("=")[0]
+        assert proc.returncode == 1
+        assert f"config key {key}" in proc.stderr
+        assert "Traceback" not in proc.stderr
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["run.conf"]
+
     def test_gen_synthetic_golden_bytes(self, tmp_path, capsys):
         # the committed files pin the example and truth formats byte for byte
         out, truth = tmp_path / "gen.jsonl", tmp_path / "gen.truth.jsonl"

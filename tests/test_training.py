@@ -2,6 +2,7 @@
 
 import json
 import math
+import tracemalloc
 from collections import namedtuple
 from pathlib import Path
 from unittest import mock
@@ -81,6 +82,19 @@ def brute_force_auc(scores, labels) -> float:
     return total / (len(pos) * len(neg))
 
 
+def unique_auc(scores, labels) -> float:
+    """Midranks from np.unique: the reference the one-sort ranking must match bit for bit."""
+    scores = np.asarray(scores, dtype=np.float64)
+    labels = np.asarray(labels, dtype=np.int64)
+    n_pos = int((labels == 1).sum())
+    n_neg = int((labels == 0).sum())
+    _, inverse, counts = np.unique(scores, return_inverse=True, return_counts=True)
+    first_rank = np.cumsum(counts) - counts + 1
+    midranks = first_rank + (counts - 1) / 2.0
+    rank_sum_pos = float(midranks[inverse][labels == 1].sum())
+    return (rank_sum_pos - n_pos * (n_pos + 1) / 2.0) / (n_pos * n_neg)
+
+
 def toy_separable(n=200, seed=0):
     """Linearly separable two-feature set, all extreme-confidence."""
     rng = np.random.default_rng(seed)
@@ -114,6 +128,35 @@ class TestAuc:
             assert auc(scores, labels) == pytest.approx(
                 brute_force_auc(scores, labels), abs=1e-12
             )
+
+    # Few distinct values force ties; 0.0 and -0.0 tie, and NaNs tie with each other.
+    TIE_POOL = [-1.5, -0.0, 0.0, 1e-300, 0.25, 0.5, 1.0, math.inf, -math.inf, math.nan]
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        n=st.integers(2, 3000),
+        distinct=st.integers(1, len(TIE_POOL)),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_equals_unique_midrank_oracle(self, n, distinct, seed):
+        rng = np.random.default_rng(seed)
+        scores = rng.choice(self.TIE_POOL[:distinct], size=n)
+        if distinct == 1:  # all scores equal, or all random
+            scores = scores if rng.integers(2) else rng.random(n)
+        labels = rng.integers(0, 2, size=n)
+        labels[:2] = [0, 1]
+        assert auc(scores, labels).hex() == unique_auc(scores, labels).hex()
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.lists(st.tuples(st.floats(allow_nan=False, width=16), st.integers(0, 1)),
+                    min_size=2, max_size=40))
+    def test_equals_oracle_on_drawn_floats(self, pairs):
+        scores, labels = map(list, zip(*pairs))
+        labels[:2] = [0, 1]
+        assert auc(scores, labels).hex() == unique_auc(scores, labels).hex()
+
+    def test_signed_zeros_tie(self):
+        assert auc([0.0, -0.0, 0.0, -0.0], [1, 0, 0, 1]) == 0.5
 
     def test_single_class_undefined(self):
         with pytest.raises(NumericError):
@@ -150,6 +193,68 @@ class TestPredict:
         model = Model("linear", {"W": np.zeros((3, 2)), "b": np.zeros(2)})
         with pytest.raises(ValueError):
             predict_proba(model, [[1.0, 2.0]])
+
+    @pytest.mark.parametrize("architecture", ARCHITECTURES)
+    @pytest.mark.parametrize("block", [1, 2, 3, 7])
+    def test_blocks_equal_one_forward(self, monkeypatch, architecture, block):
+        rng = np.random.default_rng(block)
+        model = init_model(3, TrainConfig(architecture=architecture, hidden_width=5), rng)
+        for weight in model.weights.values():
+            weight += rng.normal(size=weight.shape)
+        monkeypatch.setattr(training, "PREDICT_BLOCK_ROWS", block)
+        for n in sorted({max(1, block * m + delta) for m in (1, 2, 3) for delta in (-1, 0, 1)}):
+            X = rng.normal(size=(n, 3))
+            P = predict_proba(model, X)
+            assert P.shape == (n, 2)
+            np.testing.assert_allclose(P, softmax(_forward(model, X)[0]), rtol=0, atol=1e-12)
+
+    def test_block_holds_no_full_hidden_layer(self):
+        n, width = 50_000, 64
+        rng = np.random.default_rng(3)
+        model = init_model(10, TrainConfig(architecture="mlp_1hidden", hidden_width=width), rng)
+        X = rng.normal(size=(n, 10))
+        tracemalloc.start()
+        try:
+            P = predict_proba(model, X)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # The output plus a few blocks of hidden activations; one unblocked
+        # forward would hold n x width floats (25.6 MB).
+        assert peak < P.nbytes + 4 * training.PREDICT_BLOCK_ROWS * width * 8
+
+    @pytest.mark.parametrize("block", [1, 2, 3, 7])
+    def test_overflow_in_last_block_is_numeric_error(self, monkeypatch, block):
+        # 10 * 1e308 is inf, and inf - inf is NaN; only the last row overflows.
+        model = Model("linear", {"W": np.array([[1e308, -1e308], [1e308, -1e308]]),
+                                 "b": np.zeros(2)})
+        n = 3 * block + 1
+        X = np.full((n, 2), 1e-3)
+        X[-1] = 10.0
+        monkeypatch.setattr(training, "PREDICT_BLOCK_ROWS", block)
+        examples = ExampleSet(X, np.arange(n) % 2, np.full(n, 3))
+        with pytest.raises(NumericError, match="non-finite scores: the model overflows"):
+            evaluate(model, examples)
+        assert evaluate(model, examples[:-1]) == 0.5
+
+    @pytest.mark.parametrize("block", [1, 2, 3, 7])
+    def test_training_overflow_in_last_block_is_numeric_error(self, monkeypatch, block):
+        # One warm-up epoch trains on the |u| = 3 rows alone, so the AUC pass is
+        # the first to score the last row, whose features overflow a logit.
+        config = TrainConfig(epochs=1, warmup_epochs=1, learning_rate=1e-12, seed=4)
+        n, d = 3 * block + 1, 10
+        W = init_model(d, config, np.random.default_rng(config.seed)).weights["W"]
+        assert np.abs(W[:, 0]).sum() > 1.0  # so the last row's class-0 logit is +inf
+        rng = np.random.default_rng(block)
+        X = rng.normal(size=(n, d))
+        X[-1] = np.sign(W[:, 0]) * MAX_FLOAT
+        u = np.full(n, 3)
+        u[-1] = 0
+        monkeypatch.setattr(training, "PREDICT_BLOCK_ROWS", block)
+        examples = ExampleSet(X, np.arange(n) % 2, u)
+        with pytest.raises(NumericError, match="non-finite scores after epoch 1"):
+            train(examples, config)
+        train(examples[:-1], config)
 
     @pytest.mark.parametrize("architecture", ARCHITECTURES)
     def test_inputs_left_unmodified(self, architecture):
