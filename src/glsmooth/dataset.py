@@ -15,12 +15,14 @@ from __future__ import annotations
 
 import functools
 import json
+import re
+from collections import Counter
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Iterable, Iterator
 
 from .errors import DataError
-from .fileio import jsonl_records
+from .fileio import READ_BLOCK_LINES, decode_records, jsonl_records, line_blocks
 from .reports import Lexicon, extract_findings
 from .smoothing import (
     SCORE_LEVELS,
@@ -195,6 +197,32 @@ def record_to_line(rec: LabeledRecord) -> str:
     )
 
 
+# A line as record_to_line writes it, nothing else on the line: a study id
+# and a cue (or null) that are any JSON strings, escapes included, as
+# json.dumps writes them; a category string with no escape or control
+# character; y 0 or 1, u -3..3, and the rate and targets with exactly six
+# decimals.  Groups: the category, and the text of the number fields.
+_JSON_STRING = r'"[^"\\\x00-\x1f]*(?:\\(?:["\\/bfnrt]|u[0-9a-fA-F]{4})[^"\\\x00-\x1f]*)*"'
+_NUMBER_FIELDS = (
+    r'"y": [01], "u": -?[0-3], "r": -?[0-9]+\.[0-9]{6}, '
+    r'"target_neg": -?[0-9]+\.[0-9]{6}, "target_pos": -?[0-9]+\.[0-9]{6}'
+)
+_DATASET_LINE = (
+    rf'^\{{"study_id": {_JSON_STRING}, "category": "([^"\\\x00-\x1f]*)", '
+    rf'({_NUMBER_FIELDS}), "cue": (?:null|{_JSON_STRING})\}}$'
+)
+
+
+@functools.cache
+def _dataset_line() -> re.Pattern:
+    """The frame, compiled when validate_dataset first runs (0.5 ms an import need not pay)."""
+    return re.compile(_DATASET_LINE, re.MULTILINE)
+
+
+# The y, u, r, target_neg and target_pos texts in number fields the frame matched.
+_NUMBER = re.compile(r"-?[0-9.]+")
+
+
 def stats_path_for(out_path) -> Path:
     out_path = Path(out_path)
     return out_path.with_name(out_path.name + ".stats.json")
@@ -255,6 +283,33 @@ _REQUIRED_FIELDS = {
 MAX_REPORTED_PROBLEMS = 20
 
 
+def _block_counts(lines: list[str], known, checked_u) -> tuple[Counter, Counter] | None:
+    """(per-category, per-score) counts of a block of clean written records, else None.
+
+    A line is clean when it has record_to_line's layout and a known category,
+    and ``checked_u`` of its number fields' text is its u, not None.  None
+    sends the block to the line-by-line checks.
+    """
+    frame = _dataset_line()
+    # The first line alone turns away a file of another layout, before a
+    # search of the whole block that would try every position in it.
+    if frame.match(lines[0]) is None:
+        return None
+    found = frame.findall("".join(lines))
+    if len(found) != len(lines):  # a match never spans lines, so one did not match
+        return None
+    names, numbers = zip(*found)
+    if not known.issuperset(names):
+        return None
+    per_score = Counter()
+    for text, count in Counter(numbers).items():
+        u = checked_u(text)
+        if u is None:
+            return None
+        per_score[u] += count
+    return Counter(names), per_score
+
+
 def validate_dataset(path, params: SmoothingParams = DEFAULT_PARAMS) -> DatasetStats:
     """Re-check every labeled-record invariant in a dataset file.
 
@@ -263,47 +318,67 @@ def validate_dataset(path, params: SmoothingParams = DEFAULT_PARAMS) -> DatasetS
     six-decimal precision.  Raises DataError naming the first
     MAX_REPORTED_PROBLEMS violations with their line numbers and counting the
     rest ("; and N more problem(s)"); returns recomputed stats when clean.
+
+    The file is read a block of READ_BLOCK_LINES lines at a time.  A block
+    whose every line is a clean record as record_to_line writes it is counted
+    from one regex search; any other block is checked line by line, so each
+    problem is found and worded as there.
     """
-    known = set(CATEGORY_NAMES)
+    known = frozenset(CATEGORY_NAMES)
     expected_text = _expected_text(params)
+
+    @functools.cache
+    def checked_u(numbers: str) -> int | None:
+        """u of number fields whose r and target texts are their (y, u)'s, else None."""
+        y, u, *texts = _NUMBER.findall(numbers)
+        return int(u) if tuple(texts) == expected_text(int(y), int(u)) else None
+
     stats = DatasetStats()
     per_category, per_score = stats.per_category_counts, stats.per_score_counts
     problems: list[str] = []
-    for lineno, rec in jsonl_records(path, _REQUIRED_FIELDS):
-        if isinstance(rec, DataError):
-            problems.append(str(rec))
+    for first, lines in line_blocks(path, READ_BLOCK_LINES):
+        counts = _block_counts(lines, known, checked_u)
+        if counts is not None:
+            for totals, block in zip((per_category, per_score), counts):
+                for key, count in block.items():
+                    totals[key] = totals.get(key, 0) + count
+            stats.record_count += len(lines)
             continue
-        name, y, u = rec["category"], rec["y"], rec["u"]
-        if name not in known:
-            problems.append(f"line {lineno}: unknown category {name!r}")
-            continue
-        if y not in (0, 1):
-            problems.append(f"line {lineno}: y must be 0 or 1, got {y!r}")
-            continue
-        if u not in SCORE_LEVELS:
-            problems.append(f"line {lineno}: u {u!r} outside {{-3..3}}")
-            continue
-        expected_r, expected_neg, expected_pos = expected_text(y, u)
-        r = f"{rec['r']:.6f}"
-        if r != expected_r:
-            problems.append(
-                f"line {lineno}: r {r} does not match -k|u|+r0 = {expected_r} for u={u}"
-            )
-            continue
-        neg, pos = f"{rec['target_neg']:.6f}", f"{rec['target_pos']:.6f}"
-        if neg != expected_neg or pos != expected_pos:
-            problems.append(
-                f"line {lineno}: target [{neg}, {pos}] does not match "
-                f"[{expected_neg}, {expected_pos}]"
-            )
-            continue
-        cue = rec["cue"]
-        if cue is not None and not isinstance(cue, str):
-            problems.append(f"line {lineno}: cue must be a string or null")
-            continue
-        stats.record_count += 1
-        per_category[name] = per_category.get(name, 0) + 1
-        per_score[u] = per_score.get(u, 0) + 1
+        for lineno, rec in decode_records(enumerate(lines, first), _REQUIRED_FIELDS):
+            if isinstance(rec, DataError):
+                problems.append(str(rec))
+                continue
+            name, y, u = rec["category"], rec["y"], rec["u"]
+            if name not in known:
+                problems.append(f"line {lineno}: unknown category {name!r}")
+                continue
+            if y not in (0, 1):
+                problems.append(f"line {lineno}: y must be 0 or 1, got {y!r}")
+                continue
+            if u not in SCORE_LEVELS:
+                problems.append(f"line {lineno}: u {u!r} outside {{-3..3}}")
+                continue
+            expected_r, expected_neg, expected_pos = expected_text(y, u)
+            r = f"{rec['r']:.6f}"
+            if r != expected_r:
+                problems.append(
+                    f"line {lineno}: r {r} does not match -k|u|+r0 = {expected_r} for u={u}"
+                )
+                continue
+            neg, pos = f"{rec['target_neg']:.6f}", f"{rec['target_pos']:.6f}"
+            if neg != expected_neg or pos != expected_pos:
+                problems.append(
+                    f"line {lineno}: target [{neg}, {pos}] does not match "
+                    f"[{expected_neg}, {expected_pos}]"
+                )
+                continue
+            cue = rec["cue"]
+            if cue is not None and not isinstance(cue, str):
+                problems.append(f"line {lineno}: cue must be a string or null")
+                continue
+            stats.record_count += 1
+            per_category[name] = per_category.get(name, 0) + 1
+            per_score[u] = per_score.get(u, 0) + 1
     if problems:
         text = "; ".join(problems[:MAX_REPORTED_PROBLEMS])
         if len(problems) > MAX_REPORTED_PROBLEMS:

@@ -28,7 +28,7 @@ from typing import Iterator
 import numpy as np
 
 from .errors import ConfigError, DataError, NumericError
-from .fileio import _FLOAT_MAX, decode_records, json_document, numbered_lines
+from .fileio import READ_BLOCK_LINES, _FLOAT_MAX, decode_records, json_document, line_blocks
 from .smoothing import SCORE_LEVELS, SmoothingParams, smoothing_rate
 from .smoothing import batch_loss, batch_targets, effective_labels, softmax
 
@@ -377,8 +377,9 @@ def auc(scores, labels) -> float:
     Equal to the probability that a random positive outscores a random
     negative, ties counted half (the Mann-Whitney U formulation with
     midranks).  One sort ranks the scores; equal scores (0.0 and -0.0 among
-    them, and all NaNs) share their midrank.  The rank sum is a sum of
-    half-integers, exact in any order below about 9e7 rows.
+    them) share their midrank.  The rank sum is a sum of half-integers, exact
+    in any order below about 9e7 rows.  A NaN score raises ValueError: it has
+    no rank.
     """
     scores = np.asarray(scores, dtype=np.float64)
     labels = np.asarray(labels, dtype=np.int64)
@@ -392,13 +393,12 @@ def auc(scores, labels) -> float:
         raise NumericError("AUC undefined: both classes must be present")
     order = np.argsort(scores)
     ranked = scores[order]
-    # A tie group starts where the sorted score changes; NaNs, sorted last,
-    # make one group.
+    if np.isnan(ranked[-1]):  # NaNs sort last
+        raise ValueError("scores must not be NaN")
+    # A tie group starts where the sorted score changes.
     starts = np.empty(len(ranked), dtype=bool)
     starts[0] = True
     np.not_equal(ranked[1:], ranked[:-1], out=starts[1:])
-    if np.isnan(ranked[-1]):
-        starts[np.searchsorted(ranked, np.nan) + 1 :] = False
     first = np.flatnonzero(starts)
     counts = np.diff(first, append=len(ranked))
     midranks = first + 1 + (counts - 1) / 2.0
@@ -524,12 +524,6 @@ def sweep(
 # File formats: training examples (JSON lines) and model checkpoints (JSON).
 
 
-# read_examples takes this many lines of a file at a time: it decodes them as
-# one block where it can and converts each block's rows to float64 at once, so
-# a large file never sits in memory as lists.  128 to 1024 read a 20k-line file
-# at one speed; the smaller the block, the less a train-and-eval pass of two
-# such files peaks at (16.9 MB at 256, 17.4 at 512, 17.8 at 1024).
-READ_BLOCK_LINES = 256
 # write_examples turns this many rows at a time into Python floats to format
 # them.  The allocator keeps a block's float objects resident after the call:
 # with 4096-row blocks a 10k-row gen-synthetic left more memory resident than
@@ -568,27 +562,6 @@ _EXAMPLE_FIELDS = {"features": "numbers", "y": "int", "u": "int"}
 _EXAMPLE_LINE = re.compile(
     r'^\{"features": \[([-0-9.eE+, ]*)\], "y": ([01]), "u": (-?[0-3])\}$', re.MULTILINE
 )
-
-
-def _line_blocks(path) -> Iterator[tuple[int, list[str]]]:
-    """(number of the first line, lines) for consecutive READ_BLOCK_LINES-line blocks of a file.
-
-    Bytes that are not UTF-8 raise their DataError only after the block of
-    lines read before them, so a bad line there fails first, as line by line.
-    """
-    first, lines, error = 1, [], None
-    try:
-        for lineno, line in numbered_lines(path):
-            lines.append(line)
-            if len(lines) == READ_BLOCK_LINES:
-                yield first, lines
-                first, lines = lineno + 1, []
-    except DataError as exc:
-        error = exc
-    if lines:
-        yield first, lines
-    if error is not None:
-        raise error
 
 
 def _decode_block(
@@ -641,7 +614,7 @@ def read_examples(path) -> ExampleSet:
     """
     blocks, ys, us = [], [], []
     dim = None
-    for first, lines in _line_blocks(path):
+    for first, lines in line_blocks(path, READ_BLOCK_LINES):
         decoded = _decode_block(lines, dim)
         if decoded is not None:
             X, block_y, block_u = decoded

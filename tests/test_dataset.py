@@ -1,14 +1,24 @@
 """Tests for the dataset builder and validator."""
 
 import json
+import re
+from fractions import Fraction
+from pathlib import Path
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from corpus_util import make_reports
+from glsmooth import dataset
 from glsmooth.dataset import (
+    MAX_REPORTED_PROBLEMS,
+    _REQUIRED_FIELDS,
+    DatasetStats,
+    LabeledRecord,
     ReportRecord,
+    _expected_text,
     build_dataset,
     build_dataset_file,
     read_report_file,
@@ -17,10 +27,20 @@ from glsmooth.dataset import (
     validate_dataset,
     write_dataset,
 )
-from glsmooth.errors import DataError
+from glsmooth.errors import ConfigError, DataError
+from glsmooth.fileio import jsonl_records
 from glsmooth.reports import default_lexicon
-from glsmooth.smoothing import smoothing_rate
-from glsmooth.taxonomy import DiseaseCategory, default_taxonomy
+from glsmooth.smoothing import (
+    DEFAULT_PARAMS,
+    SCORE_LEVELS,
+    SmoothingParams,
+    effective_label,
+    gls_target,
+    smoothing_rate,
+)
+from glsmooth.taxonomy import CATEGORY_NAMES, DiseaseCategory, default_taxonomy
+
+DATA_DIR = Path(__file__).parent / "data"
 
 
 @pytest.fixture(scope="module")
@@ -276,3 +296,241 @@ def test_noise_lines_only_add_malformed_entries(clean_build, lexicon, taxonomy, 
     assert out.read_bytes() == clean_bytes
     sidecar = json.loads(stats_path_for(out).read_text())
     assert sidecar["malformed_record_count"] == sum(1 for _, n in insertions if n.strip())
+
+
+# ---------------------------------------------------------------------------
+# validate_dataset checks whole blocks of written lines at once.  The oracle
+# is the line-by-line body it had before: every file must give the same stats
+# (with the same key order) or the same error text.
+
+
+def oracle_validate_dataset(path, params=DEFAULT_PARAMS):
+    known = set(CATEGORY_NAMES)
+    expected_text = _expected_text(params)
+    stats = DatasetStats()
+    per_category, per_score = stats.per_category_counts, stats.per_score_counts
+    problems: list[str] = []
+    for lineno, rec in jsonl_records(path, _REQUIRED_FIELDS):
+        if isinstance(rec, DataError):
+            problems.append(str(rec))
+            continue
+        name, y, u = rec["category"], rec["y"], rec["u"]
+        if name not in known:
+            problems.append(f"line {lineno}: unknown category {name!r}")
+            continue
+        if y not in (0, 1):
+            problems.append(f"line {lineno}: y must be 0 or 1, got {y!r}")
+            continue
+        if u not in SCORE_LEVELS:
+            problems.append(f"line {lineno}: u {u!r} outside {{-3..3}}")
+            continue
+        expected_r, expected_neg, expected_pos = expected_text(y, u)
+        r = f"{rec['r']:.6f}"
+        if r != expected_r:
+            problems.append(
+                f"line {lineno}: r {r} does not match -k|u|+r0 = {expected_r} for u={u}"
+            )
+            continue
+        neg, pos = f"{rec['target_neg']:.6f}", f"{rec['target_pos']:.6f}"
+        if neg != expected_neg or pos != expected_pos:
+            problems.append(
+                f"line {lineno}: target [{neg}, {pos}] does not match "
+                f"[{expected_neg}, {expected_pos}]"
+            )
+            continue
+        cue = rec["cue"]
+        if cue is not None and not isinstance(cue, str):
+            problems.append(f"line {lineno}: cue must be a string or null")
+            continue
+        stats.record_count += 1
+        per_category[name] = per_category.get(name, 0) + 1
+        per_score[u] = per_score.get(u, 0) + 1
+    if problems:
+        text = "; ".join(problems[:MAX_REPORTED_PROBLEMS])
+        if len(problems) > MAX_REPORTED_PROBLEMS:
+            text += f"; and {len(problems) - MAX_REPORTED_PROBLEMS} more problem(s)"
+        raise DataError(text)
+    return stats
+
+
+def validate_outcome(validate, path, params):
+    """The stats with their key order, or the error's type and text."""
+    try:
+        stats = validate(path, params)
+    except (DataError, ConfigError) as exc:
+        return type(exc).__name__, str(exc)
+    return stats, list(stats.per_category_counts.items()), list(stats.per_score_counts.items())
+
+
+GOLDEN_LINES = (DATA_DIR / "build_golden.jsonl").read_text().splitlines()
+
+# The default slope and 0.375 (the two golden files); 1/3, whose |u| = 3 rate
+# and target are 0.000000; and an intercept over 1, whose rates for |u| <= 1
+# raise ConfigError where such a line is checked.
+PARAMS = [
+    DEFAULT_PARAMS,
+    SmoothingParams(k=Fraction(3, 8)),
+    SmoothingParams(k=Fraction(1, 3)),
+    SmoothingParams(r0=Fraction(3, 2)),
+]
+
+
+def written_lines(params):
+    """The golden records as build writes them with ``params``, the golden line where it cannot."""
+    lines = []
+    for line in GOLDEN_LINES:
+        rec = json.loads(line)
+        try:
+            r = smoothing_rate(rec["u"], params)
+        except ConfigError:
+            lines.append(line)
+            continue
+        neg, pos = gls_target(effective_label(rec["y"], rec["u"]), r)
+        labeled = LabeledRecord(
+            rec["study_id"], DiseaseCategory(rec["category"]), rec["y"], rec["u"],
+            r, float(neg), float(pos), rec["cue"],
+        )
+        lines.append(record_to_line(labeled))
+    return lines
+
+
+def test_written_lines_are_the_golden_files():
+    assert written_lines(DEFAULT_PARAMS) == GOLDEN_LINES
+    k0375 = (DATA_DIR / "build_golden.k0375.jsonl").read_text().splitlines()
+    assert written_lines(PARAMS[1]) == k0375
+
+
+_NUMBER_FIELD = re.compile(r'"(r|target_neg|target_pos)": (-?[0-9.]+)')
+
+
+def _number(line, pick, edit):
+    """``line`` with one of its rate and target texts (chosen by ``pick``) edited."""
+    found = _NUMBER_FIELD.findall(line)
+    if not found:
+        return line
+    key, text = found[pick % len(found)]
+    return line.replace(f'"{key}": {text}', f'"{key}": {edit(text)}', 1)
+
+
+def _shortest(text):
+    return text.rstrip("0").rstrip(".") or "0"
+
+
+def _signed_zero(text):
+    if float(text) == 0:
+        return "0.000000" if text.startswith("-") else "-0.000000"
+    return text[1:] if text.startswith("-") else "-" + text
+
+
+def _off_by_one_ulp_of_text(text):
+    return text[:-1] + ("1" if text[-1] == "0" else "0")
+
+
+def _escape_first(text):
+    """A JSON string's text with its first character written as a \\u escape."""
+    if not text.startswith('"') or len(text) < 3:
+        return text
+    return f'"\\u{ord(text[1]):04x}{text[2:]}'
+
+
+def _key(line, key, edit):
+    match = re.search(rf'"{key}": ("(?:[^"\\]|\\.)*"|null|-?[0-9]+)', line)
+    return line if match is None else line.replace(match.group(0), f'"{key}": {edit(match.group(1))}', 1)
+
+
+# Edits of one line (without its newline); ``pick`` chooses among fields.
+LINE_EDITS = {
+    "0.25 form": lambda line, pick: _number(line, pick, _shortest),
+    "seventh decimal": lambda line, pick: _number(line, pick, lambda t: t + "0"),
+    "signed zero": lambda line, pick: _number(line, pick, _signed_zero),
+    "wrong target": lambda line, pick: _number(line, pick, _off_by_one_ulp_of_text),
+    "integral number": lambda line, pick: _number(
+        line, pick, lambda t: str(int(float(t))) if float(t).is_integer() else t
+    ),
+    "escaped category": lambda line, pick: _key(line, "category", _escape_first),
+    "unknown category": lambda line, pick: _key(
+        line, "category", lambda v: ['"Sniffles"', v.lower(), '"Pneumonia "'][pick % 3]
+    ),
+    "numeric study_id": lambda line, pick: _key(line, "study_id", lambda v: str(pick)),
+    "numeric cue": lambda line, pick: _key(line, "cue", lambda v: str(pick)),
+    "escaped cue": lambda line, pick: _key(line, "cue", _escape_first),
+    "u sign flipped": lambda line, pick: _key(
+        line, "u", lambda v: v[1:] if v.startswith("-") else "-" + v  # 0 becomes -0
+    ),
+    "u out of range": lambda line, pick: _key(line, "u", lambda v: ["4", "-4", "1.0"][pick % 3]),
+    "y out of range": lambda line, pick: _key(line, "y", lambda v: ["0", "2", "true"][pick % 3]),
+    "padded": lambda line, pick: [" " + line, line + " ", "\t" + line + "\t"][pick % 3],
+    "CRLF": lambda line, pick: line + "\r",
+    "blank line": lambda line, pick: line + "\n" + ["", " ", "\t"][pick % 3],
+    "duplicated key": lambda line, pick: [
+        line.replace("{", '{"u": 0, ', 1),
+        line[:-1] + ', "y": 1}',
+        line[:-1] + ', "category": "Sniffles"}',
+    ][pick % 3],
+    "extra field": lambda line, pick: line[:-1] + ', "note": "x"}',
+    "compact": lambda line, pick: line.replace(", ", ",").replace(": ", ":"),
+    "not JSON": lambda line, pick: line[: pick % (len(line) + 1)],
+}
+
+
+@st.composite
+def dataset_bytes(draw, lines):
+    """A dataset file of golden lines with line edits, bad bytes, a BOM or a missing last newline."""
+    every_line = draw(st.integers(0, 4)) == 0
+    lines = draw(st.lists(
+        st.sampled_from(lines), min_size=MAX_REPORTED_PROBLEMS + 1 if every_line else 1, max_size=60
+    ))
+    if every_line:
+        # One edit on every line: often more than MAX_REPORTED_PROBLEMS problems.
+        edit = LINE_EDITS[draw(st.sampled_from(sorted(LINE_EDITS)))]
+        lines = [edit(line, draw(st.integers(0, 5))) for line in lines]
+    else:
+        for _ in range(draw(st.integers(0, 4))):
+            at = draw(st.integers(0, len(lines) - 1))
+            edit = LINE_EDITS[draw(st.sampled_from(sorted(LINE_EDITS)))]
+            lines[at] = edit(lines[at], draw(st.integers(0, 5)))
+    data = ("\n".join(lines) + ("\n" if draw(st.booleans()) else "")).encode("utf-8")
+    extra = draw(st.sampled_from([None] * 20 + [b"\xff", b"\xc3", b"\xef\xbb\xbf"]))
+    if extra is not None:
+        at = 0 if extra == b"\xef\xbb\xbf" else draw(st.integers(0, len(data)))
+        data = data[:at] + extra + data[at:]
+    return data
+
+
+@settings(max_examples=500, deadline=None)
+@given(data=st.data(), params=st.sampled_from(PARAMS), block=st.sampled_from([1, 2, 3, 4, 5, 256]))
+def test_block_validate_equals_line_oracle(tmp_path_factory, data, params, block):
+    path = tmp_path_factory.getbasetemp() / "validate-property.jsonl"
+    path.write_bytes(data.draw(dataset_bytes(written_lines(params))))
+    expected = validate_outcome(oracle_validate_dataset, path, params)
+    with mock.patch.object(dataset, "READ_BLOCK_LINES", block):
+        assert validate_outcome(validate_dataset, path, params) == expected
+
+
+class TestValidateBlockPath:
+    """Files that build writes are checked without the line-by-line decoder."""
+
+    @staticmethod
+    def no_line_decoding(*args, **kwargs):
+        raise AssertionError("a written dataset was checked line by line")
+
+    @pytest.mark.parametrize("block", [1, 4, 256])
+    @pytest.mark.parametrize(
+        "name, params",
+        [("build_golden.jsonl", DEFAULT_PARAMS), ("build_golden.k0375.jsonl", PARAMS[1])],
+    )
+    def test_golden_files_take_the_block_path(self, monkeypatch, name, params, block):
+        path = DATA_DIR / name
+        expected = validate_outcome(oracle_validate_dataset, path, params)
+        monkeypatch.setattr("glsmooth.dataset.READ_BLOCK_LINES", block)
+        monkeypatch.setattr("glsmooth.dataset.decode_records", self.no_line_decoding)
+        assert validate_outcome(validate_dataset, path, params) == expected
+
+    def test_built_file_takes_the_block_path(self, tmp_path, monkeypatch, lexicon, taxonomy):
+        src, out = tmp_path / "reports.jsonl", tmp_path / "ds.jsonl"
+        src.write_text("".join(json.dumps(rec) + "\n" for rec in make_reports(400, seed=14)))
+        build_dataset_file(src, out, lexicon, taxonomy)
+        assert len(out.read_text().splitlines()) > 3 * dataset.READ_BLOCK_LINES
+        expected = validate_outcome(oracle_validate_dataset, out, DEFAULT_PARAMS)
+        monkeypatch.setattr("glsmooth.dataset.decode_records", self.no_line_decoding)
+        assert validate_outcome(validate_dataset, out, DEFAULT_PARAMS) == expected

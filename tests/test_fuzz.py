@@ -1,21 +1,25 @@
-"""Byte-mutation fuzz of the build path's exit-code contract.
+"""Byte-mutation fuzz of the exit-code contract of build, validate, train and eval.
 
 Each example takes one input of ``build`` or ``validate`` (a report file, a
-lexicon, a taxonomy or a dataset), mutates its bytes and runs the command in
-process through ``cli.main``.  Whatever the bytes, the exit code is one of
-0 (success), 1 (usage), 2 (data) or 3 (numeric), stderr holds no traceback,
-and a dataset that ``build`` writes passes ``validate`` with the same slope.
+lexicon, a taxonomy or a dataset), or the example file of ``train`` and
+``eval``, mutates its bytes and runs the command in process through
+``cli.main``.  Whatever the bytes, the exit code is one of 0 (success),
+1 (usage), 2 (data) or 3 (numeric), stderr holds no traceback, and a dataset
+that ``build`` writes passes ``validate`` with the same slope.
 """
 
 import contextlib
 import io
 from pathlib import Path
+from unittest import mock
 
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import glsmooth
+from glsmooth import dataset, training
 from glsmooth.cli import main
+from test_dataset import oracle_validate_dataset
 
 DATA_DIR = Path(__file__).parent / "data"
 PACKAGE_DATA = Path(glsmooth.__file__).parent / "data"
@@ -58,11 +62,17 @@ def mutated(draw, data: bytes) -> bytes:
     return data
 
 
-def run(*argv):
+def outputs(*argv):
+    """(exit code, stdout, stderr) of one command run in process."""
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         code = main([str(arg) for arg in argv])
-    return code, err.getvalue()
+    return code, out.getvalue(), err.getvalue()
+
+
+def run(*argv):
+    code, _, err = outputs(*argv)
+    return code, err
 
 
 def check(code, err):
@@ -88,7 +98,13 @@ def test_mutated_input_keeps_the_exit_code_contract(tmp_path_factory, kind, data
     out = work / "out.jsonl"
     out.unlink(missing_ok=True)
     if kind == "dataset":
-        check(*run("validate", "--input", files["dataset"], *k))
+        argv = ("validate", "--input", files["dataset"], *k)
+        with mock.patch.object(dataset, "READ_BLOCK_LINES", 4):
+            code, stdout, err = outputs(*argv)
+        check(code, err)
+        # The block-wise validate says what the line-by-line one said.
+        with mock.patch("glsmooth.cli.validate_dataset", oracle_validate_dataset):
+            assert (code, stdout, err) == outputs(*argv)
         return
     code, err = run(
         "build", "--input", files["reports"], "--out", out,
@@ -97,3 +113,26 @@ def test_mutated_input_keeps_the_exit_code_contract(tmp_path_factory, kind, data
     check(code, err)
     if code == 0:
         assert run("validate", "--input", out, *k) == (0, "")
+
+
+EXAMPLES = (DATA_DIR / "gen_synthetic_golden.jsonl").read_bytes()
+
+
+@settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(data=st.data())
+def test_mutated_example_file_keeps_the_exit_code_contract(tmp_path_factory, data):
+    # Blocks of 4 lines, so that one file mixes blocks read whole and blocks
+    # read line by line.
+    work = tmp_path_factory.getbasetemp() / "fuzz-examples"
+    model = work / "model.json"
+    if not work.exists():
+        work.mkdir()
+        (work / "golden.jsonl").write_bytes(EXAMPLES)
+        assert run("train", "--data", work / "golden.jsonl", "--model-out", model,
+                   "--epochs", "1", "--warmup-epochs", "0") == (0, "")
+    mutated_file = work / "examples.mutated"
+    mutated_file.write_bytes(data.draw(mutated(EXAMPLES)))
+    with mock.patch.object(training, "READ_BLOCK_LINES", 4):
+        check(*run("eval", "--data", mutated_file, "--model", model))
+        check(*run("train", "--data", mutated_file, "--model-out", work / "out.json",
+                   "--epochs", "1", "--warmup-epochs", "0"))
