@@ -19,7 +19,7 @@ import re
 from collections import Counter
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Iterable, Iterator
+from typing import Iterable, Iterator, NamedTuple
 
 from .errors import DataError
 from .fileio import READ_BLOCK_LINES, decode_records, jsonl_records, line_blocks
@@ -57,8 +57,7 @@ class ReportRecord:
             raise DataError("empty study_id")
 
 
-@dataclass(frozen=True)
-class LabeledRecord:
+class LabeledRecord(NamedTuple):
     study_id: str
     category: DiseaseCategory
     y: int
@@ -86,18 +85,20 @@ class DatasetStats:
                 str(u): self.per_score_counts.get(u, 0) for u in SCORE_LEVELS
             },
             "malformed_record_count": len(self.malformed_records),
-            "malformed_records": sorted(self.malformed_records),
+            "malformed_records": self.malformed_records,
         }
         return json.dumps(payload, indent=2) + "\n"
 
 
 def _rate_and_target(params: SmoothingParams):
-    """(y, u) -> (r, target); lazy, so a rate over 1 fails only where its score occurs."""
+    """(y, u) -> (r, target_neg, target_pos) as floats; lazy, so a rate over 1 fails
+    only where its score occurs."""
 
     @functools.cache
     def lookup(y: int, u: int):
         r = smoothing_rate(u, params)
-        return r, gls_target(effective_label(y, u), r)
+        neg, pos = gls_target(effective_label(y, u), r)
+        return r, float(neg), float(pos)
 
     return lookup
 
@@ -111,7 +112,7 @@ def _expected_text(params: SmoothingParams):
 
     @functools.cache
     def lookup(y: int, u: int):
-        r, (neg, pos) = rate_and_target(y, u)
+        r, neg, pos = rate_and_target(y, u)
         return f"{r:.6f}", f"{neg:.6f}", f"{pos:.6f}"
 
     return lookup
@@ -148,13 +149,12 @@ def build_dataset(
             raise DataError(f"duplicate study_id: {study_id!r}")
         seen_studies.add(study_id)
 
-        for finding in extract_findings(record.text, lexicon, vocabulary):
-            name, category = categories[finding.raw_phrase]
+        for phrase, _, u, cue in extract_findings(record.text, lexicon, vocabulary):
+            name, category = categories[phrase]
             key = (study_id, name)
-            u = finding.u
             current = merged.get(key)
             if current is None or (abs(u), u) > (abs(current[0]), current[0]):
-                merged[key] = (u, finding.cue, category)
+                merged[key] = (u, cue, category)
 
     rate_and_target = _rate_and_target(params)
     labeled = []
@@ -162,19 +162,7 @@ def build_dataset(
     for key in sorted(merged):
         study_id, name = key
         u, cue, category = merged[key]
-        r, target = rate_and_target(1, u)
-        labeled.append(
-            LabeledRecord(
-                study_id=study_id,
-                category=category,
-                y=1,
-                u=u,
-                r=r,
-                target_neg=float(target[0]),
-                target_pos=float(target[1]),
-                cue=cue,
-            )
-        )
+        labeled.append(LabeledRecord(study_id, category, 1, u, *rate_and_target(1, u), cue))
         per_category[name] = per_category.get(name, 0) + 1
         per_score[u] = per_score.get(u, 0) + 1
     stats.record_count = len(labeled)
@@ -186,14 +174,25 @@ def build_dataset(
 _json_text = functools.lru_cache(maxsize=64)(json.dumps)
 
 
+@functools.lru_cache(maxsize=64, typed=True)
+def _numbers_text(y, u, r, target_neg, target_pos) -> str:
+    """The y, u, rate and target fields as text; a dataset holds a few distinct ones."""
+    return (
+        f'"y": {y}, "u": {u}, "r": {r:.6f}, '
+        f'"target_neg": {target_neg:.6f}, "target_pos": {target_pos:.6f}'
+    )
+
+
 def record_to_line(rec: LabeledRecord) -> str:
     """One output line; rate and target fields carry exactly six decimals."""
+    study_id, category, y, u, r, neg, pos, cue = rec
+    # A zero goes round the memo: 0.0 == -0.0, and the two print differently.
+    numbers_text = _numbers_text if r and neg and pos else _numbers_text.__wrapped__
+    numbers = numbers_text(y, u, r, neg, pos)
     return (
-        f'{{"study_id": {_json_text(rec.study_id)}, '
-        f'"category": "{rec.category._value_}", '
-        f'"y": {rec.y}, "u": {rec.u}, "r": {rec.r:.6f}, '
-        f'"target_neg": {rec.target_neg:.6f}, "target_pos": {rec.target_pos:.6f}, '
-        f'"cue": {_json_text(rec.cue)}}}'
+        f'{{"study_id": {_json_text(study_id)}, '
+        f'"category": "{category._value_}", {numbers}, '
+        f'"cue": {_json_text(cue)}}}'
     )
 
 

@@ -17,13 +17,17 @@ Scope rules:
     already claimed span is dropped ("effusion" inside "pleural effusion");
   * a mention with no cue in its sentence scores +3 (plain affirmative).
 
-Matching is narrowed once per report.  ``extract_findings`` joins the
-report's sentences with newlines and keeps, of the vocabulary table and of
-the lexicon, only the rows whose phrase occurs somewhere in that text; each
-sentence and each mention then walks those few rows.  The narrowing is
-exact: every sentence is a substring of the join, so a phrase found in a
-sentence is in the join too, and the kept rows keep their precedence order
-and index.  It builds new small tables and never changes the shared ones.
+Each report is scanned once.  ``extract_findings`` joins the report's
+sentences with newlines and runs, for every row of the vocabulary table and
+of the lexicon, one substring test and at most one ``finditer`` over that
+text; each hit goes to the bucket of the sentence its offset falls in.  The
+scan is exact: a phrase without a newline matches only inside one sentence,
+and the newline around a sentence is a non-word character like the ends of
+a lone sentence, so every word boundary reads the same.  A phrase with a
+newline lies in no sentence and is never scanned for.  Each mention then
+gets its cues from its sentence's bucket, through a per-report view of the
+lexicon; the shared lexicon and the memoised vocabulary tables are never
+changed.
 
 A loaded lexicon is immutable and freely shareable across threads;
 extraction is a pure function per report, so reports can be parsed in
@@ -34,8 +38,12 @@ from __future__ import annotations
 
 import functools
 import re
+from bisect import bisect_right
 from dataclasses import dataclass
+from itertools import accumulate
 from pathlib import Path
+from types import MappingProxyType
+from typing import NamedTuple
 
 from .errors import DataError
 from .fileio import table_lines
@@ -53,8 +61,7 @@ class LexiconEntry:
     kind: str
 
 
-@dataclass(frozen=True)
-class ExtractedFinding:
+class ExtractedFinding(NamedTuple):
     raw_phrase: str
     sentence_index: int
     u: int
@@ -72,39 +79,20 @@ def _word_bounded(phrase: str) -> re.Pattern:
     return re.compile(literal + r"(?<=\b" + literal + r")\b")
 
 
-def _copy_with(obj, **changes):
-    """A shallow copy of ``obj`` with the given attributes replaced.
-
-    Every other attribute is carried over as it is.  ``copy.copy`` does the
-    same through ``__reduce_ex__`` at about 5 us a call (2-core Xeon), and
-    narrowing makes three copies per report.
-    """
-    new = object.__new__(type(obj))
-    new.__dict__.update(obj.__dict__, **changes)
-    return new
-
-
 class _PhraseTable:
     """Word-boundary matchers for a fixed phrase list, longest first.
 
     Equal lengths keep the given order; a phrase's position in ``phrases`` is
     its precedence index.  A matcher is literal and case-sensitive, so it can
-    only match where its phrase is a substring: ``occurrences`` runs the regex
-    of just those phrases, and finds exactly what running every regex would.
-
-    ``narrowed(text)`` is the same table with only the rows whose phrase is a
-    substring of ``text``.  On any substring of ``text`` (a sentence of the
-    report the text joins) it finds exactly what the whole table finds: a
-    dropped phrase is in no substring, and the kept rows keep their order and
-    precedence indices.
+    only match where its phrase is a substring: a scan runs the regex of just
+    those phrases, and finds exactly what running every regex would.
     """
 
     def __init__(self, phrases):
         self.phrases = tuple(sorted(phrases, key=lambda p: -len(p)))
         self._rows = tuple((p, _word_bounded(p), i) for i, p in enumerate(self.phrases))
-
-    def narrowed(self, text: str) -> _PhraseTable:
-        return _copy_with(self, _rows=[row for row in self._rows if row[0] in text])
+        # A phrase with a newline lies in no sentence of a report.
+        self._sentence_rows = tuple(row for row in self._rows if "\n" not in row[0])
 
     def occurrences(self, sentence: str) -> list[tuple[int, int, int]]:
         """(start, end, precedence_index) per match; phrase by phrase, then by start."""
@@ -115,9 +103,34 @@ class _PhraseTable:
             for m in regex.finditer(sentence)
         ]
 
+    def buckets(self, text: str, starts: list[int]) -> dict[int, list[tuple[int, int, int]]]:
+        """Each sentence's ``occurrences``, from one scan of a report's joined text.
+
+        ``text`` is the report's sentences joined with newlines and
+        ``starts`` their offsets in it.  Keys are the indices of the
+        sentences with a match; offsets are within the sentence.
+        """
+        found: dict[int, list[tuple[int, int, int]]] = {}
+        for phrase, regex, idx in self._sentence_rows:
+            if phrase in text:
+                for m in regex.finditer(text):
+                    start = m.start()
+                    i = bisect_right(starts, start) - 1
+                    base = starts[i]
+                    hit = (start - base, m.end() - base, idx)
+                    if i in found:
+                        found[i].append(hit)
+                    else:
+                        found[i] = [hit]
+        return found
+
 
 class Lexicon:
     """Ordered cue-phrase table; longest pattern first, file order among equals."""
+
+    # The matches of one report's sentences, keyed by sentence.  Only the
+    # view that ``_for_report`` makes holds any; a loaded lexicon holds none.
+    _found = MappingProxyType({})
 
     def __init__(self, entries: list[LexiconEntry]):
         seen = set()
@@ -131,13 +144,20 @@ class Lexicon:
     def __len__(self) -> int:
         return len(self.entries)
 
-    def narrowed(self, text: str) -> Lexicon:
-        """This lexicon with only the cues that occur in ``text``.
+    def _for_report(self, sentences: list[str], text: str, starts: list[int], indices) -> Lexicon:
+        """A view of this lexicon whose ``matches`` answers the sentences at ``indices``.
 
-        ``matches`` on any substring of ``text`` gives what this lexicon's
-        ``matches`` gives, precedence indices included; ``entries`` is shared.
+        ``sentences`` are a report's, ``text`` their newline join and
+        ``starts`` their offsets in it.  The cues of every sentence come from
+        one scan of ``text``; any other sentence is scanned as usual.  This
+        lexicon is left as it is.
         """
-        return _copy_with(self, _table=self._table.narrowed(text))
+        buckets = self._table.buckets(text, starts)
+        view = object.__new__(type(self))
+        vars(view).update(
+            vars(self), _found={sentences[i]: self._kept(buckets.get(i, ())) for i in indices}
+        )
+        return view
 
     def matches(self, sentence: str) -> list[tuple[int, int, int, LexiconEntry]]:
         """All cue occurrences as (start, end, precedence_index, entry) tuples.
@@ -147,7 +167,12 @@ class Lexicon:
         contained in a strictly longer occurrence are dropped; the same-start
         case is the classic "no" vs "no definite" nesting.
         """
-        hits = [(s, e, i, self.entries[i]) for s, e, i in self._table.occurrences(sentence)]
+        found = self._found.get(sentence)
+        return self._kept(self._table.occurrences(sentence)) if found is None else found
+
+    def _kept(self, occurrences) -> list[tuple[int, int, int, LexiconEntry]]:
+        """The occurrences with their entries, those inside a longer one dropped."""
+        hits = [(s, e, i, self.entries[i]) for s, e, i in occurrences]
         if len(hits) < 2:
             return hits
         return [
@@ -228,17 +253,24 @@ def score_mention(
     return best[3].score, best[3].pattern
 
 
-def _vocabulary_matches(sentence: str, table: _PhraseTable) -> list[tuple[int, str]]:
+def _claimed(occurrences, phrases) -> list[tuple[int, str]]:
     """Mention occurrences as (offset, phrase), longest phrase claiming first."""
     claimed: list[tuple[int, int]] = []
     found = []
-    for start, end, idx in table.occurrences(sentence):
-        if any(start < c[1] and c[0] < end for c in claimed):
-            continue
-        claimed.append((start, end))
-        found.append((start, table.phrases[idx]))
+    for start, end, idx in occurrences:
+        for c_start, c_end in claimed:
+            if start < c_end and c_start < end:
+                break
+        else:
+            claimed.append((start, end))
+            found.append((start, phrases[idx]))
     found.sort()
     return found
+
+
+def _vocabulary_matches(sentence: str, table: _PhraseTable) -> list[tuple[int, str]]:
+    """The mentions of one sentence scanned on its own."""
+    return _claimed(table.occurrences(sentence), table.phrases)
 
 
 _vocabulary_table = functools.lru_cache(maxsize=8)(_PhraseTable)
@@ -260,19 +292,22 @@ def extract_findings(
 
     Each word-boundary occurrence of a vocabulary phrase yields one finding;
     duplicates across sentences are the caller's business (the dataset
-    builder merges them).  Both tables are narrowed to the phrases of this
-    report first (see the module docstring).
+    builder merges them).  Both tables scan the report once (see the module
+    docstring).
     """
     table = compile_vocabulary(vocabulary)
     sentences = split_sentences(report_text)
     text = "\n".join(sentences)
-    table = table.narrowed(text)
-    if not table._rows:
+    starts = list(accumulate((len(s) + 1 for s in sentences), initial=0))
+    mentions = table.buckets(text, starts)
+    if not mentions:
         return []
-    lexicon = lexicon.narrowed(text)
+    indices = sorted(mentions)
+    lexicon = lexicon._for_report(sentences, text, starts, indices)
     findings = []
-    for index, sentence in enumerate(sentences):
-        for offset, phrase in _vocabulary_matches(sentence, table):
+    for index in indices:
+        sentence = sentences[index]
+        for offset, phrase in _claimed(mentions[index], table.phrases):
             u, cue = score_mention(sentence, offset, lexicon)
             findings.append(ExtractedFinding(phrase, index, u, cue))
     return findings

@@ -239,6 +239,18 @@ class TestWriteAndValidate:
         assert sidecar["malformed_record_count"] == 1
         validate_dataset(out)
 
+    def test_sidecar_lists_malformed_lines_in_line_order(self, tmp_path, lexicon, taxonomy):
+        src = tmp_path / "reports.jsonl"
+        lines = [json.dumps(r) for r in make_reports(8, seed=2)]
+        src.write_text("\n".join(lines[:1] + ["5"] + lines[1:] + ["5"]) + "\n")
+        out = tmp_path / "ds.jsonl"
+        build_dataset_file(src, out, lexicon, taxonomy)
+        # "line 10" sorts before "line 2" as a string
+        assert json.loads(stats_path_for(out).read_text())["malformed_records"] == [
+            "line 2: expected a JSON object",
+            "line 10: expected a JSON object",
+        ]
+
     def test_sidecar_cites_input_lines(self, tmp_path, lexicon, taxonomy):
         first, last = (json.dumps(rec) for rec in make_reports(2, seed=1))
         src = tmp_path / "reports.jsonl"
@@ -398,6 +410,39 @@ def test_written_lines_are_the_golden_files():
     assert written_lines(DEFAULT_PARAMS) == GOLDEN_LINES
     k0375 = (DATA_DIR / "build_golden.k0375.jsonl").read_text().splitlines()
     assert written_lines(PARAMS[1]) == k0375
+
+
+class TestLabeledRecord:
+    def record(self, **changes):
+        fields = dict(study_id="s1", category=DiseaseCategory.PNEUMONIA, y=1, u=3,
+                      r=-0.25, target_neg=-0.125, target_pos=1.125, cue=None)
+        return LabeledRecord(**{**fields, **changes})
+
+    def test_fields_and_repr(self):
+        assert LabeledRecord._fields == (
+            "study_id", "category", "y", "u", "r", "target_neg", "target_pos", "cue"
+        )
+        assert repr(self.record()) == (
+            "LabeledRecord(study_id='s1', category=<DiseaseCategory.PNEUMONIA: 'Pneumonia'>, "
+            "y=1, u=3, r=-0.25, target_neg=-0.125, target_pos=1.125, cue=None)"
+        )
+
+    def test_fields_cannot_be_assigned(self):
+        with pytest.raises(AttributeError):
+            self.record().u = 2
+
+    def test_number_text_memo_keeps_the_sign_of_zero(self):
+        # 0.0 == -0.0, so one memo entry would serve both
+        zero = record_to_line(self.record(u=0, r=0.0, target_neg=0.0, target_pos=1.0))
+        negative_zero = record_to_line(self.record(u=0, r=-0.0, target_neg=-0.0, target_pos=1.0))
+        assert '"r": 0.000000, "target_neg": 0.000000' in zero
+        assert '"r": -0.000000, "target_neg": -0.000000' in negative_zero
+
+    def test_number_text_memo_keeps_the_type(self):
+        # True == 1 and 1.0 == 1, but each prints its own way
+        assert '"y": True, "u": 3,' in record_to_line(self.record(y=True))
+        assert '"y": 1, "u": 3.0,' in record_to_line(self.record(u=3.0))
+        assert '"y": 1, "u": 3,' in record_to_line(self.record())
 
 
 _NUMBER_FIELD = re.compile(r'"(r|target_neg|target_pos)": (-?[0-9.]+)')

@@ -146,6 +146,20 @@ class TestScoreMention:
         assert score_mention("nodular density noted", 0, lexicon) == (3, None)
 
 
+class TestExtractedFinding:
+    def test_fields_and_repr(self):
+        finding = ExtractedFinding("pneumonia", 1, 2, "likely")
+        assert ExtractedFinding._fields == ("raw_phrase", "sentence_index", "u", "cue")
+        assert repr(finding) == (
+            "ExtractedFinding(raw_phrase='pneumonia', sentence_index=1, u=2, cue='likely')"
+        )
+
+    def test_fields_cannot_be_assigned(self):
+        finding = ExtractedFinding("pneumonia", 1, 2, "likely")
+        with pytest.raises(AttributeError):
+            finding.u = 3
+
+
 class TestExtractFindings:
     def test_single_finding(self, lexicon, vocabulary):
         found = extract_findings("Findings likely represent pneumonia.", lexicon, vocabulary)
@@ -322,7 +336,7 @@ class TestOverlapSemantics:
 
 # ---------------------------------------------------------------------------
 # Reference parser: the splitter and the per-sentence, full-table scan that
-# per-report narrowing replaced.  Narrowing must change no finding.
+# the one scan per report replaced.  That scan must change no finding.
 
 
 def oracle_split_sentences(report_text):
@@ -368,14 +382,23 @@ def reports(draw):
     sentences = draw(
         st.lists(st.lists(st.sampled_from(REPORT_TOKENS), max_size=8).map(" ".join), max_size=5)
     )
+    if sentences:
+        # the same sentence again elsewhere in the report: one text, two buckets
+        repeats = draw(st.lists(st.sampled_from(sentences), max_size=2))
+        sentences = draw(st.permutations(sentences + repeats))
     text = ""
     for sentence in sentences:
         text += sentence + draw(st.sampled_from(SEPARATORS))
     return draw(st.sampled_from(["", " ", "\t"])) + text
 
 
-class TestNarrowingAgainstOracle:
-    """Narrowing both tables to a report's phrases finds what the full scan finds."""
+def _state(lexicon):
+    """A lexicon's attributes, with its entry list and phrase table's attributes copied."""
+    return dict(vars(lexicon)), list(lexicon.entries), dict(vars(lexicon._table))
+
+
+class TestReportScanAgainstOracle:
+    """One scan of a report's joined sentences finds what scanning each sentence finds."""
 
     @settings(max_examples=300, deadline=None)
     @given(
@@ -383,15 +406,21 @@ class TestNarrowingAgainstOracle:
         scores=st.lists(st.integers(-3, 3), min_size=8, max_size=8),
         vocabulary=st.lists(api_phrases, max_size=8),
         report=reports(),
+        other=reports(),
     )
-    def test_extract_findings(self, cues, scores, vocabulary, report):
+    def test_extract_findings(self, cues, scores, vocabulary, report, other):
         lexicon = Lexicon([LexiconEntry(p, s, CUE_KINDS[s % 2]) for p, s in zip(cues, scores)])
-        before = list(lexicon._table._rows)
+        lexicon_before = _state(lexicon)
+        table = compile_vocabulary(vocabulary)
+        table_before = dict(vars(table))
         found = extract_findings(report, lexicon, vocabulary)
         assert found == oracle_extract_findings(report, lexicon, vocabulary)
-        # the shared, memoised tables are never narrowed in place
-        assert lexicon._table._rows == tuple(before)
-        assert len(compile_vocabulary(vocabulary)._rows) == len(vocabulary)
+        # the shared lexicon and the memoised table keep no trace of the report
+        assert _state(lexicon) == lexicon_before
+        assert compile_vocabulary(vocabulary) is table
+        assert vars(table) == table_before
+        for sentence in oracle_split_sentences(other):
+            assert lexicon.matches(sentence) == oracle_lexicon_matches(lexicon, sentence)
 
     @settings(max_examples=150, deadline=None)
     @given(text=st.one_of(reports(), st.text(alphabet="aAΣσς .!?\r\n\t\u0130\u2028", max_size=20)))
