@@ -20,7 +20,7 @@ import functools
 import json
 import math
 import sys
-from dataclasses import asdict
+from dataclasses import asdict, replace
 from fractions import Fraction
 from pathlib import Path
 
@@ -148,12 +148,13 @@ def _train_config(args) -> TrainConfig:
 
 
 def cmd_build(args) -> int:
+    params = _smoothing_params(args)
     stats = build_dataset_file(
         _require_file(args.input, "input"),
         args.out,
         _load_lexicon_arg(args),
         _load_taxonomy_arg(args),
-        _smoothing_params(args),
+        params,
     )
     print(
         f"wrote {stats.record_count} records to {args.out} "
@@ -163,7 +164,8 @@ def cmd_build(args) -> int:
 
 
 def cmd_validate(args) -> int:
-    stats = validate_dataset(_require_file(args.input, "input"), _smoothing_params(args))
+    params = _smoothing_params(args)
+    stats = validate_dataset(_require_file(args.input, "input"), params)
     print(f"ok: {stats.record_count} records, all invariants hold")
     for u in sorted(stats.per_score_counts):
         print(f"  u={u:+d}: {stats.per_score_counts[u]}")
@@ -175,8 +177,9 @@ def _metric_value(x: float):
 
 
 def cmd_train(args) -> int:
+    config = _train_config(args)
     examples = read_examples(_require_file(args.data, "data"))
-    model, history = train(examples, _train_config(args))
+    model, history = train(examples, config)
     save_model(model, args.model_out)
     if args.metrics_out:
         with open(args.metrics_out, "w", encoding="utf-8", newline="\n") as fh:
@@ -206,12 +209,7 @@ def cmd_eval(args) -> int:
 
 
 def cmd_sweep(args) -> int:
-    examples = read_examples(_require_file(args.data, "data"))
-    eval_examples = (
-        read_examples(_require_file(args.eval_data, "eval data"))
-        if args.eval_data
-        else None
-    )
+    config = _train_config(args)
     k_tokens = [tok.strip() for tok in args.k_values.split(",") if tok.strip()]
     warmups = []
     for tok in args.warmup.split(","):
@@ -222,7 +220,18 @@ def cmd_sweep(args) -> int:
             except ValueError:
                 raise ConfigError(f"--warmup entries must be integers, got {tok!r}")
     k_values = [_fraction(tok, "--k") for tok in k_tokens]
-    cells = sweep(examples, _train_config(args), k_values, warmups, eval_dataset=eval_examples)
+    # Every cell's settings, checked before the data is read or a cell trains.
+    for k in k_values:
+        SmoothingParams(k=k, r0=config.smoothing_params.r0)
+    for w in warmups:
+        replace(config, warmup_epochs=w)
+    examples = read_examples(_require_file(args.data, "data"))
+    eval_examples = (
+        read_examples(_require_file(args.eval_data, "eval data"))
+        if args.eval_data
+        else None
+    )
+    cells = sweep(examples, config, k_values, warmups, eval_dataset=eval_examples)
     labels = [token for token in k_tokens for _ in warmups]
     lines = ["k\twarmup\tauc"] + [
         f"{token}\t{cell.warmup_epochs}\t{cell.auc:.6f}" for token, cell in zip(labels, cells)

@@ -90,32 +90,18 @@ class DatasetStats:
         return json.dumps(payload, indent=2) + "\n"
 
 
-def _rate_and_target(params: SmoothingParams):
-    """(y, u) -> (r, target_neg, target_pos) as floats; lazy, so a rate over 1 fails
-    only where its score occurs."""
+def _score_table(params: SmoothingParams) -> dict[tuple[int, int], tuple[float, float, float]]:
+    """(y, u) -> (r, target_neg, target_pos) as floats, for all 14 pairs.
 
-    @functools.cache
-    def lookup(y: int, u: int):
-        r = smoothing_rate(u, params)
-        neg, pos = gls_target(effective_label(y, u), r)
-        return r, float(neg), float(pos)
-
-    return lookup
-
-
-def _expected_text(params: SmoothingParams):
-    """(y, u) -> the r, target_neg and target_pos a dataset line holds, six decimals each.
-
-    Lazy like _rate_and_target, so each pair is formatted once per file.
+    The one place build and validate get rates and targets from.
     """
-    rate_and_target = _rate_and_target(params)
-
-    @functools.cache
-    def lookup(y: int, u: int):
-        r, neg, pos = rate_and_target(y, u)
-        return f"{r:.6f}", f"{neg:.6f}", f"{pos:.6f}"
-
-    return lookup
+    table = {}
+    for y in (0, 1):
+        for u in SCORE_LEVELS:
+            r = smoothing_rate(u, params)
+            neg, pos = gls_target(effective_label(y, u), r)
+            table[y, u] = r, float(neg), float(pos)
+    return table
 
 
 def build_dataset(
@@ -156,13 +142,13 @@ def build_dataset(
             if current is None or (abs(u), u) > (abs(current[0]), current[0]):
                 merged[key] = (u, cue, category)
 
-    rate_and_target = _rate_and_target(params)
+    table = _score_table(params)
     labeled = []
     per_category, per_score = stats.per_category_counts, stats.per_score_counts
     for key in sorted(merged):
         study_id, name = key
         u, cue, category = merged[key]
-        labeled.append(LabeledRecord(study_id, category, 1, u, *rate_and_target(1, u), cue))
+        labeled.append(LabeledRecord(study_id, category, 1, u, *table[1, u], cue))
         per_category[name] = per_category.get(name, 0) + 1
         per_score[u] = per_score.get(u, 0) + 1
     stats.record_count = len(labeled)
@@ -216,10 +202,6 @@ _DATASET_LINE = (
 def _dataset_line() -> re.Pattern:
     """The frame, compiled when validate_dataset first runs (0.5 ms an import need not pay)."""
     return re.compile(_DATASET_LINE, re.MULTILINE)
-
-
-# The y, u, r, target_neg and target_pos texts in number fields the frame matched.
-_NUMBER = re.compile(r"-?[0-9.]+")
 
 
 def stats_path_for(out_path) -> Path:
@@ -282,11 +264,11 @@ _REQUIRED_FIELDS = {
 MAX_REPORTED_PROBLEMS = 20
 
 
-def _block_counts(lines: list[str], known, checked_u) -> tuple[Counter, Counter] | None:
+def _block_counts(lines: list[str], known, u_of) -> tuple[Counter, Counter] | None:
     """(per-category, per-score) counts of a block of clean written records, else None.
 
-    A line is clean when it has record_to_line's layout and a known category,
-    and ``checked_u`` of its number fields' text is its u, not None.  None
+    A line is clean when it has record_to_line's layout, a known category,
+    and number fields whose text is a key of ``u_of`` (text -> u).  None
     sends the block to the line-by-line checks.
     """
     frame = _dataset_line()
@@ -302,7 +284,7 @@ def _block_counts(lines: list[str], known, checked_u) -> tuple[Counter, Counter]
         return None
     per_score = Counter()
     for text, count in Counter(numbers).items():
-        u = checked_u(text)
+        u = u_of.get(text)
         if u is None:
             return None
         per_score[u] += count
@@ -324,19 +306,17 @@ def validate_dataset(path, params: SmoothingParams = DEFAULT_PARAMS) -> DatasetS
     problem is found and worded as there.
     """
     known = frozenset(CATEGORY_NAMES)
-    expected_text = _expected_text(params)
-
-    @functools.cache
-    def checked_u(numbers: str) -> int | None:
-        """u of number fields whose r and target texts are their (y, u)'s, else None."""
-        y, u, *texts = _NUMBER.findall(numbers)
-        return int(u) if tuple(texts) == expected_text(int(y), int(u)) else None
-
+    table = _score_table(params)
+    expected_text = {key: tuple(f"{x:.6f}" for x in floats) for key, floats in table.items()}
+    # Number-fields text -> u, by record_to_line's own formatter.  The memo is
+    # left out, as record_to_line leaves it out for a zero: no cached -0.0
+    # text can stand in for a 0.0.
+    u_of = {_numbers_text.__wrapped__(y, u, *floats): u for (y, u), floats in table.items()}
     stats = DatasetStats()
     per_category, per_score = stats.per_category_counts, stats.per_score_counts
     problems: list[str] = []
     for first, lines in line_blocks(path, READ_BLOCK_LINES):
-        counts = _block_counts(lines, known, checked_u)
+        counts = _block_counts(lines, known, u_of)
         if counts is not None:
             for totals, block in zip((per_category, per_score), counts):
                 for key, count in block.items():
@@ -357,7 +337,7 @@ def validate_dataset(path, params: SmoothingParams = DEFAULT_PARAMS) -> DatasetS
             if u not in SCORE_LEVELS:
                 problems.append(f"line {lineno}: u {u!r} outside {{-3..3}}")
                 continue
-            expected_r, expected_neg, expected_pos = expected_text(y, u)
+            expected_r, expected_neg, expected_pos = expected_text[y, u]
             r = f"{rec['r']:.6f}"
             if r != expected_r:
                 problems.append(

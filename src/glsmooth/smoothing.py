@@ -71,7 +71,8 @@ class SmoothingParams:
 
     k is the slope, r0 the intercept.  r0 = 1 encodes the clinical
     constraint that a maximally ambiguous score (u = 0) smooths all the
-    way to the uniform target.
+    way to the uniform target.  Both are checked here: k > 0 and r0 <= 1,
+    so every rate -k*|u| + r0 is at most 1.
     """
 
     k: Fraction = DEFAULT_K
@@ -82,6 +83,8 @@ class SmoothingParams:
         object.__setattr__(self, "r0", Fraction(self.r0))
         if self.k <= 0:
             raise ConfigError(f"slope k must be positive, got {self.k}")
+        if self.r0 > 1:
+            raise ConfigError(f"intercept r0 must not exceed 1, got {self.r0}")
 
 
 DEFAULT_PARAMS = SmoothingParams()
@@ -89,13 +92,7 @@ DEFAULT_PARAMS = SmoothingParams()
 
 def smoothing_rate_exact(u: int, params: SmoothingParams = DEFAULT_PARAMS) -> Fraction:
     """Smoothing rate r = -k*|u| + r0 as an exact rational."""
-    u = check_score(u)
-    r = params.r0 - params.k * abs(u)
-    if r > 1:
-        raise ConfigError(
-            f"smoothing rate {r} exceeds 1 (r0={params.r0} must not exceed 1)"
-        )
-    return r
+    return params.r0 - params.k * abs(check_score(u))
 
 
 def smoothing_rate(u: int, params: SmoothingParams = DEFAULT_PARAMS) -> float:

@@ -94,6 +94,18 @@ class TestBuildValidate:
         )
         assert code == 2
 
+    def test_intercept_over_one_is_usage_error(self, tmp_path, capsys):
+        # |u| = 3 has a rate of 3/2 - 3*5/12 < 1, yet u = 0 would have 3/2
+        src, out = tmp_path / "reports.jsonl", tmp_path / "ds.jsonl"
+        write_reports(src, [{"patient_id": "p", "study_id": "s", "text": "No pneumothorax."}])
+        code, _, err = run_cli(capsys, "build", "--input", str(src), "--out", str(out),
+                               "--r0", "3/2")
+        assert code == 1 and "r0" in err
+        assert not out.exists()
+        assert run_cli(capsys, "build", "--input", str(src), "--out", str(out))[0] == 0
+        code, _, err = run_cli(capsys, "validate", "--input", str(out), "--r0", "3/2")
+        assert code == 1 and "r0" in err
+
     def test_custom_k_changes_rates(self, tmp_path, capsys):
         src = tmp_path / "reports.jsonl"
         write_reports(
@@ -681,6 +693,30 @@ class TestUsageErrors:
         assert proc.stderr.startswith("error: unrecognized arguments: --warmup-epochs 2\n")
         assert "Traceback" not in proc.stderr
         assert not (tmp_path / "s.tsv").exists()
+
+    @pytest.mark.parametrize("argv, setting", [
+        (["build", "--input", "{missing}", "--out", "{out}", "--r0", "3/2"], "r0"),
+        (["validate", "--input", "{missing}", "--r0", "3/2"], "r0"),
+        (["train", "--data", "{missing}", "--model-out", "{out}", "--epochs", "0"], "epochs"),
+        (["train", "--data", "{missing}", "--model-out", "{out}", "--r0", "3/2"], "r0"),
+        (["sweep", "--data", "{missing}", "--k", "5/12", "--warmup", "0", "--out", "{out}",
+          "--r0", "3/2"], "r0"),
+        (["sweep", "--data", "{missing}", "--k", "banana", "--warmup", "0", "--out", "{out}"],
+         "--k"),
+        (["sweep", "--data", "{missing}", "--k", "0", "--warmup", "0", "--out", "{out}"],
+         "slope k"),
+        (["sweep", "--data", "{missing}", "--k", "5/12", "--warmup", "x", "--out", "{out}"],
+         "--warmup"),
+        (["sweep", "--data", "{missing}", "--eval-data", "{missing}", "--k", "5/12",
+          "--warmup", "0,9", "--epochs", "2", "--out", "{out}"], "warmup_epochs"),
+        (["table1", "--r0", "3/2"], "r0"),
+    ])
+    def test_bad_setting_exits_1_before_input_is_read(self, tmp_path, capsys, argv, setting):
+        paths = {"missing": str(tmp_path / "missing.jsonl"), "out": str(tmp_path / "out")}
+        code, _, err = run_cli(capsys, *(arg.format(**paths) for arg in argv))
+        assert code == 1
+        assert setting in err
+        assert not (tmp_path / "out").exists()
 
     def test_setting_types_match_train_config(self):
         # A flag parses with its default's type, so each training default must

@@ -18,7 +18,6 @@ from glsmooth.dataset import (
     DatasetStats,
     LabeledRecord,
     ReportRecord,
-    _expected_text,
     build_dataset,
     build_dataset_file,
     read_report_file,
@@ -27,7 +26,7 @@ from glsmooth.dataset import (
     validate_dataset,
     write_dataset,
 )
-from glsmooth.errors import ConfigError, DataError
+from glsmooth.errors import DataError
 from glsmooth.fileio import jsonl_records
 from glsmooth.reports import default_lexicon
 from glsmooth.smoothing import (
@@ -316,9 +315,15 @@ def test_noise_lines_only_add_malformed_entries(clean_build, lexicon, taxonomy, 
 # (with the same key order) or the same error text.
 
 
+def oracle_expected_text(params, y, u):
+    """The r, target_neg and target_pos a dataset line holds for (y, u), six decimals each."""
+    r = smoothing_rate(u, params)
+    neg, pos = gls_target(effective_label(y, u), r)
+    return f"{r:.6f}", f"{float(neg):.6f}", f"{float(pos):.6f}"
+
+
 def oracle_validate_dataset(path, params=DEFAULT_PARAMS):
     known = set(CATEGORY_NAMES)
-    expected_text = _expected_text(params)
     stats = DatasetStats()
     per_category, per_score = stats.per_category_counts, stats.per_score_counts
     problems: list[str] = []
@@ -336,7 +341,7 @@ def oracle_validate_dataset(path, params=DEFAULT_PARAMS):
         if u not in SCORE_LEVELS:
             problems.append(f"line {lineno}: u {u!r} outside {{-3..3}}")
             continue
-        expected_r, expected_neg, expected_pos = expected_text(y, u)
+        expected_r, expected_neg, expected_pos = oracle_expected_text(params, y, u)
         r = f"{rec['r']:.6f}"
         if r != expected_r:
             problems.append(
@@ -369,7 +374,7 @@ def validate_outcome(validate, path, params):
     """The stats with their key order, or the error's type and text."""
     try:
         stats = validate(path, params)
-    except (DataError, ConfigError) as exc:
+    except DataError as exc:
         return type(exc).__name__, str(exc)
     return stats, list(stats.per_category_counts.items()), list(stats.per_score_counts.items())
 
@@ -377,26 +382,21 @@ def validate_outcome(validate, path, params):
 GOLDEN_LINES = (DATA_DIR / "build_golden.jsonl").read_text().splitlines()
 
 # The default slope and 0.375 (the two golden files); 1/3, whose |u| = 3 rate
-# and target are 0.000000; and an intercept over 1, whose rates for |u| <= 1
-# raise ConfigError where such a line is checked.
+# and target are 0.000000; and an intercept under 1, so that no rate is 1.
 PARAMS = [
     DEFAULT_PARAMS,
     SmoothingParams(k=Fraction(3, 8)),
     SmoothingParams(k=Fraction(1, 3)),
-    SmoothingParams(r0=Fraction(3, 2)),
+    SmoothingParams(r0=Fraction(1, 2)),
 ]
 
 
 def written_lines(params):
-    """The golden records as build writes them with ``params``, the golden line where it cannot."""
+    """The golden records as build writes them with ``params``."""
     lines = []
     for line in GOLDEN_LINES:
         rec = json.loads(line)
-        try:
-            r = smoothing_rate(rec["u"], params)
-        except ConfigError:
-            lines.append(line)
-            continue
+        r = smoothing_rate(rec["u"], params)
         neg, pos = gls_target(effective_label(rec["y"], rec["u"]), r)
         labeled = LabeledRecord(
             rec["study_id"], DiseaseCategory(rec["category"]), rec["y"], rec["u"],
@@ -572,10 +572,14 @@ class TestValidateBlockPath:
         assert validate_outcome(validate_dataset, path, params) == expected
 
     def test_built_file_takes_the_block_path(self, tmp_path, monkeypatch, lexicon, taxonomy):
-        src, out = tmp_path / "reports.jsonl", tmp_path / "ds.jsonl"
+        src = tmp_path / "reports.jsonl"
         src.write_text("".join(json.dumps(rec) + "\n" for rec in make_reports(400, seed=14)))
-        build_dataset_file(src, out, lexicon, taxonomy)
-        assert len(out.read_text().splitlines()) > 3 * dataset.READ_BLOCK_LINES
-        expected = validate_outcome(oracle_validate_dataset, out, DEFAULT_PARAMS)
         monkeypatch.setattr("glsmooth.dataset.decode_records", self.no_line_decoding)
-        assert validate_outcome(validate_dataset, out, DEFAULT_PARAMS) == expected
+        for index, params in enumerate(PARAMS):
+            out = tmp_path / f"ds{index}.jsonl"
+            build_dataset_file(src, out, lexicon, taxonomy, params)
+            assert len(out.read_text().splitlines()) > 3 * dataset.READ_BLOCK_LINES
+            expected = validate_outcome(oracle_validate_dataset, out, params)
+            # every score occurs, so every written rate and target text is checked
+            assert set(expected[0].per_score_counts) == set(SCORE_LEVELS)
+            assert validate_outcome(validate_dataset, out, params) == expected

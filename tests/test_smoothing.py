@@ -68,12 +68,11 @@ class TestSmoothingRate:
         with pytest.raises(ConfigError):
             SmoothingParams(k=Fraction(-1, 2))
 
-    def test_r0_above_one_rejected_at_use(self):
-        params = SmoothingParams(k=Fraction(1, 2), r0=Fraction(3, 2))
-        with pytest.raises(ConfigError):
-            smoothing_rate(0, params)
-        # large |u| pulls the rate back under 1, which is fine
-        assert smoothing_rate(3, params) == 0.0
+    def test_r0_above_one_rejected_at_construction(self):
+        # u = 0 has r = r0, so no record set makes an intercept over 1 valid
+        with pytest.raises(ConfigError, match="r0"):
+            SmoothingParams(k=Fraction(1, 2), r0=Fraction(3, 2))
+        assert smoothing_rate(0, SmoothingParams(r0=1)) == 1.0
 
     def test_invalid_score(self):
         for bad in (4, -4, 0.5, "2"):
