@@ -20,7 +20,7 @@ import functools
 import json
 import math
 import sys
-from dataclasses import asdict, replace
+from dataclasses import asdict
 from fractions import Fraction
 from pathlib import Path
 
@@ -39,6 +39,7 @@ from .training import (
     read_examples,
     save_model,
     sweep,
+    sweep_configs,
     synthetic_noisy_generator,
     train,
     write_examples,
@@ -80,9 +81,11 @@ def _read_config_file(path: str) -> dict[str, object]:
     """The file's settings, each parsed as its flag would be.
 
     Every value is checked here, whether or not the subcommand takes it, so a
-    config file is valid or invalid for all subcommands alike.
+    config file is valid or invalid for all subcommands alike; the file's own
+    ``k`` and ``r0`` must make valid ``SmoothingParams``.
     """
     values: dict[str, object] = {}
+    rates: dict[str, Fraction] = {}
     for lineno, line in table_lines(_require_file(path, "config"), "config"):
         if "=" not in line:
             raise ConfigError(f"config line {lineno}: expected key=value, got {line!r}")
@@ -95,9 +98,10 @@ def _read_config_file(path: str) -> dict[str, object]:
         except ValueError:
             raise ConfigError(f"config key {key}: cannot parse {value!r}")
         if key in ("k", "r0"):
-            _fraction(value, f"config key {key}")
+            rates[key] = _fraction(value, f"config key {key}")
         if key in _CHOICES and value not in _CHOICES[key]:
             raise ConfigError(f"config key {key}: {value!r} is not one of {_CHOICES[key]}")
+    SmoothingParams(**rates)
     return values
 
 
@@ -220,11 +224,8 @@ def cmd_sweep(args) -> int:
             except ValueError:
                 raise ConfigError(f"--warmup entries must be integers, got {tok!r}")
     k_values = [_fraction(tok, "--k") for tok in k_tokens]
-    # Every cell's settings, checked before the data is read or a cell trains.
-    for k in k_values:
-        SmoothingParams(k=k, r0=config.smoothing_params.r0)
-    for w in warmups:
-        replace(config, warmup_epochs=w)
+    # Every cell's settings, checked before the data is read.
+    sweep_configs(config, k_values, warmups)
     examples = read_examples(_require_file(args.data, "data"))
     eval_examples = (
         read_examples(_require_file(args.eval_data, "eval data"))

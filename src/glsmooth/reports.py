@@ -24,10 +24,10 @@ text; each hit goes to the bucket of the sentence its offset falls in.  The
 scan is exact: a phrase without a newline matches only inside one sentence,
 and the newline around a sentence is a non-word character like the ends of
 a lone sentence, so every word boundary reads the same.  A phrase with a
-newline lies in no sentence and is never scanned for.  Each mention then
-gets its cues from its sentence's bucket, through a per-report view of the
-lexicon; the shared lexicon and the memoised vocabulary tables are never
-changed.
+newline lies in no sentence and is never scanned for.  Each mention is
+then scored from its sentence's bucket of cue hits, passed to
+``score_mention`` as an argument; the lexicon and the memoised vocabulary
+tables are never changed.
 
 A loaded lexicon is immutable and freely shareable across threads;
 extraction is a pure function per report, so reports can be parsed in
@@ -42,7 +42,6 @@ from bisect import bisect_right
 from dataclasses import dataclass
 from itertools import accumulate
 from pathlib import Path
-from types import MappingProxyType
 from typing import NamedTuple
 
 from .errors import DataError
@@ -128,10 +127,6 @@ class _PhraseTable:
 class Lexicon:
     """Ordered cue-phrase table; longest pattern first, file order among equals."""
 
-    # The matches of one report's sentences, keyed by sentence.  Only the
-    # view that ``_for_report`` makes holds any; a loaded lexicon holds none.
-    _found = MappingProxyType({})
-
     def __init__(self, entries: list[LexiconEntry]):
         seen = set()
         for entry in entries:
@@ -144,31 +139,18 @@ class Lexicon:
     def __len__(self) -> int:
         return len(self.entries)
 
-    def _for_report(self, sentences: list[str], text: str, starts: list[int], indices) -> Lexicon:
-        """A view of this lexicon whose ``matches`` answers the sentences at ``indices``.
-
-        ``sentences`` are a report's, ``text`` their newline join and
-        ``starts`` their offsets in it.  The cues of every sentence come from
-        one scan of ``text``; any other sentence is scanned as usual.  This
-        lexicon is left as it is.
-        """
-        buckets = self._table.buckets(text, starts)
-        view = object.__new__(type(self))
-        vars(view).update(
-            vars(self), _found={sentences[i]: self._kept(buckets.get(i, ())) for i in indices}
-        )
-        return view
-
-    def matches(self, sentence: str) -> list[tuple[int, int, int, LexiconEntry]]:
+    def matches(self, sentence: str, occurrences=None) -> list[tuple[int, int, int, LexiconEntry]]:
         """All cue occurrences as (start, end, precedence_index, entry) tuples.
 
         The index is the entry's position in ``entries``.  Hits come pattern
         by pattern in precedence order, then by start.  Occurrences wholly
         contained in a strictly longer occurrence are dropped; the same-start
-        case is the classic "no" vs "no definite" nesting.
+        case is the classic "no" vs "no definite" nesting.  Given the
+        sentence's raw ``occurrences`` from a report scan, it is not scanned.
         """
-        found = self._found.get(sentence)
-        return self._kept(self._table.occurrences(sentence)) if found is None else found
+        if occurrences is None:
+            occurrences = self._table.occurrences(sentence)
+        return self._kept(occurrences)
 
     def _kept(self, occurrences) -> list[tuple[int, int, int, LexiconEntry]]:
         """The occurrences with their entries, those inside a longer one dropped."""
@@ -238,15 +220,16 @@ def split_sentences(report_text: str) -> list[str]:
 
 
 def score_mention(
-    sentence: str, mention_offset: int, lexicon: Lexicon
+    sentence: str, mention_offset: int, lexicon: Lexicon, occurrences=None
 ) -> tuple[int, str | None]:
     """Score one diagnosis mention inside an (already lowercased) sentence.
 
     The cue whose start offset is nearest the mention start wins; ties go to
     the higher-precedence (longer, then earlier-listed) pattern.  No cue in
     the sentence means an unmodified affirmative statement: +3.
+    ``occurrences`` go to ``Lexicon.matches``.
     """
-    hits = lexicon.matches(sentence)
+    hits = lexicon.matches(sentence, occurrences)
     if not hits:
         return AFFIRMATIVE_DEFAULT_SCORE, None
     best = min(hits, key=lambda h: (abs(h[0] - mention_offset), h[2]))
@@ -266,11 +249,6 @@ def _claimed(occurrences, phrases) -> list[tuple[int, str]]:
             found.append((start, phrases[idx]))
     found.sort()
     return found
-
-
-def _vocabulary_matches(sentence: str, table: _PhraseTable) -> list[tuple[int, str]]:
-    """The mentions of one sentence scanned on its own."""
-    return _claimed(table.occurrences(sentence), table.phrases)
 
 
 _vocabulary_table = functools.lru_cache(maxsize=8)(_PhraseTable)
@@ -302,12 +280,11 @@ def extract_findings(
     mentions = table.buckets(text, starts)
     if not mentions:
         return []
-    indices = sorted(mentions)
-    lexicon = lexicon._for_report(sentences, text, starts, indices)
+    cues = lexicon._table.buckets(text, starts)
     findings = []
-    for index in indices:
-        sentence = sentences[index]
+    for index in sorted(mentions):
+        sentence, hits = sentences[index], cues.get(index, ())
         for offset, phrase in _claimed(mentions[index], table.phrases):
-            u, cue = score_mention(sentence, offset, lexicon)
+            u, cue = score_mention(sentence, offset, lexicon, hits)
             findings.append(ExtractedFinding(phrase, index, u, cue))
     return findings

@@ -477,6 +477,28 @@ def cell_seed(base_seed: int, index: int) -> int:
     return base_seed + 1 + index
 
 
+def sweep_configs(
+    base_config: TrainConfig, k_values: list, warmup_values: list[int]
+) -> list[TrainConfig]:
+    """Every grid cell's settings, k-major, each checked as it is made.
+
+    Each cell takes its slope and warm-up from the grid and a seed derived
+    from its grid index; the rest comes from ``base_config``.
+    """
+    if not k_values or not warmup_values:
+        raise ConfigError("sweep grid must have at least one k and one warm-up value")
+    grid = ((k, w) for k in k_values for w in warmup_values)
+    return [
+        replace(
+            base_config,
+            smoothing_params=SmoothingParams(k=Fraction(k), r0=base_config.smoothing_params.r0),
+            warmup_epochs=w,
+            seed=cell_seed(base_config.seed, index),
+        )
+        for index, (k, w) in enumerate(grid)
+    ]
+
+
 def sweep(
     dataset: ExampleSet,
     base_config: TrainConfig,
@@ -486,12 +508,12 @@ def sweep(
 ) -> list[SweepCell]:
     """Grid of held-out AUCs over rate slopes and warm-up durations.
 
-    Each cell trains from scratch with a seed derived from its grid index.
-    Without an explicit eval split, a deterministic 75/25 split of the input
-    (seeded by base_config.seed) is used.
+    Each cell trains from scratch with its ``sweep_configs`` settings, all of
+    which are checked before the first cell trains.  Without an explicit eval
+    split, a deterministic 75/25 split of the input (seeded by
+    base_config.seed) is used.
     """
-    if not k_values or not warmup_values:
-        raise ConfigError("sweep grid must have at least one k and one warm-up value")
+    configs = sweep_configs(base_config, k_values, warmup_values)
     if eval_dataset is None:
         rng = np.random.default_rng(base_config.seed)
         perm = rng.permutation(len(dataset))
@@ -507,16 +529,10 @@ def sweep(
         train_split, eval_split = dataset, eval_dataset
 
     cells = []
-    for index, (k, w) in enumerate((k, w) for k in k_values for w in warmup_values):
-        params = SmoothingParams(k=Fraction(k), r0=base_config.smoothing_params.r0)
-        config = replace(
-            base_config,
-            smoothing_params=params,
-            warmup_epochs=w,
-            seed=cell_seed(base_config.seed, index),
-        )
+    for config in configs:
         model, _ = train(train_split, config)
-        cells.append(SweepCell(k=Fraction(k), warmup_epochs=w, auc=evaluate(model, eval_split)))
+        auc = evaluate(model, eval_split)
+        cells.append(SweepCell(config.smoothing_params.k, config.warmup_epochs, auc))
     return cells
 
 

@@ -404,6 +404,28 @@ class TestTrainEval:
         assert "Traceback" not in proc.stderr
         assert sorted(p.name for p in tmp_path.iterdir()) == ["run.conf"]
 
+    @pytest.mark.parametrize("line", ["r0=3/2", "k=0", "k=-1/4"])
+    @pytest.mark.parametrize("command", [
+        ["build", "--input", "reports.jsonl", "--out", "ds.jsonl"],
+        ["validate", "--input", "ds.jsonl"],
+        ["train", "--data", "ex.jsonl", "--model-out", "m.json"],
+        ["eval", "--data", "ex.jsonl", "--model", "m.json"],
+        ["sweep", "--data", "ex.jsonl", "--k", "5/12", "--warmup", "0", "--out", "s.tsv"],
+        ["gen-synthetic", "--profile", "3:0.0", "--out", "ex.jsonl"],
+    ], ids=lambda command: command[0])
+    def test_config_rates_are_checked_when_read(
+        self, tmp_path, monkeypatch, capsys, line, command
+    ):
+        # The file's own k and r0 must make valid rate parameters, whether or
+        # not the command takes them; no input file need exist.
+        monkeypatch.chdir(tmp_path)
+        config = tmp_path / "run.conf"
+        config.write_text(f"seed=1\n{line}\n")
+        code, _, table1_err = run_cli(capsys, "--config", str(config), "table1")
+        assert code == 1 and table1_err.startswith("error: ")
+        assert run_cli(capsys, "--config", str(config), *command) == (1, "", table1_err)
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["run.conf"]
+
     def test_gen_synthetic_golden_bytes(self, tmp_path, capsys):
         # the committed files pin the example and truth formats byte for byte
         out, truth = tmp_path / "gen.jsonl", tmp_path / "gen.truth.jsonl"
@@ -710,6 +732,8 @@ class TestUsageErrors:
         (["sweep", "--data", "{missing}", "--eval-data", "{missing}", "--k", "5/12",
           "--warmup", "0,9", "--epochs", "2", "--out", "{out}"], "warmup_epochs"),
         (["table1", "--r0", "3/2"], "r0"),
+        (["sweep", "--data", "{missing}", "--k", ",", "--warmup", "0", "--out", "{out}"],
+         "at least one k"),
     ])
     def test_bad_setting_exits_1_before_input_is_read(self, tmp_path, capsys, argv, setting):
         paths = {"missing": str(tmp_path / "missing.jsonl"), "out": str(tmp_path / "out")}

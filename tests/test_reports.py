@@ -14,7 +14,7 @@ from glsmooth.reports import (
     ExtractedFinding,
     Lexicon,
     LexiconEntry,
-    _vocabulary_matches,
+    _claimed,
     _word_bounded,
     compile_vocabulary,
     default_lexicon,
@@ -238,6 +238,11 @@ def oracle_lexicon_matches(lexicon, sentence):
     return kept
 
 
+def _vocabulary_matches(sentence, table):
+    """The mentions of one sentence scanned on its own."""
+    return _claimed(table.occurrences(sentence), table.phrases)
+
+
 def oracle_vocabulary_matches(sentence, vocabulary):
     """Reference mention scan: every phrase's regex, longest phrase claiming first."""
     ordered = sorted(vocabulary, key=lambda p: -len(p))
@@ -280,6 +285,8 @@ class TestMatchersAgainstOracle:
             [LexiconEntry(p, s, CUE_KINDS[s % 2]) for p, s in zip(table, scores)]
         )
         assert lexicon.matches(sentence) == oracle_lexicon_matches(lexicon, sentence)
+        occurrences = lexicon._table.occurrences(sentence)
+        assert lexicon.matches(sentence, occurrences) == lexicon.matches(sentence)
 
     @settings(max_examples=300, deadline=None)
     @given(vocabulary=tables, sentence=sentences)

@@ -4,6 +4,7 @@ import json
 import math
 import tracemalloc
 from collections import namedtuple
+from fractions import Fraction
 from pathlib import Path
 from unittest import mock
 
@@ -46,6 +47,7 @@ from glsmooth.training import (
     read_examples,
     save_model,
     sweep,
+    sweep_configs,
     synthetic_noisy_generator,
     train,
     write_examples,
@@ -435,6 +437,30 @@ class TestSweep:
         assert score_rate_table(SmoothingParams(k=Fraction(5, 12))) == score_rate_table(
             DEFAULT_PARAMS
         )
+
+    @pytest.mark.parametrize("k_values, warmups, message", [
+        ([Fraction(5, 12), 0], [0, 1], "slope k must be positive"),
+        ([Fraction(5, 12)], [0, 9], "warmup_epochs"),
+        ([], [0], "at least one k"),
+        ([Fraction(5, 12)], [], "at least one k"),
+    ])
+    def test_bad_cell_raises_before_any_cell_trains(self, k_values, warmups, message):
+        data = synthetic_noisy_generator(40, 3, {3: 0.0, 0: 0.5}, seed=5)
+        with mock.patch.object(training, "train", wraps=training.train) as counted:
+            with pytest.raises(ConfigError, match=message):
+                sweep(data.examples, TrainConfig(epochs=3), k_values, warmups)
+        assert counted.call_count == 0
+
+    def test_cell_configs_are_k_major_with_grid_seeds(self):
+        base = TrainConfig(epochs=3, seed=7)
+        configs = sweep_configs(base, [Fraction(3, 8), Fraction(5, 12)], [0, 2])
+        assert [(c.smoothing_params.k, c.warmup_epochs, c.seed) for c in configs] == [
+            (Fraction(3, 8), 0, cell_seed(7, 0)),
+            (Fraction(3, 8), 2, cell_seed(7, 1)),
+            (Fraction(5, 12), 0, cell_seed(7, 2)),
+            (Fraction(5, 12), 2, cell_seed(7, 3)),
+        ]
+        assert all(c.epochs == 3 and c.smoothing_params.r0 == 1 for c in configs)
 
     def test_degenerate_grid_matches_single_train(self):
         from dataclasses import replace
