@@ -34,6 +34,7 @@ from .training import (
     ARCHITECTURES,
     LOSS_MODES,
     TrainConfig,
+    check_setting,
     evaluate,
     load_model,
     read_examples,
@@ -81,8 +82,11 @@ def _read_config_file(path: str) -> dict[str, object]:
     """The file's settings, each parsed as its flag would be.
 
     Every value is checked here, whether or not the subcommand takes it, so a
-    config file is valid or invalid for all subcommands alike; the file's own
-    ``k`` and ``r0`` must make valid ``SmoothingParams``.
+    config file is valid or invalid for all subcommands alike: each against
+    its own range (``training.check_setting``), and the file's own ``k`` and
+    ``r0`` must make valid ``SmoothingParams``.  Rules between settings
+    (``warmup_epochs <= epochs``, an mlp's ``hidden_width``) are checked once
+    the flags are merged in, when the subcommand makes its ``TrainConfig``.
     """
     values: dict[str, object] = {}
     rates: dict[str, Fraction] = {}
@@ -97,6 +101,10 @@ def _read_config_file(path: str) -> dict[str, object]:
             values[key] = type(_SETTINGS[key])(value)
         except ValueError:
             raise ConfigError(f"config key {key}: cannot parse {value!r}")
+        try:
+            check_setting(_FIELD_OF.get(key, key), values[key])
+        except ConfigError as exc:
+            raise ConfigError(f"config key {key}: {exc}") from None
         if key in ("k", "r0"):
             rates[key] = _fraction(value, f"config key {key}")
         if key in _CHOICES and value not in _CHOICES[key]:

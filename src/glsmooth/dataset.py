@@ -15,14 +15,13 @@ from __future__ import annotations
 
 import functools
 import json
-import re
 from collections import Counter
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Iterable, Iterator, NamedTuple
 
 from .errors import DataError
-from .fileio import READ_BLOCK_LINES, decode_records, jsonl_records, line_blocks
+from .fileio import READ_BLOCK_LINES, decode_records, framed_blocks, jsonl_records
 from .reports import Lexicon, extract_findings
 from .smoothing import (
     SCORE_LEVELS,
@@ -198,12 +197,6 @@ _DATASET_LINE = (
 )
 
 
-@functools.cache
-def _dataset_line() -> re.Pattern:
-    """The frame, compiled when validate_dataset first runs (0.5 ms an import need not pay)."""
-    return re.compile(_DATASET_LINE, re.MULTILINE)
-
-
 def stats_path_for(out_path) -> Path:
     out_path = Path(out_path)
     return out_path.with_name(out_path.name + ".stats.json")
@@ -264,22 +257,13 @@ _REQUIRED_FIELDS = {
 MAX_REPORTED_PROBLEMS = 20
 
 
-def _block_counts(lines: list[str], known, u_of) -> tuple[Counter, Counter] | None:
-    """(per-category, per-score) counts of a block of clean written records, else None.
+def _block_counts(groups: list[tuple[str, str]], known, u_of) -> tuple[Counter, Counter] | None:
+    """(per-category, per-score) counts of a block from its (category, number fields) texts.
 
-    A line is clean when it has record_to_line's layout, a known category,
-    and number fields whose text is a key of ``u_of`` (text -> u).  None
-    sends the block to the line-by-line checks.
+    None, which sends the block to the line-by-line checks, unless every
+    category is known and every number text is a key of ``u_of`` (text -> u).
     """
-    frame = _dataset_line()
-    # The first line alone turns away a file of another layout, before a
-    # search of the whole block that would try every position in it.
-    if frame.match(lines[0]) is None:
-        return None
-    found = frame.findall("".join(lines))
-    if len(found) != len(lines):  # a match never spans lines, so one did not match
-        return None
-    names, numbers = zip(*found)
+    names, numbers = zip(*groups)
     if not known.issuperset(names):
         return None
     per_score = Counter()
@@ -300,10 +284,12 @@ def validate_dataset(path, params: SmoothingParams = DEFAULT_PARAMS) -> DatasetS
     MAX_REPORTED_PROBLEMS violations with their line numbers and counting the
     rest ("; and N more problem(s)"); returns recomputed stats when clean.
 
-    The file is read a block of READ_BLOCK_LINES lines at a time.  A block
+    The file is read a block of READ_BLOCK_LINES lines at a time
+    (``fileio.framed_blocks``, with the frame ``_DATASET_LINE``).  A block
     whose every line is a clean record as record_to_line writes it is counted
-    from one regex search; any other block is checked line by line, so each
-    problem is found and worded as there.
+    from the frame's groups; any other block, so every block of a file in
+    another layout, is checked line by line, so each problem is found and
+    worded as there.
     """
     known = frozenset(CATEGORY_NAMES)
     table = _score_table(params)
@@ -315,8 +301,8 @@ def validate_dataset(path, params: SmoothingParams = DEFAULT_PARAMS) -> DatasetS
     stats = DatasetStats()
     per_category, per_score = stats.per_category_counts, stats.per_score_counts
     problems: list[str] = []
-    for first, lines in line_blocks(path, READ_BLOCK_LINES):
-        counts = _block_counts(lines, known, u_of)
+    for first, lines, groups in framed_blocks(path, READ_BLOCK_LINES, _DATASET_LINE):
+        counts = _block_counts(groups, known, u_of) if groups else None
         if counts is not None:
             for totals, block in zip((per_category, per_score), counts):
                 for key, count in block.items():

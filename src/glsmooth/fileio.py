@@ -5,17 +5,17 @@ message cites the line a user sees in an editor.  Bytes that are not UTF-8
 raise a DataError naming the input: no line of it can be trusted.
 
 A JSON Lines file is read in blocks of READ_BLOCK_LINES lines
-(``line_blocks``).  A reader that knows the exact layout its writer emits
-matches a whole block against that layout with one regex search and takes
-the values from the matches; ``training.read_examples`` does this for
-example files and ``dataset.validate_dataset`` for dataset files.  Any block
-with a line of another layout is decoded line by line (``decode_records``):
-one ``raw_decode`` call, the C scanner alone, and the line is accepted when
-only JSON whitespace follows the value.  Any other line (blank, padded in
-front, led by a BOM, followed by extra data, or not JSON) is handed to
-``json.loads``, the same decoder, which accepts or rejects it with its own
-exact message.  Required and typed fields are then checked without building
-a list; the message lists are built only for a line that fails.  Report
+(``framed_blocks``).  A reader that knows the exact layout its writer emits
+passes that layout as a one-line regex, its frame; each block comes with
+the frame's groups of every line when every line matches, and the reader
+takes its values from those.  ``training.read_examples`` does this for
+example files and ``dataset.validate_dataset`` for dataset files.  A block
+with a line of another layout, so every block of a file written some other
+way, is decoded line by line (``decode_records``): one ``raw_decode`` call,
+the C scanner alone, and the line is accepted when only JSON whitespace
+follows the value.  Any other line (blank, padded in front, led by a BOM,
+followed by extra data, or not JSON) is handed to ``json.loads``, the same
+decoder, which accepts or rejects it with its own exact message.  Report
 files are read one line at a time (``jsonl_records``).
 """
 
@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import io
 import json
+import re
 import sys
 from pathlib import Path
 from typing import Iterator
@@ -42,18 +43,12 @@ def _is_number(value) -> bool:
     return type(value) is float or (type(value) is int and abs(value) <= _FLOAT_MAX)
 
 
-def _is_numbers(value) -> bool:
-    """A list of numbers; an all-float list, the usual row, takes one C-level pass."""
-    return type(value) is list and (
-        all(map(float.__instancecheck__, value)) or all(map(_is_number, value))
-    )
-
-
 # What a typed JSON Lines field must hold: kind -> (test, phrase for messages).
 FIELD_KINDS = {
     "int": (lambda value: type(value) is int, "an integer"),
     "number": (_is_number, "a number"),
-    "numbers": (_is_numbers, "a list of numbers"),
+    "numbers": (lambda value: type(value) is list and all(map(_is_number, value)),
+                "a list of numbers"),
     "str": (lambda value: type(value) is str, "a string"),
 }
 
@@ -114,23 +109,40 @@ def numbered_lines(path) -> Iterator[tuple[int, str]]:
 READ_BLOCK_LINES = 256
 
 
-def line_blocks(path, size: int) -> Iterator[tuple[int, list[str]]]:
-    """(number of the first line, lines) for consecutive ``size``-line blocks of a file.
+def _frame_groups(lines: list[str], frame: str) -> list[tuple] | None:
+    """Each line's groups of ``frame``, or None when a line does not match it."""
+    # The first line alone turns away a file of another layout, before a
+    # search of the whole block that would try every position in it.
+    if re.match(frame, lines[0], re.MULTILINE) is None:
+        return None
+    found = re.findall(frame, "".join(lines), re.MULTILINE)
+    # A match never spans lines, so a line did not match when one is missing.
+    return found if len(found) == len(lines) else None
 
-    Bytes that are not UTF-8 raise their DataError only after the block of
-    lines read before them, so a bad line there fails first, as line by line.
+
+def framed_blocks(
+    path, size: int, frame: str
+) -> Iterator[tuple[int, list[str], list[tuple] | None]]:
+    """(number of the first line, lines, groups) for consecutive ``size``-line blocks of a file.
+
+    ``frame`` is a regex of one whole line, ``^...$`` with at least two
+    groups and nothing that matches a newline.  ``groups`` holds one tuple of
+    its groups per line when every line of the block matches it, and is None
+    otherwise.  Bytes that are not UTF-8 raise their DataError only after
+    the block of lines read before them, so a bad line there fails first, as
+    line by line.
     """
     first, lines, error = 1, [], None
     try:
         for lineno, line in numbered_lines(path):
             lines.append(line)
             if len(lines) == size:
-                yield first, lines
+                yield first, lines, _frame_groups(lines, frame)
                 first, lines = lineno + 1, []
     except DataError as exc:
         error = exc
     if lines:
-        yield first, lines
+        yield first, lines, _frame_groups(lines, frame)
     if error is not None:
         raise error
 
@@ -172,16 +184,10 @@ def decode_records(numbered, fields=None) -> Iterator[tuple[int, dict | DataErro
             elif not fields.keys() <= record.keys():
                 missing = [key for key in fields if key not in record]
                 record = DataError(f"line {lineno}: missing field(s) {', '.join(missing)}")
-            else:
-                for key, test, _ in typed:
-                    if not test(record[key]):
-                        wrong = [
-                            f"{name} must be {phrase}"
-                            for name, check, phrase in typed
-                            if not check(record[name])
-                        ]
-                        record = DataError(f"line {lineno}: {'; '.join(wrong)}")
-                        break
+            elif wrong := [
+                f"{key} must be {phrase}" for key, test, phrase in typed if not test(record[key])
+            ]:
+                record = DataError(f"line {lineno}: {'; '.join(wrong)}")
         yield lineno, record
 
 

@@ -19,16 +19,15 @@ from __future__ import annotations
 
 import json
 import math
-import re
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 from fractions import Fraction
-from itertools import chain, repeat
+from itertools import repeat
 from typing import Iterator
 
 import numpy as np
 
 from .errors import ConfigError, DataError, NumericError
-from .fileio import READ_BLOCK_LINES, _FLOAT_MAX, decode_records, json_document, line_blocks
+from .fileio import READ_BLOCK_LINES, _FLOAT_MAX, decode_records, framed_blocks, json_document
 from .smoothing import SCORE_LEVELS, SmoothingParams, smoothing_rate
 from .smoothing import batch_loss, batch_targets, effective_labels, softmax
 
@@ -83,6 +82,35 @@ class ExampleSet:
         return ExampleSet(X, self.y[index], self.u[index])
 
 
+# Each numeric setting's own range, whatever the others hold: name -> (test,
+# phrase for messages).  NaN passes no test.
+_SETTING_RANGES = {
+    "epochs": (lambda value: value >= 1, ">= 1"),
+    "warmup_epochs": (lambda value: value >= 0, ">= 0"),
+    "learning_rate": (lambda value: value > 0, "positive"),
+    "weight_decay": (lambda value: value >= 0, ">= 0"),
+    "lr_warmup_epochs": (lambda value: value >= 0, ">= 0"),
+    "batch_size": (lambda value: value >= 1, ">= 1"),
+    "seed": (lambda value: value >= 0, ">= 0"),
+    "n": (lambda value: value > 0, "positive"),
+    "d": (lambda value: value >= 2, ">= 2"),
+}
+
+
+def check_setting(name: str, value) -> None:
+    """Raise ConfigError if ``value`` lies outside setting ``name``'s own range.
+
+    The one place those ranges are checked: TrainConfig checks its fields
+    here, synthetic_noisy_generator its n, d and seed, and the command line
+    each value of a config file as it reads it.  A setting with no range of
+    its own passes.
+    """
+    if name in _SETTING_RANGES:
+        test, phrase = _SETTING_RANGES[name]
+        if not test(value):
+            raise ConfigError(f"{name} must be {phrase}, got {value}")
+
+
 @dataclass
 class TrainConfig:
     epochs: int = 30
@@ -98,20 +126,12 @@ class TrainConfig:
     loss: str = "gls"
 
     def __post_init__(self) -> None:
-        if self.epochs < 1:
-            raise ConfigError(f"epochs must be >= 1, got {self.epochs}")
-        if not 0 <= self.warmup_epochs <= self.epochs:
+        for setting in fields(self):
+            check_setting(setting.name, getattr(self, setting.name))
+        if self.warmup_epochs > self.epochs:
             raise ConfigError(
                 f"warmup_epochs must be in [0, epochs], got {self.warmup_epochs}"
             )
-        if self.learning_rate <= 0:
-            raise ConfigError(f"learning_rate must be positive, got {self.learning_rate}")
-        if self.weight_decay < 0:
-            raise ConfigError(f"weight_decay must be >= 0, got {self.weight_decay}")
-        if self.lr_warmup_epochs < 0:
-            raise ConfigError(f"lr_warmup_epochs must be >= 0, got {self.lr_warmup_epochs}")
-        if self.batch_size < 1:
-            raise ConfigError(f"batch_size must be >= 1, got {self.batch_size}")
         if self.architecture not in ARCHITECTURES:
             raise ConfigError(f"architecture must be one of {ARCHITECTURES}")
         if self.loss not in LOSS_MODES:
@@ -440,10 +460,8 @@ def synthetic_noisy_generator(
     probability (lower confidence, more flips).  Observed labels and scores go
     into the examples; the clean labels ride along for evaluation only.
     """
-    if n <= 0:
-        raise ConfigError(f"n must be positive, got {n}")
-    if d < 2:
-        raise ConfigError(f"d must be >= 2, got {d}")
+    for name, value in (("n", n), ("d", d), ("seed", seed)):
+        check_setting(name, value)
     if not noise_profile:
         raise ConfigError("noise_profile must not be empty")
     for level, p in noise_profile.items():
@@ -567,40 +585,26 @@ def write_examples(path, examples: ExampleSet) -> None:
             )
 
 
-def _float_block(rows: list[list], dim: int) -> np.ndarray:
-    """Rows of ``dim`` JSON numbers as one float64 array, the values np.array gives."""
-    return np.fromiter(chain.from_iterable(rows), np.float64, len(rows) * dim).reshape(-1, dim)
-
-
 _EXAMPLE_FIELDS = {"features": "numbers", "y": "int", "u": "int"}
 # A line as write_examples and json.dumps write it: only number characters in
 # features, y 0 or 1, u -3..3, and nothing else on the line.
-_EXAMPLE_LINE = re.compile(
-    r'^\{"features": \[([-0-9.eE+, ]*)\], "y": ([01]), "u": (-?[0-3])\}$', re.MULTILINE
-)
+_EXAMPLE_LINE = r'^\{"features": \[([-0-9.eE+, ]*)\], "y": ([01]), "u": (-?[0-3])\}$'
 
 
 def _decode_block(
-    lines: list[str], dim: int | None
+    groups: list[tuple[str, str, str]], dim: int | None
 ) -> tuple[np.ndarray, Iterator[int], Iterator[int]] | None:
-    """(X, y values, u values) of a block whose every line has the written layout, else None.
+    """(X, y values, u values) of a block from its (features, y, u) texts, else None.
 
     The features of all lines are decoded as one flat list by one json.loads,
     the decoder the line-by-line path uses, so each number comes out as it
-    would there; each line's comma count gives its row length.  None when a
-    line has another layout, the numbers do not decode, a row is empty or its
-    length differs from ``dim`` or from the others, or a value is not below
-    the float maximum in magnitude: an integer just past the float range
-    rounds to the maximum, which the line-by-line check rejects as no number.
+    would there; each line's comma count gives its row length.  None when
+    the numbers do not decode, a row is empty or its length differs from
+    ``dim`` or from the others, or a value is not below the float maximum in
+    magnitude: an integer just past the float range rounds to the maximum,
+    which the line-by-line check rejects as no number.
     """
-    # The first line alone turns away a file of another layout, before a
-    # search of the whole block that would try every position in it.
-    if _EXAMPLE_LINE.match(lines[0]) is None:
-        return None
-    found = _EXAMPLE_LINE.findall("".join(lines))
-    if len(found) != len(lines):  # a match never spans lines, so one did not match
-        return None
-    features, ys, us = zip(*found)
+    features, ys, us = zip(*groups)
     commas = list(map(str.count, features, repeat(",")))
     width = commas[0] + 1
     if commas.count(commas[0]) != len(commas) or (dim is not None and width != dim):
@@ -610,7 +614,7 @@ def _decode_block(
     except (ValueError, OverflowError):  # bad number syntax, or past the float range
         return None
     # A line's features hold one value more than their commas, or none ("[]").
-    if values.size != len(lines) * width:
+    if values.size != len(groups) * width:
         return None
     if not (-_FLOAT_MAX < values.min() and values.max() < _FLOAT_MAX):
         return None
@@ -620,18 +624,20 @@ def _decode_block(
 def read_examples(path) -> ExampleSet:
     """The examples of a JSON Lines file; the first bad line raises a DataError citing it.
 
-    The file is read a block of READ_BLOCK_LINES lines at a time.  A
-    block whose every line has the layout write_examples writes is decoded
-    as a whole; any other block (blank, padded or reordered lines, other
-    separators, a non-number in ``features``, a bad line) is read line by line
-    with every check, so each line gives the same values or the same error.
+    The file is read a block of READ_BLOCK_LINES lines at a time
+    (``fileio.framed_blocks``, with the frame ``_EXAMPLE_LINE``).  A block
+    whose every line has the layout write_examples writes is decoded as a
+    whole.  Any other block (blank, padded or reordered lines, other
+    separators, a non-number in ``features``, a bad line), so every block of
+    a file written in another layout, is read line by line with every check,
+    so each line gives the same values or the same error.
     A NaN or infinite feature (``NaN``, ``Infinity``, ``1e400``) is an error
     of its line; a block holding one is always read line by line.
     """
     blocks, ys, us = [], [], []
     dim = None
-    for first, lines in line_blocks(path, READ_BLOCK_LINES):
-        decoded = _decode_block(lines, dim)
+    for first, lines, groups in framed_blocks(path, READ_BLOCK_LINES, _EXAMPLE_LINE):
+        decoded = _decode_block(groups, dim) if groups else None
         if decoded is not None:
             X, block_y, block_u = decoded
             dim = X.shape[1]
@@ -660,7 +666,7 @@ def read_examples(path) -> ExampleSet:
             ys.append(y)
             us.append(u)
         if rows:
-            blocks.append(_float_block(rows, dim))
+            blocks.append(np.array(rows, dtype=np.float64))
     if not ys:
         raise DataError(f"no examples in {path}")
     return ExampleSet(np.concatenate(blocks), np.array(ys), np.array(us))

@@ -1,14 +1,19 @@
 """End-to-end tests of the command-line interface and its exit codes."""
 
+import contextlib
+import io
 import json
 import os
 import subprocess
 import sys
+import tempfile
 import typing
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import glsmooth
 from corpus_util import make_reports
@@ -759,3 +764,76 @@ class TestUsageErrors:
             str(tmp_path / "x.jsonl"),
         )
         assert code == 1
+
+
+# Each config key's values inside its own range and outside it (a value that
+# does not parse counts as outside).  The values inside also keep the rules
+# between settings: warm-up at most 1 epoch, at least 1 epoch, a hidden width.
+CONFIG_VALUES = {
+    "seed": (["0", "7"], ["-1", "x"]),
+    "k": (["5/12", "1"], ["0", "-1/4", "1/0"]),
+    "r0": (["1", "3/4", "-1"], ["3/2", "abc"]),
+    "epochs": (["1", "2"], ["0", "-3", "two"]),
+    "warmup_epochs": (["0", "1"], ["-1", "0.5"]),
+    "lr": (["0.01", "1e-3"], ["0", "-1", "nan"]),
+    "batch_size": (["1", "16"], ["0", "-2"]),
+    "weight_decay": (["0", "0.5"], ["-0.1", "nan"]),
+    "lr_warmup_epochs": (["0", "2"], ["-1"]),
+    "arch": (["linear", "mlp_1hidden"], ["cnn"]),
+    "hidden_width": (["1", "4"], ["x"]),
+    "loss": (["gls", "ce"], ["focal"]),
+    "n": (["10", "20"], ["0", "-5"]),
+    "d": (["2", "3"], ["1", "0"]),
+}
+# Every subcommand, its input files missing; gen-synthetic has none.
+CONFIG_COMMANDS = {
+    "table1": ["table1"],
+    "build": ["build", "--input", "{dir}/reports.jsonl", "--out", "{dir}/ds.jsonl"],
+    "validate": ["validate", "--input", "{dir}/ds.jsonl"],
+    "train": ["train", "--data", "{dir}/ex.jsonl", "--model-out", "{dir}/m.json"],
+    "eval": ["eval", "--data", "{dir}/ex.jsonl", "--model", "{dir}/m.json"],
+    "sweep": ["sweep", "--data", "{dir}/ex.jsonl", "--k", "5/12", "--warmup", "0",
+              "--out", "{dir}/s.tsv"],
+    "gen-synthetic": ["gen-synthetic", "--profile", "3:0.0", "--out", "{dir}/gen.jsonl"],
+}
+
+
+@st.composite
+def config_line(draw):
+    """(key, value, whether the value is in the key's own range)."""
+    key = draw(st.sampled_from(sorted(CONFIG_VALUES)))
+    inside = draw(st.booleans())
+    return key, draw(st.sampled_from(CONFIG_VALUES[key][not inside])), inside
+
+
+def test_config_values_cover_every_setting():
+    assert CONFIG_VALUES.keys() == _SETTINGS.keys()
+
+
+@settings(max_examples=80, deadline=None)
+@given(lines=st.lists(config_line(), min_size=1, max_size=4))
+def test_config_file_is_valid_or_not_for_every_command(lines):
+    # A value outside its own range is a usage error when the file is read:
+    # exit 1 and table1's message under every subcommand, and no file made.
+    # With every value inside, each command goes on to its missing input.
+    with tempfile.TemporaryDirectory() as tmp:
+        config = Path(tmp) / "run.conf"
+        config.write_text("".join(f"{key}={value}\n" for key, value, _ in lines))
+        outcomes = {}
+        for name, argv in CONFIG_COMMANDS.items():
+            err = io.StringIO()
+            with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+                code = main(["--config", str(config), *(arg.format(dir=tmp) for arg in argv)])
+            outcomes[name] = code, err.getvalue()
+        made = sorted(p.name for p in Path(tmp).iterdir())
+    table1 = outcomes.pop("table1")
+    if not all(inside for _, _, inside in lines):
+        assert table1[0] == 1 and table1[1].startswith("error: ")
+        assert outcomes == dict.fromkeys(outcomes, table1)
+        assert made == ["run.conf"]
+    else:
+        assert table1 == (0, "")
+        assert outcomes.pop("gen-synthetic") == (0, "")
+        for code, err in outcomes.values():
+            assert code == 2 and "file not found" in err
+        assert made == ["gen.jsonl", "run.conf"]

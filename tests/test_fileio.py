@@ -1,14 +1,17 @@
-"""Tests for the JSON Lines decoder against the json.loads-per-line reader it replaced."""
+"""Tests for the JSON Lines block reader and decoder against the simpler readers they replaced."""
 
 import json
+import re
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from glsmooth.dataset import _DATASET_LINE
 from glsmooth.dataset import _REQUIRED_FIELDS as DATASET_FIELDS
 from glsmooth.errors import DataError
-from glsmooth.fileio import FIELD_KINDS, _not_utf8, jsonl_records
+from glsmooth.fileio import FIELD_KINDS, _not_utf8, framed_blocks, jsonl_records, numbered_lines
+from glsmooth.training import _EXAMPLE_LINE
 
 EXAMPLE_FIELDS = {"features": "numbers", "y": "int", "u": "int"}
 
@@ -133,3 +136,99 @@ def test_records_before_invalid_utf8_come_first(tmp_path):
     expected = until_error(oracle_jsonl_records(path, EXAMPLE_FIELDS))
     assert len(expected[0]) > 100 and expected[1] == f"{path}: not valid UTF-8 (invalid start byte)"
     assert until_error(jsonl_records(path, EXAMPLE_FIELDS)) == expected
+
+
+def oracle_line_blocks(path, size):
+    """The block reader before blocks came with their frame's groups."""
+    first, lines, error = 1, [], None
+    try:
+        for lineno, line in numbered_lines(path):
+            lines.append(line)
+            if len(lines) == size:
+                yield first, lines
+                first, lines = lineno + 1, []
+    except DataError as exc:
+        error = exc
+    if lines:
+        yield first, lines
+    if error is not None:
+        raise error
+
+
+def oracle_framed_blocks(path, size, frame):
+    """Each block with each line's own groups of ``frame``, or None when one does not match."""
+    for first, lines in oracle_line_blocks(path, size):
+        matches = [re.fullmatch(frame, line.removesuffix("\n")) for line in lines]
+        groups = None if any(m is None for m in matches) else [m.groups() for m in matches]
+        yield first, lines, groups
+
+
+FRAMES = {"dataset": _DATASET_LINE, "examples": _EXAMPLE_LINE}
+# Lines each frame matches, then near misses of each, then lines neither matches.
+FRAMED_LINES = [
+    '{"study_id": "s1", "category": "Pneumonia", "y": 1, "u": -3, "r": -0.250000, '
+    '"target_neg": 1.125000, "target_pos": -0.125000, "cue": "no"}',
+    '{"study_id": "\\u00e9t\\u00e9", "category": "Edema", "y": 0, "u": 0, "r": 1.000000, '
+    '"target_neg": 0.500000, "target_pos": 0.500000, "cue": null}',
+    '{"study_id": "été \u2028", "category": "Edema", "y": 1, "u": 2, "r": 0.166667, '
+    '"target_neg": 0.083333, "target_pos": 0.916667, "cue": "likely"}',
+    '{"features": [0.5, -1.25e-05, 1E+300], "y": 1, "u": -3}',
+    '{"features": [-0, 2], "y": 0, "u": 0}',
+    '{"features": [], "y": 1, "u": 3}',
+    '{"study_id": "s1", "category": "Pneumonia", "y": 2, "u": -3, "r": -0.250000, '
+    '"target_neg": 1.125000, "target_pos": -0.125000, "cue": "no"}',
+    '{"study_id": "s1", "category": "Pneumonia", "y": 1, "u": -3, "r": -0.25, '
+    '"target_neg": 1.125000, "target_pos": -0.125000, "cue": "no"}',
+    '{"study_id":"s1","category":"Pneumonia","y":1,"u":-3,"r":-0.250000,'
+    '"target_neg":1.125000,"target_pos":-0.125000,"cue":"no"}',
+    '{"features":[0.5,1.0],"y":1,"u":-3}',
+    '{"features": [0.5, 1.0], "y": 1, "u": 4}',
+    '{"features": [NaN], "y": 0, "u": 1}',
+    ' {"features": [0.5], "y": 1, "u": 2}',
+    '{"features": [0.5], "y": 1, "u": 2} ',
+    "", " ", "\t", "{}", "éè", "\ufeff{}",
+]
+
+
+@pytest.mark.parametrize("size", [1, 3, 256])
+@pytest.mark.parametrize("frame", FRAMES.values(), ids=FRAMES.keys())
+@settings(max_examples=100, deadline=None)
+@given(
+    lines=st.lists(
+        st.tuples(st.sampled_from(FRAMED_LINES), st.sampled_from(["\n", "\n", "\r\n"])),
+        min_size=1, max_size=12,
+    ),
+    last_newline=st.booleans(),
+)
+def test_framed_blocks_match_line_blocks(tmp_path_factory, size, frame, lines, last_newline):
+    path = tmp_path_factory.getbasetemp() / "framed-property.jsonl"
+    text = "".join(line + end for line, end in lines)
+    if not last_newline:
+        text = text.removesuffix(lines[-1][1])
+    path.write_bytes(text.encode("utf-8"))
+    expected = list(oracle_framed_blocks(path, size, frame))
+    assert list(framed_blocks(path, size, frame)) == expected
+
+
+@pytest.mark.parametrize("frame", FRAMES.values(), ids=FRAMES.keys())
+def test_framed_blocks_bad_line_before_invalid_utf8(tmp_path, frame):
+    # A line neither frame matches at line 2, then more than one text-decoder
+    # chunk of lines the frame matches, then bytes that are not UTF-8, all in
+    # one block: the same lines come out as from the oracle, then the same error.
+    good = FRAMED_LINES[0] if frame == _DATASET_LINE else FRAMED_LINES[3]
+    lines = [good] * 400
+    lines[1] = FRAMED_LINES[9]  # compact separators
+    path = tmp_path / "utf8.jsonl"
+    path.write_bytes(("\n".join(lines) + "\n").encode("utf-8") + b'{"\xff"}\n')
+
+    def until_error(blocks):
+        seen = []
+        with pytest.raises(DataError) as error:
+            for item in blocks:
+                seen.append(item)
+        return seen, str(error.value)
+
+    expected = until_error(oracle_framed_blocks(path, 1024, frame))
+    assert expected[0] and expected[0][0][2] is None
+    assert expected[1] == f"{path}: not valid UTF-8 (invalid start byte)"
+    assert until_error(framed_blocks(path, 1024, frame)) == expected
