@@ -16,6 +16,7 @@ single --seed value.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import functools
 import json
 import math
@@ -84,9 +85,10 @@ def _read_config_file(path: str) -> dict[str, object]:
     Every value is checked here, whether or not the subcommand takes it, so a
     config file is valid or invalid for all subcommands alike: each against
     its own range (``training.check_setting``), and the file's own ``k`` and
-    ``r0`` must make valid ``SmoothingParams``.  Rules between settings
-    (``warmup_epochs <= epochs``, an mlp's ``hidden_width``) are checked once
-    the flags are merged in, when the subcommand makes its ``TrainConfig``.
+    ``r0`` must make valid ``SmoothingParams``, each alone and together.
+    Rules between settings (``warmup_epochs <= epochs``, an mlp's
+    ``hidden_width``) are checked once the flags are merged in, when the
+    subcommand makes its ``TrainConfig``.
     """
     values: dict[str, object] = {}
     rates: dict[str, Fraction] = {}
@@ -101,16 +103,28 @@ def _read_config_file(path: str) -> dict[str, object]:
             values[key] = type(_SETTINGS[key])(value)
         except ValueError:
             raise ConfigError(f"config key {key}: cannot parse {value!r}")
-        try:
-            check_setting(_FIELD_OF.get(key, key), values[key])
-        except ConfigError as exc:
-            raise ConfigError(f"config key {key}: {exc}") from None
         if key in ("k", "r0"):
             rates[key] = _fraction(value, f"config key {key}")
-        if key in _CHOICES and value not in _CHOICES[key]:
-            raise ConfigError(f"config key {key}: {value!r} is not one of {_CHOICES[key]}")
-    SmoothingParams(**rates)
+        with _config_keys(key):
+            check_setting(_FIELD_OF.get(key, key), values[key])
+            if key in rates:
+                SmoothingParams(**{key: rates[key]})
+            if key in _CHOICES and value not in _CHOICES[key]:
+                raise ConfigError(f"{value!r} is not one of {_CHOICES[key]}")
+    # Each rate is valid alone; together they may still overflow a float.
+    with _config_keys(*rates):
+        SmoothingParams(**rates)
     return values
+
+
+@contextlib.contextmanager
+def _config_keys(*keys: str):
+    """Prefix a ConfigError raised inside with the config keys it concerns."""
+    try:
+        yield
+    except ConfigError as exc:
+        named = f"key {keys[0]}" if len(keys) == 1 else f"keys {', '.join(keys)}"
+        raise ConfigError(f"config {named}: {exc}") from None
 
 
 def _resolve_settings(args: argparse.Namespace) -> None:

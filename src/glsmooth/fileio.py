@@ -11,12 +11,10 @@ the frame's groups of every line when every line matches, and the reader
 takes its values from those.  ``training.read_examples`` does this for
 example files and ``dataset.validate_dataset`` for dataset files.  A block
 with a line of another layout, so every block of a file written some other
-way, is decoded line by line (``decode_records``): one ``raw_decode`` call,
-the C scanner alone, and the line is accepted when only JSON whitespace
-follows the value.  Any other line (blank, padded in front, led by a BOM,
-followed by extra data, or not JSON) is handed to ``json.loads``, the same
-decoder, which accepts or rejects it with its own exact message.  Report
-files are read one line at a time (``jsonl_records``).
+way, is decoded line by line (``decode_records``): a blank line is skipped
+and any other goes to ``json.loads``, which accepts or rejects it with its
+own exact message.  Report files are read one line at a time
+(``jsonl_records``).
 """
 
 from __future__ import annotations
@@ -82,10 +80,6 @@ def table_lines(source, what: str) -> Iterator[tuple[int, str]]:
             yield lineno, stripped
 
 
-# One decoder, configured as json.loads' own; its raw_decode does one C scan.
-_DECODER = json.JSONDecoder()
-_JSON_SPACE = " \t\n\r"
-
 def numbered_lines(path) -> Iterator[tuple[int, str]]:
     """(line number, line) for every line of a UTF-8 text file, blank ones included.
 
@@ -111,10 +105,6 @@ READ_BLOCK_LINES = 256
 
 def _frame_groups(lines: list[str], frame: str) -> list[tuple] | None:
     """Each line's groups of ``frame``, or None when a line does not match it."""
-    # The first line alone turns away a file of another layout, before a
-    # search of the whole block that would try every position in it.
-    if re.match(frame, lines[0], re.MULTILINE) is None:
-        return None
     found = re.findall(frame, "".join(lines), re.MULTILINE)
     # A match never spans lines, so a line did not match when one is missing.
     return found if len(found) == len(lines) else None
@@ -158,19 +148,11 @@ def decode_records(numbered, fields=None) -> Iterator[tuple[int, dict | DataErro
     """
     fields = fields or {}
     typed = [(key, *FIELD_KINDS[kind]) for key, kind in fields.items() if kind is not None]
-    raw_decode = _DECODER.raw_decode
     for lineno, line in numbered:
+        if not line.strip():
+            continue
         try:
-            try:
-                record, end = raw_decode(line)
-            except json.JSONDecodeError:
-                end = None
-            if end is None or line[end:].strip(_JSON_SPACE):
-                # Blank, padded, a BOM, extra data or bad JSON: json.loads
-                # accepts or rejects exactly as before, with its own message.
-                if not line.strip():
-                    continue
-                record = json.loads(line)
+            record = json.loads(line)
         except json.JSONDecodeError as exc:
             record = DataError(f"line {lineno}: invalid record ({exc.msg})")
         except RecursionError:

@@ -47,6 +47,7 @@ from typing import NamedTuple
 from .errors import DataError
 from .fileio import table_lines
 from .smoothing import SCORE_LEVELS
+from .taxonomy import normalize_phrase
 
 CUE_KINDS = ("uncertainty_cue", "negation_cue")
 
@@ -89,28 +90,21 @@ class _PhraseTable:
 
     def __init__(self, phrases):
         self.phrases = tuple(sorted(phrases, key=lambda p: -len(p)))
-        self._rows = tuple((p, _word_bounded(p), i) for i, p in enumerate(self.phrases))
         # A phrase with a newline lies in no sentence of a report.
-        self._sentence_rows = tuple(row for row in self._rows if "\n" not in row[0])
-
-    def occurrences(self, sentence: str) -> list[tuple[int, int, int]]:
-        """(start, end, precedence_index) per match; phrase by phrase, then by start."""
-        return [
-            (m.start(), m.end(), idx)
-            for phrase, regex, idx in self._rows
-            if phrase in sentence
-            for m in regex.finditer(sentence)
-        ]
+        self._rows = tuple(
+            (p, _word_bounded(p), i) for i, p in enumerate(self.phrases) if "\n" not in p
+        )
 
     def buckets(self, text: str, starts: list[int]) -> dict[int, list[tuple[int, int, int]]]:
-        """Each sentence's ``occurrences``, from one scan of a report's joined text.
+        """Each sentence's (start, end, precedence_index) matches, from one scan of ``text``.
 
         ``text`` is the report's sentences joined with newlines and
         ``starts`` their offsets in it.  Keys are the indices of the
-        sentences with a match; offsets are within the sentence.
+        sentences with a match; offsets are within the sentence, and come
+        phrase by phrase, then by start.
         """
         found: dict[int, list[tuple[int, int, int]]] = {}
-        for phrase, regex, idx in self._sentence_rows:
+        for phrase, regex, idx in self._rows:
             if phrase in text:
                 for m in regex.finditer(text):
                     start = m.start()
@@ -147,9 +141,10 @@ class Lexicon:
         contained in a strictly longer occurrence are dropped; the same-start
         case is the classic "no" vs "no definite" nesting.  Given the
         sentence's raw ``occurrences`` from a report scan, it is not scanned.
+        A pattern with a newline never matches.
         """
         if occurrences is None:
-            occurrences = self._table.occurrences(sentence)
+            occurrences = self._table.buckets(sentence, [0]).get(0, [])
         return self._kept(occurrences)
 
     def _kept(self, occurrences) -> list[tuple[int, int, int, LexiconEntry]]:
@@ -180,7 +175,7 @@ def load_lexicon(source) -> Lexicon:
             raise DataError(
                 f"lexicon line {lineno}: expected 3 tab-separated columns, got {len(cols)}"
             )
-        pattern = " ".join(cols[0].lower().split())
+        pattern = normalize_phrase(cols[0])
         if not pattern:
             raise DataError(f"lexicon line {lineno}: empty pattern")
         try:
@@ -215,7 +210,7 @@ def split_sentences(report_text: str) -> list[str]:
 
     Whitespace runs collapse to single spaces; empty segments are dropped.
     """
-    parts = [" ".join(part.lower().split()) for part in _SENTENCE_SPLIT.split(report_text)]
+    parts = [normalize_phrase(part) for part in _SENTENCE_SPLIT.split(report_text)]
     return [sentence for sentence in parts if sentence]
 
 

@@ -72,7 +72,8 @@ class SmoothingParams:
     k is the slope, r0 the intercept.  r0 = 1 encodes the clinical
     constraint that a maximally ambiguous score (u = 0) smooths all the
     way to the uniform target.  Both are checked here: k > 0 and r0 <= 1,
-    so every rate -k*|u| + r0 is at most 1.
+    so every rate -k*|u| + r0 is at most 1, and the lowest rate r0 - 3k
+    must convert to a float, so every rate does.
     """
 
     k: Fraction = DEFAULT_K
@@ -85,6 +86,10 @@ class SmoothingParams:
             raise ConfigError(f"slope k must be positive, got {self.k}")
         if self.r0 > 1:
             raise ConfigError(f"intercept r0 must not exceed 1, got {self.r0}")
+        try:
+            float(self.r0 - self.k * SCORE_LEVELS[-1])
+        except OverflowError:
+            raise ConfigError("slope k and intercept r0 make r0 - 3k overflow a float") from None
 
 
 DEFAULT_PARAMS = SmoothingParams()

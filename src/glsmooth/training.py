@@ -289,14 +289,14 @@ def train(dataset: ExampleSet, config: TrainConfig) -> tuple[Model, list[EpochMe
     X, y, u = dataset.X, dataset.y, dataset.u
     n = len(X)
 
+    y_metric = effective_labels(y, u)
     if config.loss == "gls":
         rates = np.array([smoothing_rate(lvl, config.smoothing_params) for lvl in SCORE_LEVELS])
         r = rates[u - SCORE_LEVELS[0]]
-        y_train = effective_labels(y, u)
+        y_train = y_metric
     else:
         r = np.zeros(n)
-        y_train = y.copy()
-    y_metric = effective_labels(y, u)
+        y_train = y
     # Each example's soft target is fixed for the run; steps gather their rows.
     T = batch_targets(y_train, r)
 

@@ -392,6 +392,8 @@ class TestTrainEval:
         ("r0=1/0", ["validate", "--input", "ds.jsonl"]),
         ("arch=cnn", ["table1"]),
         ("loss=focal", ["gen-synthetic", "--profile", "3:0.0", "--out", "ex.jsonl"]),
+        ("k=0", ["eval", "--data", "ex.jsonl", "--model", "m.json"]),
+        ("r0=3/2", ["gen-synthetic", "--profile", "3:0.0", "--out", "ex.jsonl"]),
     ])
     def test_bad_config_value_is_usage_error_for_every_command(self, tmp_path, line, command):
         # Every value is checked when the file is read, also one the command
@@ -409,7 +411,9 @@ class TestTrainEval:
         assert "Traceback" not in proc.stderr
         assert sorted(p.name for p in tmp_path.iterdir()) == ["run.conf"]
 
-    @pytest.mark.parametrize("line", ["r0=3/2", "k=0", "k=-1/4"])
+    @pytest.mark.parametrize(
+        "line", ["r0=3/2", "k=0", "k=-1/4", "k=1e400", "r0=-1e400", "k=3e307\nr0=-1.7e308"]
+    )
     @pytest.mark.parametrize("command", [
         ["build", "--input", "reports.jsonl", "--out", "ds.jsonl"],
         ["validate", "--input", "ds.jsonl"],
@@ -739,6 +743,18 @@ class TestUsageErrors:
         (["table1", "--r0", "3/2"], "r0"),
         (["sweep", "--data", "{missing}", "--k", ",", "--warmup", "0", "--out", "{out}"],
          "at least one k"),
+        # the lowest rate r0 - 3k must convert to a float, not only each alone
+        (["build", "--input", "{missing}", "--out", "{out}", "--k", "1e400"], "overflow"),
+        (["validate", "--input", "{missing}", "--r0=-1e400"], "overflow"),
+        (["train", "--data", "{missing}", "--model-out", "{out}", "--k", "3e307",
+          "--r0=-1.7e308"], "overflow"),
+        (["sweep", "--data", "{missing}", "--k", "1e400", "--warmup", "0", "--out", "{out}"],
+         "overflow"),
+        (["sweep", "--data", "{missing}", "--k", "3e307", "--warmup", "0", "--out", "{out}",
+          "--r0=-1.7e308"], "overflow"),
+        (["table1", "--k", "1e400"], "overflow"),
+        (["table1", "--r0=-1e400"], "overflow"),
+        (["table1", "--k", "3e307", "--r0=-1.7e308"], "overflow"),
     ])
     def test_bad_setting_exits_1_before_input_is_read(self, tmp_path, capsys, argv, setting):
         paths = {"missing": str(tmp_path / "missing.jsonl"), "out": str(tmp_path / "out")}
@@ -771,8 +787,8 @@ class TestUsageErrors:
 # between settings: warm-up at most 1 epoch, at least 1 epoch, a hidden width.
 CONFIG_VALUES = {
     "seed": (["0", "7"], ["-1", "x"]),
-    "k": (["5/12", "1"], ["0", "-1/4", "1/0"]),
-    "r0": (["1", "3/4", "-1"], ["3/2", "abc"]),
+    "k": (["5/12", "1"], ["0", "-1/4", "1/0", "1e400"]),
+    "r0": (["1", "3/4", "-1"], ["3/2", "abc", "-1e400"]),
     "epochs": (["1", "2"], ["0", "-3", "two"]),
     "warmup_epochs": (["0", "1"], ["-1", "0.5"]),
     "lr": (["0.01", "1e-3"], ["0", "-1", "nan"]),

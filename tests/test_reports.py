@@ -4,7 +4,7 @@ import io
 import re
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from glsmooth.errors import DataError
@@ -240,7 +240,7 @@ def oracle_lexicon_matches(lexicon, sentence):
 
 def _vocabulary_matches(sentence, table):
     """The mentions of one sentence scanned on its own."""
-    return _claimed(table.occurrences(sentence), table.phrases)
+    return _claimed(table.buckets(sentence, [0]).get(0, []), table.phrases)
 
 
 def oracle_vocabulary_matches(sentence, vocabulary):
@@ -285,7 +285,7 @@ class TestMatchersAgainstOracle:
             [LexiconEntry(p, s, CUE_KINDS[s % 2]) for p, s in zip(table, scores)]
         )
         assert lexicon.matches(sentence) == oracle_lexicon_matches(lexicon, sentence)
-        occurrences = lexicon._table.occurrences(sentence)
+        occurrences = lexicon._table.buckets(sentence, [0]).get(0, [])
         assert lexicon.matches(sentence, occurrences) == lexicon.matches(sentence)
 
     @settings(max_examples=300, deadline=None)
@@ -448,4 +448,19 @@ class TestReportScanAgainstOracle:
         assert extract_findings("A b. No a.", lexicon, ["a", "b\nno"]) == [
             ExtractedFinding("a", 0, 3, None),
             ExtractedFinding("a", 1, 3, None),
+        ]
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        cues=st.lists(api_phrases, min_size=1, max_size=8, unique=True),
+        text=st.lists(st.sampled_from(["a", "b", "d", "no", " ", "\n"]), max_size=12).map("".join),
+    )
+    @example(cues=["a\nb", "b"], text="a\nb")
+    def test_cue_with_a_newline_never_matches(self, cues, text):
+        # Such a cue lies in no sentence, so matches skips it as extract_findings
+        # does: the hits are those of the lexicon without it.
+        hits = Lexicon([LexiconEntry(p, 1, CUE_KINDS[0]) for p in cues]).matches(text)
+        expected = Lexicon([LexiconEntry(p, 1, CUE_KINDS[0]) for p in cues if "\n" not in p])
+        assert [(s, e, entry) for s, e, _, entry in hits] == [
+            (s, e, entry) for s, e, _, entry in expected.matches(text)
         ]

@@ -15,6 +15,7 @@ from hypothesis import strategies as st
 
 from glsmooth.errors import ConfigError
 from glsmooth.smoothing import (
+    DEFAULT_K,
     SCORE_LEVELS,
     SmoothingParams,
     batch_loss,
@@ -73,6 +74,17 @@ class TestSmoothingRate:
         with pytest.raises(ConfigError, match="r0"):
             SmoothingParams(k=Fraction(1, 2), r0=Fraction(3, 2))
         assert smoothing_rate(0, SmoothingParams(r0=1)) == 1.0
+
+    def test_rates_past_the_float_range_rejected_at_construction(self):
+        # each is valid alone; together the lowest rate r0 - 3k overflows a float
+        k, r0 = Fraction("3e307"), Fraction("-1.7e308")
+        assert smoothing_rate(3, SmoothingParams(k=k)) == float(1 - 3 * k)
+        assert smoothing_rate(3, SmoothingParams(r0=r0)) == float(r0 - 3 * DEFAULT_K)
+        with pytest.raises(ConfigError, match="k and intercept r0"):
+            SmoothingParams(k=k, r0=r0)
+        for params in ({"k": Fraction("1e400")}, {"r0": Fraction("-1e400")}):
+            with pytest.raises(ConfigError, match="overflow"):
+                SmoothingParams(**params)
 
     def test_invalid_score(self):
         for bad in (4, -4, 0.5, "2"):
