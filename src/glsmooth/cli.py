@@ -20,6 +20,7 @@ import contextlib
 import functools
 import json
 import math
+import re
 import sys
 from dataclasses import asdict
 from fractions import Fraction
@@ -138,7 +139,14 @@ def _fraction(text: str, flag: str) -> Fraction:
     try:
         return Fraction(text)
     except (ValueError, ZeroDivisionError):
-        raise ConfigError(f"{flag} must be a rational like 5/12 or 0.417, got {text!r}")
+        pass
+    # Fraction reads each number (a decimal's digits joined) with int, which
+    # takes at most this many digits (0: no limit).
+    limit = sys.get_int_max_str_digits()
+    longest = max(map(len, re.findall(r"\d+", text.replace(".", ""))), default=0)
+    if 0 < limit < longest:
+        raise ConfigError(f"{flag} holds a number of {longest} digits; at most {limit} are read")
+    raise ConfigError(f"{flag} must be a rational like 5/12 or 0.417, got {text!r}")
 
 
 def _smoothing_params(args) -> SmoothingParams:
@@ -285,9 +293,12 @@ def _parse_profile(text: str) -> dict[int, float]:
             raise ConfigError(f"--profile entries look like LEVEL:PROB, got {item!r}")
         level, _, prob = item.partition(":")
         try:
-            profile[int(level)] = float(prob)
+            level, prob = int(level), float(prob)
         except ValueError:
             raise ConfigError(f"cannot parse profile entry {item!r}")
+        if level in profile:
+            raise ConfigError(f"--profile gives level {level} more than once")
+        profile[level] = prob
     if not profile:
         raise ConfigError("--profile must contain at least one LEVEL:PROB entry")
     return profile

@@ -202,13 +202,15 @@ def _data_path(name: str) -> Path:
     return Path(__file__).parent / "data" / name
 
 
-_SENTENCE_SPLIT = re.compile(r"[.!?]|[\r\n]+")
+# A '.' with a digit on both sides ("1.5 cm") does not split.
+_SENTENCE_SPLIT = re.compile(r"\.(?!(?<=[0-9]\.)[0-9])|[!?]|[\r\n]+")
 
 
 def split_sentences(report_text: str) -> list[str]:
     """Lowercased sentences split on '.', '!', '?' and runs of line breaks ('\\n', '\\r').
 
-    Whitespace runs collapse to single spaces; empty segments are dropped.
+    A '.' between two digits is a decimal point, not a boundary.  Whitespace
+    runs collapse to single spaces; empty segments are dropped.
     """
     parts = [normalize_phrase(part) for part in _SENTENCE_SPLIT.split(report_text)]
     return [sentence for sentence in parts if sentence]

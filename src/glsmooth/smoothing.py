@@ -65,6 +65,23 @@ def check_rate(r: float) -> float:
     return r
 
 
+def _shown(x: Fraction) -> str:
+    """``x`` exactly when its terms have at most 40 digits, else to 6 significant digits.
+
+    A longer one printed exactly could pass Python's limit on the digits of
+    an int made a string (ValueError); its base-10 logarithm is cheap at any
+    length.
+    """
+    if max(abs(x.numerator), x.denominator) < 10**40:
+        return str(x)
+    power = math.log10(abs(x.numerator)) - math.log10(x.denominator)
+    exponent = math.floor(power)
+    mantissa = f"{10 ** (power - exponent):.6g}"
+    if mantissa == "10":  # 9.9999996 and up round to the next power of ten
+        mantissa, exponent = "1", exponent + 1
+    return f"{'-' if x < 0 else ''}{mantissa}e{exponent:+d}"
+
+
 @dataclass(frozen=True)
 class SmoothingParams:
     """Score-to-rate conversion parameters, kept as exact rationals.
@@ -83,9 +100,9 @@ class SmoothingParams:
         object.__setattr__(self, "k", Fraction(self.k))
         object.__setattr__(self, "r0", Fraction(self.r0))
         if self.k <= 0:
-            raise ConfigError(f"slope k must be positive, got {self.k}")
+            raise ConfigError(f"slope k must be positive, got {_shown(self.k)}")
         if self.r0 > 1:
-            raise ConfigError(f"intercept r0 must not exceed 1, got {self.r0}")
+            raise ConfigError(f"intercept r0 must not exceed 1, got {_shown(self.r0)}")
         try:
             float(self.r0 - self.k * SCORE_LEVELS[-1])
         except OverflowError:

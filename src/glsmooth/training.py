@@ -27,7 +27,8 @@ from typing import Iterator
 import numpy as np
 
 from .errors import ConfigError, DataError, NumericError
-from .fileio import READ_BLOCK_LINES, _FLOAT_MAX, decode_records, framed_blocks, json_document
+from .fileio import READ_BLOCK_LINES, _FLOAT_MAX, _is_number, decode_records, framed_blocks
+from .fileio import json_document
 from .smoothing import SCORE_LEVELS, SmoothingParams, smoothing_rate
 from .smoothing import batch_loss, batch_targets, effective_labels, softmax
 
@@ -280,7 +281,8 @@ def train(dataset: ExampleSet, config: TrainConfig) -> tuple[Model, list[EpochMe
     Epochs 1..warmup_epochs see only the |u| = 3 examples; afterwards every
     sample re-enters the loss.  Per-example smoothing rates come from the
     configured score-to-rate conversion ("gls" mode) or are forced to zero on
-    the observed labels ("ce" mode).  Fully determined by config.seed.
+    the effective labels, y flipped where u < 0 ("ce" mode).  Fully
+    determined by config.seed.
     Raises NumericError on a non-finite loss, and once per epoch, before the
     AUC pass, on non-finite weights or scores, so a diverged model is never
     returned.
@@ -289,16 +291,14 @@ def train(dataset: ExampleSet, config: TrainConfig) -> tuple[Model, list[EpochMe
     X, y, u = dataset.X, dataset.y, dataset.u
     n = len(X)
 
-    y_metric = effective_labels(y, u)
+    y_eff = effective_labels(y, u)
     if config.loss == "gls":
         rates = np.array([smoothing_rate(lvl, config.smoothing_params) for lvl in SCORE_LEVELS])
         r = rates[u - SCORE_LEVELS[0]]
-        y_train = y_metric
     else:
         r = np.zeros(n)
-        y_train = y
     # Each example's soft target is fixed for the run; steps gather their rows.
-    T = batch_targets(y_train, r)
+    T = batch_targets(y_eff, r)
 
     extreme = np.flatnonzero(np.abs(u) == 3)
     if config.warmup_epochs > 0 and len(extreme) == 0:
@@ -336,7 +336,7 @@ def train(dataset: ExampleSet, config: TrainConfig) -> tuple[Model, list[EpochMe
                 Xb = X[batch]
                 logits, hidden = _forward(model, Xb)
                 P = softmax(logits)
-                losses = batch_loss(P.clip(PROB_FLOOR, 1 - PROB_FLOOR), y_train[batch], r[batch])
+                losses = batch_loss(P.clip(PROB_FLOOR, 1 - PROB_FLOOR), y_eff[batch], r[batch])
                 if not np.isfinite(losses).all():
                     raise NumericError(
                         f"non-finite loss at epoch {epoch}, batch starting {start}"
@@ -377,7 +377,7 @@ def train(dataset: ExampleSet, config: TrainConfig) -> tuple[Model, list[EpochMe
             if not np.isfinite(scores).all():
                 raise NumericError(f"training diverged: non-finite scores after epoch {epoch}")
             try:
-                epoch_auc = auc(scores, y_metric)
+                epoch_auc = auc(scores, y_eff)
             except NumericError:
                 epoch_auc = float("nan")
             history.append(
@@ -693,10 +693,12 @@ def load_model(path) -> Model:
     weights = payload.get("weights")
     if not isinstance(weights, dict) or sorted(weights) != sorted(names):
         raise DataError(f"{path}: model weights must be exactly {', '.join(names)}")
-    try:
-        weights = {k: np.asarray(weights[k], dtype=np.float64) for k in names}
-    except (TypeError, ValueError, OverflowError):
-        raise DataError(f"{path}: model weights must be arrays of numbers") from None
+    # Object arrays keep each JSON value as it was read, so a bool, which a
+    # float64 array would take as 0.0 or 1.0, is rejected like a string.
+    weights = {k: np.asarray(weights[k], dtype=object) for k in names}
+    if not all(_is_number(x) for w in weights.values() for x in w.ravel()):
+        raise DataError(f"{path}: model weights must be arrays of numbers")
+    weights = {k: w.astype(np.float64) for k, w in weights.items()}
     d, h = weights[names[0]].shape if weights[names[0]].ndim == 2 else (-1, -1)
     shapes = {"W": (d, 2), "b": (2,), "W1": (d, h), "b1": (h,), "W2": (h, 2), "b2": (2,)}
     if any(w.shape != shapes[k] or not np.all(np.isfinite(w)) for k, w in weights.items()):

@@ -596,6 +596,10 @@ class TestMalformedInput:
                          id="nested"),
             pytest.param('{"hidden_width": ' + "1" * 5000 + "}",
                          "invalid JSON (integer too long)", id="long-integer"),
+            # a bool is no number here, as in example and dataset files
+            pytest.param('{"architecture": "linear", "weights": {"W": [[true, false], [0, 1],'
+                         ' [1, 0]], "b": [0, 0]}}', "model weights must be arrays of numbers",
+                         id="bool-weights"),
         ],
     )
     def test_bad_model_file(self, tmp_path, capsys, files, content, message):
@@ -781,6 +785,13 @@ class TestUsageErrors:
         )
         assert code == 1
 
+    @pytest.mark.parametrize("profile, level", [("3:0.1,3:0.4", 3), ("1:0.2,2:0.1,01:0.3", 1)])
+    def test_gen_synthetic_repeated_profile_level(self, tmp_path, capsys, profile, level):
+        out = tmp_path / "x.jsonl"
+        code, _, err = run_cli(capsys, "gen-synthetic", "--profile", profile, "--out", str(out))
+        assert (code, err) == (1, f"error: --profile gives level {level} more than once\n")
+        assert not out.exists()
+
 
 # Each config key's values inside its own range and outside it (a value that
 # does not parse counts as outside).  The values inside also keep the rules
@@ -853,3 +864,38 @@ def test_config_file_is_valid_or_not_for_every_command(lines):
         for code, err in outcomes.values():
             assert code == 2 and "file not found" in err
         assert made == ["gen.jsonl", "run.conf"]
+
+
+# Rates whose exact terms are too long to print, or to read: each is invalid.
+LONG_RATES = [
+    ("k", "-1e5000"),
+    ("k", "1e5000"),
+    ("r0", "1e5000"),
+    ("r0", "-1e5000"),
+    ("k", "1/1" + "0" * 5000),
+    ("r0", "0." + "9" * 5000),
+    ("k", "-" + "7" * 3000 + "/" + "3" * 2999),
+]
+# The subcommands that take --k and --r0 (sweep's --k is its list of slopes).
+RATE_FLAG_COMMANDS = ("table1", "build", "validate", "train", "sweep")
+
+
+@pytest.mark.parametrize("key, value", LONG_RATES, ids=lambda v: v[:12])
+def test_long_rational_is_a_usage_error_for_every_command(tmp_path, key, value):
+    config = tmp_path / "run.conf"
+    config.write_text(f"{key}={value}\n")
+    runs = []
+    for name, argv in CONFIG_COMMANDS.items():
+        argv = [arg.format(dir=tmp_path) for arg in argv]
+        runs.append((name, "config", ["--config", str(config), *argv]))
+        if name in RATE_FLAG_COMMANDS:
+            runs.append((name, "flag", [*argv, f"--{key}={value}"]))
+    for name, where, argv in runs:
+        err = io.StringIO()
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+            code = main(argv)
+        message = err.getvalue()
+        assert code == 1, (name, where)
+        assert message.startswith("error: ") and "Traceback" not in message, (name, where)
+        assert len(message) < 200, (name, where, message[:200])
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["run.conf"]

@@ -5,15 +5,18 @@ lexicon, a taxonomy or a dataset), or the example file of ``train`` and
 ``eval``, mutates its bytes and runs the command in process through
 ``cli.main``.  Whatever the bytes, the exit code is one of 0 (success),
 1 (usage), 2 (data) or 3 (numeric), stderr holds no traceback, and a dataset
-that ``build`` writes passes ``validate`` with the same slope.
+that ``build`` writes passes ``validate`` with the same slope.  Model files
+for ``eval`` are drawn as JSON documents near a valid model, or as a saved
+model's bytes mutated.
 """
 
 import contextlib
 import io
+import json
 from pathlib import Path
 from unittest import mock
 
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 import glsmooth
@@ -136,3 +139,71 @@ def test_mutated_example_file_keeps_the_exit_code_contract(tmp_path_factory, dat
         check(*run("eval", "--data", mutated_file, "--model", model))
         check(*run("train", "--data", mutated_file, "--model-out", work / "out.json",
                    "--epochs", "1", "--warmup-epochs", "0"))
+
+
+# JSON values other than a finite number: what a weight entry must not be.
+NOT_A_NUMBER = st.one_of(
+    st.booleans(), st.none(), st.text(max_size=3), st.just([]), st.just({}),
+    st.sampled_from([float("nan"), float("inf"), 10**400, -(10**309), [1.0], [[0.5]]]),
+    st.just(json.loads("[" * 40 + "1" + "]" * 40)),  # more axes than numpy iterates over
+)
+WEIGHT_SHAPES = {"W": (3, 2), "b": (2,), "W1": (3, 2), "b1": (2,), "W2": (2, 2), "b2": (2,)}
+
+
+@st.composite
+def model_document(draw):
+    """A model file's JSON: each part valid or not, near the shapes of a d = 3 model."""
+    architecture = draw(st.sampled_from([*training.ARCHITECTURES * 4, "cnn", None]))
+    names = ["W", "b"] if architecture == "linear" else ["W1", "b1", "W2", "b2"]
+    if not draw(st.integers(0, 4)):
+        names = draw(st.lists(st.sampled_from([*WEIGHT_SHAPES, "x"]), unique=True))
+
+    def array(shape):
+        if not shape:
+            if draw(st.integers(0, 39)):
+                return draw(st.floats(-1e3, 1e3) | st.integers(-5, 5))
+            return draw(NOT_A_NUMBER)
+        return [array(shape[1:]) for _ in range(shape[0])]
+
+    weights = {}
+    for name in names:
+        shape = WEIGHT_SHAPES.get(name, (2,))
+        if not draw(st.integers(0, 9)):
+            shape = tuple(draw(st.lists(st.integers(0, 3), max_size=3)))
+        weights[name] = array(shape)
+    document = {"architecture": architecture, "hidden_width": 2, "weights": weights}
+    if not draw(st.integers(0, 9)):
+        document["weights"] = draw(NOT_A_NUMBER)
+    return json.dumps(document).encode()
+
+
+def leaves(value):
+    """The items of a nested list, in order; a value that is no list is its own leaf."""
+    return [leaf for item in value for leaf in leaves(item)] if type(value) is list else [value]
+
+
+# A saved linear model for d = 3, as save_model writes it, for byte mutation.
+MODEL = json.dumps(
+    {"architecture": "linear", "hidden_width": None,
+     "weights": {"W": [[0.5, -0.25], [1.0, 0.0], [-2.0, 3.5]], "b": [0.0, 0.125]}},
+    indent=2,
+).encode() + b"\n"
+
+
+@settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(document=st.one_of(model_document(), mutated(MODEL)))
+@example(document=MODEL.replace(b"0.5", b"true"))
+def test_model_file_keeps_the_exit_code_contract(tmp_path_factory, document):
+    work = tmp_path_factory.getbasetemp() / "fuzz-models"
+    examples, model = work / "examples.jsonl", work / "model.json"
+    if not work.exists():
+        work.mkdir()
+        examples.write_bytes(EXAMPLES)
+    model.write_bytes(document)
+    code, stdout, err = outputs("eval", "--data", examples, "--model", model)
+    check(code, err)
+    assert (code == 0) == stdout.startswith("auc ")
+    if code == 0:  # every weight was a JSON number: a bool is not one
+        weights = json.loads(document)["weights"]
+        assert all(type(x) in (int, float) for w in weights.values() for x in leaves(w))
+

@@ -4,7 +4,7 @@ import io
 import re
 
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from glsmooth.errors import DataError
@@ -464,3 +464,58 @@ class TestReportScanAgainstOracle:
         assert [(s, e, entry) for s, e, _, entry in hits] == [
             (s, e, entry) for s, e, _, entry in expected.matches(text)
         ]
+
+
+# Reports give sizes as decimals; the old splitter (oracle_split_sentences)
+# cut "No 1.5 cm calcification." into "no 1" and "5 cm calcification".
+DECIMAL_POINT = re.compile(r"(?<=[0-9])\.(?=[0-9])")
+SPLITTER_TEXT = st.text(alphabet="a0123456789 .!?\n", max_size=30)
+
+
+class TestDecimalPoints:
+    def test_decimal_point_is_not_a_boundary(self):
+        assert split_sentences("No 1.5 cm calcification.") == ["no 1.5 cm calcification"]
+        assert split_sentences("Stable since 2019. No pneumothorax.") == [
+            "stable since 2019",
+            "no pneumothorax",
+        ]
+        assert split_sentences("1.2.3. 4..5 6.a") == ["1.2.3", "4", "5 6", "a"]
+
+    @settings(max_examples=300, deadline=None)
+    @given(text=SPLITTER_TEXT)
+    @example(text="no 1.5 cm")
+    def test_never_cuts_between_two_digits(self, text):
+        # With each decimal point masked, the old rule gives the same sentences.
+        masked = oracle_split_sentences(DECIMAL_POINT.sub("§", text))
+        assert split_sentences(text) == [sentence.replace("§", ".") for sentence in masked]
+
+    @settings(max_examples=300, deadline=None)
+    @given(text=st.one_of(reports(), SPLITTER_TEXT))
+    def test_old_rule_without_a_decimal_point(self, text):
+        text = DECIMAL_POINT.sub(" ", text)
+        assert split_sentences(text) == oracle_split_sentences(text)
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        cue=st.sampled_from([entry.pattern for entry in default_lexicon().entries]),
+        mention=st.sampled_from(default_taxonomy().vocabulary()),
+        cue_first=st.booleans(),
+        whole=st.integers(0, 999),
+        fraction=st.integers(0, 99),
+    )
+    def test_measurement_between_cue_and_mention_keeps_u(
+        self, lexicon, vocabulary, cue, mention, cue_first, whole, fraction
+    ):
+        def sentence(between):
+            words = [cue, between, mention] if cue_first else [mention, between, cue]
+            return " ".join(word for word in words if word)
+
+        def found(text):
+            findings = extract_findings(text.capitalize() + ".", lexicon, vocabulary)
+            return [(f.raw_phrase, f.u, f.cue) for f in findings]
+
+        plain = found(sentence(""))
+        # one mention, scored by the drawn cue, the only cue in the sentence
+        assume(len(plain) == 1 and plain[0][2] == cue)
+        assume(len(lexicon.matches(sentence(""))) == 1)
+        assert found(sentence(f"{whole}.{fraction} cm")) == plain

@@ -86,6 +86,23 @@ class TestSmoothingRate:
             with pytest.raises(ConfigError, match="overflow"):
                 SmoothingParams(**params)
 
+    @pytest.mark.parametrize("params, message", [
+        ({"k": -Fraction(10) ** 5000}, "slope k must be positive, got -1e+5000"),
+        ({"k": Fraction(-(10**3000) - 1, 3 * 10**3000)}, "got -3.33333e-1"),
+        ({"r0": Fraction(10) ** 5000}, "intercept r0 must not exceed 1, got 1e+5000"),
+        ({"k": Fraction(-1, 10**40)}, "got -1e-40"),
+        ({"k": -Fraction(10) ** 1_000_000 * 7}, "got -7e+1000000"),
+        ({"r0": Fraction(10) ** 4999 * 99999999}, "got 1e+5007"),
+        ({"k": Fraction(-1, 10**40 - 1)}, f"got -1/{10**40 - 1}"),
+    ])
+    def test_long_rationals_give_short_messages(self, params, message):
+        # An exact rational of over 4300 digits cannot be made a string at
+        # all; the message prints one with long terms to 6 significant digits.
+        with pytest.raises(ConfigError) as raised:
+            SmoothingParams(**params)
+        assert str(raised.value).endswith(message)
+        assert len(str(raised.value)) < 200
+
     def test_invalid_score(self):
         for bad in (4, -4, 0.5, "2"):
             with pytest.raises(ValueError):

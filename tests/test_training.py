@@ -18,6 +18,7 @@ from glsmooth.cli import main
 from glsmooth.errors import ConfigError, DataError, NumericError
 from glsmooth.smoothing import (
     SCORE_LEVELS,
+    SmoothingParams,
     batch_targets,
     effective_labels,
     smoothing_rate,
@@ -670,11 +671,10 @@ def oracle_train(dataset, config):
     if config.loss == "gls":
         rate_of = {lvl: smoothing_rate(lvl, config.smoothing_params) for lvl in SCORE_LEVELS}
         r = np.array([rate_of[int(ui)] for ui in u])
-        y_train = effective_labels(y, u)
     else:
         r = np.zeros(n)
-        y_train = y.copy()
-    y_metric = effective_labels(y, u)
+    # Both losses train on the effective labels, which the AUC also reads.
+    y_train = y_metric = effective_labels(y, u)
     extreme = np.flatnonzero(np.abs(u) == 3)
 
     rng = np.random.default_rng(config.seed)
@@ -786,6 +786,37 @@ class TestAgainstReference:
         for key, w in expected_weights.items():
             assert model.weights[key].tobytes() == w.tobytes(), key
         assert repr(history) == repr(expected_history)  # bitwise, NaN AUCs included
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        seed=st.integers(0, 2**31),
+        n=st.integers(2, 40),
+        d=st.integers(1, 4),
+        architecture=st.sampled_from(ARCHITECTURES),
+        batch_size=st.integers(1, 16),
+        epochs=st.integers(1, 3),
+        warmup=st.integers(0, 3),
+        k=st.sampled_from([Fraction(5, 12), Fraction(1, 3), Fraction(1, 8)]),
+        loss=st.sampled_from(LOSS_MODES),
+    )
+    def test_polarity_in_u_trains_as_polarity_in_y(
+        self, seed, n, d, architecture, batch_size, epochs, warmup, k, loss
+    ):
+        # build writes y = 1 and the polarity in the sign of u; the generator
+        # writes the observed label in y and u >= 0.  Both losses must read
+        # the two conventions alike: same weights and metrics, bit for bit.
+        signed = example_set(random_examples(seed, n, d))
+        unsigned = ExampleSet(signed.X, effective_labels(signed.y, signed.u), np.abs(signed.u))
+        config = TrainConfig(
+            epochs=epochs, warmup_epochs=min(warmup, epochs), learning_rate=0.05,
+            batch_size=batch_size, seed=seed, smoothing_params=SmoothingParams(k=k),
+            architecture=architecture, hidden_width=3, loss=loss,
+        )
+        model_signed, history_signed = train(signed, config)
+        model_unsigned, history_unsigned = train(unsigned, config)
+        for key, w in model_signed.weights.items():
+            assert w.tobytes() == model_unsigned.weights[key].tobytes(), key
+        assert repr(history_signed) == repr(history_unsigned)  # bitwise, NaN AUCs included
 
     number = st.one_of(
         st.floats(allow_nan=True, allow_infinity=True),
