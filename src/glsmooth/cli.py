@@ -110,8 +110,6 @@ def _read_config_file(path: str) -> dict[str, object]:
             check_setting(_FIELD_OF.get(key, key), values[key])
             if key in rates:
                 SmoothingParams(**{key: rates[key]})
-            if key in _CHOICES and value not in _CHOICES[key]:
-                raise ConfigError(f"{value!r} is not one of {_CHOICES[key]}")
     # Each rate is valid alone; together they may still overflow a float.
     with _config_keys(*rates):
         SmoothingParams(**rates)

@@ -241,14 +241,14 @@ def build_dataset_file(
 
 
 _REQUIRED_FIELDS = {
-    "study_id": None,
+    "study_id": "str",
     "category": "str",
     "y": "int",
     "u": "int",
     "r": "number",
     "target_neg": "number",
     "target_pos": "number",
-    "cue": None,
+    "cue": "str or null",
 }
 
 
@@ -336,10 +336,6 @@ def validate_dataset(path, params: SmoothingParams = DEFAULT_PARAMS) -> DatasetS
                     f"line {lineno}: target [{neg}, {pos}] does not match "
                     f"[{expected_neg}, {expected_pos}]"
                 )
-                continue
-            cue = rec["cue"]
-            if cue is not None and not isinstance(cue, str):
-                problems.append(f"line {lineno}: cue must be a string or null")
                 continue
             stats.record_count += 1
             per_category[name] = per_category.get(name, 0) + 1

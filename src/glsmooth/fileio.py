@@ -48,6 +48,7 @@ FIELD_KINDS = {
     "numbers": (lambda value: type(value) is list and all(map(_is_number, value)),
                 "a list of numbers"),
     "str": (lambda value: type(value) is str, "a string"),
+    "str or null": (lambda value: value is None or type(value) is str, "a string or null"),
 }
 
 

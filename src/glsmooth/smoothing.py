@@ -236,15 +236,25 @@ class ScoreTableRow:
     interpretation: str
 
 
-_INTERPRETATIONS = {
-    3: "Definitively positive (strong negative smoothing)",
-    2: "Highly confident (mild positive smoothing)",
-    1: "Moderately confident (moderate smoothing)",
-    0: "Ambiguous/Neutral (maximum uncertainty)",
-    -1: "Moderately uncertain (moderate smoothing)",
-    -2: "Highly uncertain (mild smoothing)",
-    -3: "Definitively negative (strong negative smoothing)",
+# The confidence each score expresses; what the rate does is read off the row.
+_CONFIDENCE = {
+    3: "Definitively positive",
+    2: "Highly confident",
+    1: "Moderately confident",
+    0: "Ambiguous/Neutral",
+    -1: "Moderately uncertain",
+    -2: "Highly uncertain",
+    -3: "Definitively negative",
 }
+
+
+def _rate_words(r: Fraction) -> str:
+    """What a rate in (-inf, 1] does to the one-hot target."""
+    if r < 0:
+        return "negative smoothing: sharpened past one-hot"
+    if r == 0:
+        return "no smoothing: one-hot"
+    return "smoothing" if r < 1 else "uniform"
 
 
 def score_rate_table(params: SmoothingParams = DEFAULT_PARAMS) -> list[ScoreTableRow]:
@@ -258,5 +268,6 @@ def score_rate_table(params: SmoothingParams = DEFAULT_PARAMS) -> list[ScoreTabl
     for u in sorted(SCORE_LEVELS, reverse=True):
         r = smoothing_rate_exact(u, params)
         target = gls_target_exact(effective_label(1, u), r)
-        rows.append(ScoreTableRow(u=u, r=r, target=target, interpretation=_INTERPRETATIONS[u]))
+        words = f"{_CONFIDENCE[u]} ({_rate_words(r)})"
+        rows.append(ScoreTableRow(u=u, r=r, target=target, interpretation=words))
     return rows

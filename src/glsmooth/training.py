@@ -83,25 +83,27 @@ class ExampleSet:
         return ExampleSet(X, self.y[index], self.u[index])
 
 
-# Each numeric setting's own range, whatever the others hold: name -> (test,
-# phrase for messages).  NaN passes no test.
+# Each setting's own values, whatever the others hold: name -> (test, phrase
+# for messages).  NaN passes no test.
 _SETTING_RANGES = {
     "epochs": (lambda value: value >= 1, ">= 1"),
     "warmup_epochs": (lambda value: value >= 0, ">= 0"),
-    "learning_rate": (lambda value: value > 0, "positive"),
-    "weight_decay": (lambda value: value >= 0, ">= 0"),
+    "learning_rate": (lambda value: 0 < value < math.inf, "positive and finite"),
+    "weight_decay": (lambda value: 0 <= value < math.inf, ">= 0 and finite"),
     "lr_warmup_epochs": (lambda value: value >= 0, ">= 0"),
     "batch_size": (lambda value: value >= 1, ">= 1"),
     "seed": (lambda value: value >= 0, ">= 0"),
     "n": (lambda value: value > 0, "positive"),
     "d": (lambda value: value >= 2, ">= 2"),
+    "architecture": (lambda value: value in ARCHITECTURES, f"one of {ARCHITECTURES}"),
+    "loss": (lambda value: value in LOSS_MODES, f"one of {LOSS_MODES}"),
 }
 
 
 def check_setting(name: str, value) -> None:
-    """Raise ConfigError if ``value`` lies outside setting ``name``'s own range.
+    """Raise ConfigError if ``value`` lies outside setting ``name``'s own range or choices.
 
-    The one place those ranges are checked: TrainConfig checks its fields
+    The one place those rules are checked: TrainConfig checks its fields
     here, synthetic_noisy_generator its n, d and seed, and the command line
     each value of a config file as it reads it.  A setting with no range of
     its own passes.
@@ -133,10 +135,6 @@ class TrainConfig:
             raise ConfigError(
                 f"warmup_epochs must be in [0, epochs], got {self.warmup_epochs}"
             )
-        if self.architecture not in ARCHITECTURES:
-            raise ConfigError(f"architecture must be one of {ARCHITECTURES}")
-        if self.loss not in LOSS_MODES:
-            raise ConfigError(f"loss must be one of {LOSS_MODES}")
         if self.architecture == "mlp_1hidden" and self.hidden_width < 1:
             raise ConfigError(f"hidden_width must be >= 1, got {self.hidden_width}")
 

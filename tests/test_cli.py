@@ -12,7 +12,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import glsmooth
@@ -50,6 +50,8 @@ class TestTable1:
         assert code == 0
         row_u1 = [l for l in out.splitlines() if l.strip().startswith("1 ")][0]
         assert "0.000" in row_u1
+        # the words follow the row's own rate, not the default table's
+        assert row_u1.endswith("Moderately confident (no smoothing: one-hot)")
 
     def test_bad_k_is_usage_error(self, capsys):
         code, _, err = run_cli(capsys, "table1", "--k", "banana")
@@ -572,6 +574,10 @@ class TestMalformedInput:
             ("validate", "dataset", {"target_neg": None}, "target_neg must be a number"),
             ("validate", "dataset", {"y": True}, "y must be an integer"),
             ("validate", "dataset", {"category": []}, "category must be a string"),
+            ("validate", "dataset", {"study_id": 5}, "study_id must be a string"),
+            ("validate", "dataset", {"study_id": [1, 2]}, "study_id must be a string"),
+            ("validate", "dataset", {"study_id": {}}, "study_id must be a string"),
+            ("validate", "dataset", {"cue": 5}, "cue must be a string or null"),
         ],
     )
     def test_mistyped_field(self, tmp_path, capsys, files, command, target, patch, message):
@@ -759,6 +765,17 @@ class TestUsageErrors:
         (["table1", "--k", "1e400"], "overflow"),
         (["table1", "--r0=-1e400"], "overflow"),
         (["table1", "--k", "3e307", "--r0=-1.7e308"], "overflow"),
+        # an infinite rate is a bad setting, not a diverged run (exit 3)
+        (["train", "--data", "{missing}", "--model-out", "{out}", "--lr", "1e5000"],
+         "learning_rate must be positive and finite, got inf"),
+        (["train", "--data", "{missing}", "--model-out", "{out}", "--lr", "inf"],
+         "learning_rate must be positive and finite, got inf"),
+        (["train", "--data", "{missing}", "--model-out", "{out}", "--weight-decay", "inf"],
+         "weight_decay must be >= 0 and finite, got inf"),
+        (["sweep", "--data", "{missing}", "--k", "5/12", "--warmup", "0", "--out", "{out}",
+          "--lr", "1e5000"], "learning_rate must be positive and finite, got inf"),
+        (["sweep", "--data", "{missing}", "--k", "5/12", "--warmup", "0", "--out", "{out}",
+          "--weight-decay", "inf"], "weight_decay must be >= 0 and finite, got inf"),
     ])
     def test_bad_setting_exits_1_before_input_is_read(self, tmp_path, capsys, argv, setting):
         paths = {"missing": str(tmp_path / "missing.jsonl"), "out": str(tmp_path / "out")}
@@ -802,9 +819,9 @@ CONFIG_VALUES = {
     "r0": (["1", "3/4", "-1"], ["3/2", "abc", "-1e400"]),
     "epochs": (["1", "2"], ["0", "-3", "two"]),
     "warmup_epochs": (["0", "1"], ["-1", "0.5"]),
-    "lr": (["0.01", "1e-3"], ["0", "-1", "nan"]),
+    "lr": (["0.01", "1e-3"], ["0", "-1", "nan", "inf", "1e5000"]),
     "batch_size": (["1", "16"], ["0", "-2"]),
-    "weight_decay": (["0", "0.5"], ["-0.1", "nan"]),
+    "weight_decay": (["0", "0.5"], ["-0.1", "nan", "inf", "1e5000"]),
     "lr_warmup_epochs": (["0", "2"], ["-1"]),
     "arch": (["linear", "mlp_1hidden"], ["cnn"]),
     "hidden_width": (["1", "4"], ["x"]),
@@ -839,6 +856,8 @@ def test_config_values_cover_every_setting():
 
 @settings(max_examples=80, deadline=None)
 @given(lines=st.lists(config_line(), min_size=1, max_size=4))
+@example(lines=[("lr", "1e5000", False)])
+@example(lines=[("weight_decay", "inf", False)])
 def test_config_file_is_valid_or_not_for_every_command(lines):
     # A value outside its own range is a usage error when the file is read:
     # exit 1 and table1's message under every subcommand, and no file made.

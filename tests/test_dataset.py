@@ -355,10 +355,6 @@ def oracle_validate_dataset(path, params=DEFAULT_PARAMS):
                 f"[{expected_neg}, {expected_pos}]"
             )
             continue
-        cue = rec["cue"]
-        if cue is not None and not isinstance(cue, str):
-            problems.append(f"line {lineno}: cue must be a string or null")
-            continue
         stats.record_count += 1
         per_category[name] = per_category.get(name, 0) + 1
         per_score[u] = per_score.get(u, 0) + 1

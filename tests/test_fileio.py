@@ -67,6 +67,7 @@ GOOD = {
     "number": NUMBER,
     "numbers": st.lists(NUMBER, max_size=4),
     "str": st.text(max_size=5),
+    "str or null": st.one_of(st.none(), st.text(max_size=5)),
     None: st.one_of(st.none(), st.text(max_size=5)),
 }
 BAD = st.one_of(

@@ -1,13 +1,13 @@
-"""Byte-mutation fuzz of the exit-code contract of build, validate, train and eval.
+"""Byte-mutation fuzz of the exit-code contract of build, validate, train, eval and sweep.
 
 Each example takes one input of ``build`` or ``validate`` (a report file, a
-lexicon, a taxonomy or a dataset), or the example file of ``train`` and
-``eval``, mutates its bytes and runs the command in process through
-``cli.main``.  Whatever the bytes, the exit code is one of 0 (success),
-1 (usage), 2 (data) or 3 (numeric), stderr holds no traceback, and a dataset
-that ``build`` writes passes ``validate`` with the same slope.  Model files
-for ``eval`` are drawn as JSON documents near a valid model, or as a saved
-model's bytes mutated.
+lexicon, a taxonomy or a dataset), or the example file of ``train``, ``eval``
+and ``sweep`` (as its data or its eval data), mutates its bytes and runs the
+command in process through ``cli.main``.  Whatever the bytes, the exit code
+is one of 0 (success), 1 (usage), 2 (data) or 3 (numeric), stderr holds no
+traceback, and a dataset that ``build`` writes passes ``validate`` with the
+same slope.  Model files for ``eval`` are drawn as JSON documents near a
+valid model, or as a saved model's bytes mutated.
 """
 
 import contextlib
@@ -139,6 +139,9 @@ def test_mutated_example_file_keeps_the_exit_code_contract(tmp_path_factory, dat
         check(*run("eval", "--data", mutated_file, "--model", model))
         check(*run("train", "--data", mutated_file, "--model-out", work / "out.json",
                    "--epochs", "1", "--warmup-epochs", "0"))
+        grid = ("--k", "5/12,1/3", "--warmup", "0,1", "--epochs", "1", "--out", work / "s.tsv")
+        check(*run("sweep", "--data", mutated_file, *grid))
+        check(*run("sweep", "--data", work / "golden.jsonl", "--eval-data", mutated_file, *grid))
 
 
 # JSON values other than a finite number: what a weight entry must not be.

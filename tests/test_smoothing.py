@@ -10,7 +10,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from glsmooth.errors import ConfigError
@@ -380,3 +380,36 @@ class TestScoreRateTable:
 
     def test_every_level_present(self):
         assert {row.u for row in score_rate_table()} == set(SCORE_LEVELS)
+
+
+# What each row's parenthesis says its rate does, by the rate's sign against 0 and 1.
+RATE_WORDS = {
+    "negative smoothing: sharpened past one-hot": lambda r: r < 0,
+    "no smoothing: one-hot": lambda r: r == 0,
+    "smoothing": lambda r: 0 < r < 1,
+    "uniform": lambda r: r == 1,
+}
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    k=st.fractions(min_value=Fraction(1, 12), max_value=2, max_denominator=12),
+    r0=st.fractions(min_value=-2, max_value=1, max_denominator=12),
+)
+@example(k=Fraction(1, 3), r0=Fraction(1))  # r = 0 at |u| = 3
+@example(k=Fraction(5, 12), r0=Fraction(1, 2))  # no rate of 1, not even at u = 0
+def test_table_words_match_each_rows_rate(k, r0):
+    default_confidence = [row.interpretation.partition(" (")[0] for row in score_rate_table()]
+    for row, confidence in zip(score_rate_table(SmoothingParams(k=k, r0=r0)),
+                               default_confidence):
+        head, _, words = row.interpretation.partition(" (")
+        assert head == confidence and words.endswith(")")
+        words = words[:-1]
+        assert RATE_WORDS[words](row.r)
+        # Only a negative rate sends a target component outside [0, 1].
+        leaves = not all(0 <= x <= 1 for x in row.target)
+        assert leaves == (words == "negative smoothing: sharpened past one-hot")
+        if words == "no smoothing: one-hot":
+            assert sorted(row.target) == [0, 1]
+        if words == "uniform":
+            assert row.target == (Fraction(1, 2), Fraction(1, 2))
