@@ -9,6 +9,7 @@ import sys
 import tempfile
 import typing
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -17,6 +18,7 @@ from hypothesis import strategies as st
 
 import glsmooth
 from corpus_util import make_reports
+from glsmooth import training
 from glsmooth.cli import _FIELD_OF, _SETTINGS, _TRAIN_FLAGS, main
 from glsmooth.training import TrainConfig, read_examples, save_model, train
 
@@ -655,6 +657,28 @@ class TestMalformedInput:
         assert code == 2
         assert "the 75/25 split of 1 example(s) leaves the eval split empty" in err
         assert not out.exists()
+
+    @pytest.mark.parametrize("eval_file, code, message", [
+        ("wide", 2, "data has 4 features, model expects 3"),
+        ("one-class", 3, "AUC undefined: both classes must be present"),
+        (None, 3, "AUC undefined: both classes must be present"),  # the 75/25 split
+    ])
+    def test_sweep_checks_eval_data_before_the_first_cell(self, tmp_path, capsys, files,
+                                                          eval_file, code, message):
+        records = [json.loads(line) for line in files["examples"].read_text().splitlines()]
+        if eval_file == "wide":
+            records = [{**rec, "features": [0.5] * 4} for rec in records]
+        else:  # every effective label 1: y = 0 where the score is negative, else 1
+            records = [{**rec, "y": int(rec["u"] >= 0)} for rec in records]
+        path = files["examples"] if eval_file is None else tmp_path / "eval.jsonl"
+        path.write_text("".join(json.dumps(rec) + "\n" for rec in records))
+        argv = self.argv("sweep", files, tmp_path / "out")
+        if eval_file is not None:
+            argv += ["--eval-data", str(path)]
+        with mock.patch.object(training, "train", wraps=training.train) as counted:
+            assert run_cli(capsys, *argv) == (code, "", f"error: {message}\n")
+        assert counted.call_count == 0
+        assert not (tmp_path / "out").exists()
 
 
 class TestDivergence:

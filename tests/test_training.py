@@ -250,8 +250,9 @@ class TestPredict:
 
     @pytest.mark.parametrize("block", [1, 2, 3, 7])
     def test_training_overflow_in_last_block_is_numeric_error(self, monkeypatch, block):
-        # One warm-up epoch trains on the |u| = 3 rows alone, so the AUC pass is
-        # the first to score the last row, whose features overflow a logit.
+        # One warm-up epoch trains on the |u| = 3 rows alone, so the epoch's
+        # scoring pass is the first to score the last row, whose features
+        # overflow a logit.  It runs, and checks, without the AUC too.
         config = TrainConfig(epochs=1, warmup_epochs=1, learning_rate=1e-12, seed=4)
         n, d = 3 * block + 1, 10
         W = init_model(d, config, np.random.default_rng(config.seed)).weights["W"]
@@ -263,9 +264,10 @@ class TestPredict:
         u[-1] = 0
         monkeypatch.setattr(training, "PREDICT_BLOCK_ROWS", block)
         examples = ExampleSet(X, np.arange(n) % 2, u)
-        with pytest.raises(NumericError, match="non-finite scores after epoch 1"):
-            train(examples, config)
-        train(examples[:-1], config)
+        for epoch_auc in (True, False):
+            with pytest.raises(NumericError, match="non-finite scores after epoch 1"):
+                train(examples, config, epoch_auc=epoch_auc)
+            train(examples[:-1], config, epoch_auc=epoch_auc)
 
     @pytest.mark.parametrize("architecture", ARCHITECTURES)
     def test_inputs_left_unmodified(self, architecture):
@@ -451,6 +453,15 @@ class TestSweep:
             with pytest.raises(ConfigError, match=message):
                 sweep(data.examples, TrainConfig(epochs=3), k_values, warmups)
         assert counted.call_count == 0
+
+    def test_cells_compute_no_per_epoch_auc(self):
+        # One AUC per cell, on the eval split; the per-epoch AUC would add one per epoch.
+        data = synthetic_noisy_generator(200, 3, {3: 0.0, 0: 0.4}, seed=6)
+        with mock.patch.object(training, "auc", wraps=training.auc) as aucs:
+            with mock.patch.object(training, "train", wraps=training.train) as trains:
+                cells = sweep(data.examples, TrainConfig(epochs=3),
+                              [Fraction(1, 3), Fraction(5, 12)], [0, 1])
+        assert (len(cells), trains.call_count, aucs.call_count) == (4, 4, 4)
 
     def test_cell_configs_are_k_major_with_grid_seeds(self):
         base = TrainConfig(epochs=3, seed=7)
@@ -768,10 +779,12 @@ class TestAgainstReference:
         warmup=st.integers(0, 4),
         lr_warmup=st.integers(0, 3),
         loss=st.sampled_from(LOSS_MODES),
+        # Gather blocks smaller than, equal to and larger than a batch, and the default.
+        gather_rows=st.sampled_from([1, 5, 64, training.GATHER_ROWS]),
     )
     def test_flat_adam_matches_per_key_loop(
         self, seed, n, d, architecture, hidden_width, weight_decay, batch_size, epochs,
-        warmup, lr_warmup, loss,
+        warmup, lr_warmup, loss, gather_rows,
     ):
         examples = random_examples(seed, n, d)
         config = TrainConfig(
@@ -781,11 +794,19 @@ class TestAgainstReference:
             hidden_width=hidden_width, loss=loss,
         )
         expected_weights, expected_history = oracle_train(examples, config)
-        model, history = train(example_set(examples), config)
-        assert list(model.weights) == list(expected_weights)
-        for key, w in expected_weights.items():
-            assert model.weights[key].tobytes() == w.tobytes(), key
+        with mock.patch.object(training, "GATHER_ROWS", gather_rows):
+            model, history = train(example_set(examples), config)
+            quiet_model, quiet_history = train(example_set(examples), config, epoch_auc=False)
+        for trained in (model, quiet_model):
+            assert list(trained.weights) == list(expected_weights)
+            for key, w in expected_weights.items():
+                assert trained.weights[key].tobytes() == w.tobytes(), key
         assert repr(history) == repr(expected_history)  # bitwise, NaN AUCs included
+        # Without the AUC, the same losses and sample counts, bit for bit, and NaN AUCs.
+        assert [(m.epoch, m.mean_loss.hex(), m.samples_used) for m in quiet_history] == [
+            (m.epoch, m.mean_loss.hex(), m.samples_used) for m in expected_history
+        ]
+        assert all(math.isnan(m.auc) for m in quiet_history)
 
     @settings(max_examples=60, deadline=None)
     @given(
