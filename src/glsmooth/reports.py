@@ -202,15 +202,22 @@ def _data_path(name: str) -> Path:
     return Path(__file__).parent / "data" / name
 
 
-# A '.' with a digit on both sides ("1.5 cm") does not split.
-_SENTENCE_SPLIT = re.compile(r"\.(?!(?<=[0-9]\.)[0-9])|[!?]|[\r\n]+")
+# A '.' with a digit on both sides ("1.5 cm") does not split, nor one inside
+# or at the end of "vs.", "e.g.", "i.e." or "approx.", in any case.
+_SENTENCE_SPLIT = re.compile(
+    r"\.(?!(?<=[0-9]\.)[0-9]|(?<=\be\.)g\.|(?<=\bi\.)e\.)"
+    r"(?<!\bvs\.)(?<!\be\.g\.)(?<!\bi\.e\.)(?<!\bapprox\.)|[!?]|[\r\n]+",
+    re.IGNORECASE,
+)
 
 
 def split_sentences(report_text: str) -> list[str]:
     """Lowercased sentences split on '.', '!', '?' and runs of line breaks ('\\n', '\\r').
 
-    A '.' between two digits is a decimal point, not a boundary.  Whitespace
-    runs collapse to single spaces; empty segments are dropped.
+    A '.' between two digits is a decimal point, not a boundary, and so is
+    each '.' of the abbreviations "vs.", "e.g.", "i.e." and "approx.", in any
+    case.  Whitespace runs collapse to single spaces; empty segments are
+    dropped.
     """
     parts = [normalize_phrase(part) for part in _SENTENCE_SPLIT.split(report_text)]
     return [sentence for sentence in parts if sentence]

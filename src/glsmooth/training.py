@@ -271,6 +271,34 @@ def _require_rows(data: ExampleSet) -> None:
         raise ConfigError("dataset is empty")
 
 
+def _require_extreme_rows(data: ExampleSet, warmup_epochs: int) -> None:
+    """ConfigError if a confidence warm-up has no |u| = 3 row of ``data`` to train on."""
+    if warmup_epochs > 0 and not np.any(np.abs(data.u) == 3):
+        raise ConfigError(
+            "warmup_epochs > 0 requires at least one extreme-confidence (|u|=3) example"
+        )
+
+
+def _scores_bounded(model: Model, x_l1: float) -> bool:
+    """True when every score of rows whose L1 norms are at most ``x_l1`` is finite.
+
+    Each logit's magnitude is at most the row's L1 norm times the largest
+    weight magnitude plus the largest bias magnitude (for the mlp's output
+    layer, the width times the largest weight, as tanh lies in [-1, 1]).
+    Logits below a quarter of the float maximum leave room for rounding, and
+    their differences stay finite, so softmax is finite too.  A bound that is
+    NaN or infinite fails.
+    """
+    w = model.weights
+    if model.architecture == "linear":
+        layers = [(x_l1, w["W"], w["b"])]
+    else:
+        layers = [(x_l1, w["W1"], w["b1"]), (len(w["W2"]), w["W2"], w["b2"])]
+    return all(
+        scale * np.abs(W).max() + np.abs(b).max() < _FLOAT_MAX / 4 for scale, W, b in layers
+    )
+
+
 def _lr_at(epoch: int, config: TrainConfig) -> float:
     """Linear ramp for lr_warmup_epochs, then cosine decay toward zero."""
     ramp = min(config.lr_warmup_epochs, config.epochs)
@@ -294,8 +322,9 @@ def train(
     the shuffled rows gathered GATHER_ROWS at a time.
     Raises NumericError on a non-finite loss, and once per epoch, after
     scoring every example, on non-finite weights or scores, so a diverged
-    model is never returned.  With ``epoch_auc=False`` the epochs are still
-    scored and checked, but each history entry's ``auc`` is NaN: no AUC is
+    model is never returned.  With ``epoch_auc=False`` the examples are
+    scored, or proven finite by the weight bound (``_scores_bounded``), and
+    checked each epoch, but each history entry's ``auc`` is NaN: no AUC is
     computed, for callers that discard the history.
     """
     _require_rows(dataset)
@@ -311,11 +340,8 @@ def train(
     # Each example's soft target is fixed for the run; steps gather their rows.
     T = batch_targets(y_eff, r)
 
+    _require_extreme_rows(dataset, config.warmup_epochs)
     extreme = np.flatnonzero(np.abs(u) == 3)
-    if config.warmup_epochs > 0 and len(extreme) == 0:
-        raise ConfigError(
-            "warmup_epochs > 0 requires at least one extreme-confidence (|u|=3) example"
-        )
 
     rng = np.random.default_rng(config.seed)
     model = init_model(X.shape[1], config, rng)
@@ -337,6 +363,8 @@ def train(
     # A diverging run overflows mid-epoch; the finiteness checks below report
     # it (NumericError), so numpy's overflow warnings would only be noise.
     with np.errstate(over="ignore", invalid="ignore"):
+        # The largest row L1 norm, for _scores_bounded; inf if it overflows.
+        x_l1 = None if epoch_auc else np.abs(X).sum(axis=1).max()
         for epoch in range(1, config.epochs + 1):
             active = extreme if epoch <= config.warmup_epochs else np.arange(n)
             order = active[rng.permutation(len(active))]
@@ -390,9 +418,12 @@ def train(
 
             if not np.isfinite(theta).all():
                 raise NumericError(f"training diverged: non-finite weights after epoch {epoch}")
-            scores = predict_proba(model, X)[:, 1]
-            if not np.isfinite(scores).all():
-                raise NumericError(f"training diverged: non-finite scores after epoch {epoch}")
+            if epoch_auc or not _scores_bounded(model, x_l1):
+                scores = predict_proba(model, X)[:, 1]
+                if not np.isfinite(scores).all():
+                    raise NumericError(
+                        f"training diverged: non-finite scores after epoch {epoch}"
+                    )
             try:
                 score = auc(scores, y_eff) if epoch_auc else float("nan")
             except NumericError:
@@ -555,9 +586,11 @@ def sweep(
     which are checked before the first cell trains.  Without an explicit eval
     split, a deterministic 75/25 split of the input (seeded by
     base_config.seed) is used.  The eval split's feature width and its two
-    classes are checked before the first cell trains too.  A cell still
-    scores its training split every epoch, so a diverged cell raises
-    NumericError, but computes no per-epoch AUC: the history is discarded.
+    classes, and the training split's |u| = 3 rows when a warm-up is in the
+    grid, are checked before the first cell trains too.  Each epoch of a cell
+    is scored, or proven finite by the weight bound, so a diverged cell
+    raises NumericError, but computes no per-epoch AUC: the history is
+    discarded.
     """
     configs = sweep_configs(base_config, k_values, warmup_values)
     _require_rows(dataset)
@@ -575,6 +608,7 @@ def sweep(
         train_split, eval_split = dataset, eval_dataset
     _require_scorable(eval_split, dataset.X.shape[1])
     _require_both_classes(effective_labels(eval_split.y, eval_split.u))
+    _require_extreme_rows(train_split, max(warmup_values))
 
     cells = []
     for config in configs:

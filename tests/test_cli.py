@@ -680,6 +680,25 @@ class TestMalformedInput:
         assert counted.call_count == 0
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize("eval_data", [False, True], ids=["split", "eval-data"])
+    def test_sweep_checks_warmup_rows_before_the_first_cell(self, tmp_path, capsys, files,
+                                                            eval_data):
+        # A warm-up trains on the |u| = 3 rows alone, and the training data has
+        # none: the (k, 0) cell must not train before the error.
+        lines = files["examples"].read_text().splitlines()
+        argv = self.argv("sweep", files, tmp_path / "out")
+        argv[argv.index("--warmup") + 1] = "0,1"
+        if eval_data:
+            (tmp_path / "eval.jsonl").write_text("".join(line + "\n" for line in lines))
+            argv += ["--eval-data", str(tmp_path / "eval.jsonl")]
+        records = [{**json.loads(line), "u": 2} for line in lines]
+        files["examples"].write_text("".join(json.dumps(rec) + "\n" for rec in records))
+        with mock.patch.object(training, "train", wraps=training.train) as counted:
+            assert run_cli(capsys, *argv) == (1, "", "error: warmup_epochs > 0 requires at least"
+                                              " one extreme-confidence (|u|=3) example\n")
+        assert counted.call_count == 0
+        assert not (tmp_path / "out").exists()
+
 
 class TestDivergence:
     """A model that diverges exits 3 and is not saved."""

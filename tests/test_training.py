@@ -3,6 +3,7 @@
 import json
 import math
 import tracemalloc
+import warnings
 from collections import namedtuple
 from fractions import Fraction
 from pathlib import Path
@@ -10,8 +11,9 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from glsmooth import training
 from glsmooth.cli import main
@@ -39,6 +41,7 @@ from glsmooth.training import (
     _backward,
     _forward,
     _lr_at,
+    _scores_bounded,
     _views,
     cell_seed,
     evaluate,
@@ -280,6 +283,90 @@ class TestPredict:
         assert (X.tobytes(), [w.tobytes() for w in model.weights.values()]) == before
 
 
+def scaled_arrays(shape):
+    """Arrays of one power of ten up to 1e308 times entries in [-1, 1], exact zeros among them."""
+    mantissas = hnp.arrays(np.float64, shape, elements=st.one_of(st.just(0.0), st.floats(-1, 1)))
+    return st.builds(lambda m, e: m * 10.0**e, mantissas, st.integers(-30, 308))
+
+
+@st.composite
+def models_and_rows(draw):
+    """A model of either architecture with weights up to about 1e308, and finite rows to score."""
+    architecture = draw(st.sampled_from(ARCHITECTURES))
+    n, d, width = draw(st.integers(1, 4)), draw(st.integers(1, 4)), draw(st.integers(1, 4))
+    if architecture == "linear":
+        shapes = {"W": (d, 2), "b": (2,)}
+    else:
+        shapes = {"W1": (d, width), "b1": (width,), "W2": (width, 2), "b2": (2,)}
+    weights = {key: draw(scaled_arrays(shape)) for key, shape in shapes.items()}
+    X = draw(st.one_of(
+        scaled_arrays((n, d)),
+        hnp.arrays(np.float64, (n, d), elements=st.floats(-MAX_FLOAT, MAX_FLOAT)),
+    ))
+    return Model(architecture, weights), X
+
+
+def linear(W, b):
+    return Model("linear", {"W": np.array(W, dtype=float), "b": np.array(b, dtype=float)})
+
+
+def mlp(W1, W2):
+    """A one-hidden-layer model with zero biases."""
+    W1, W2 = np.array(W1, dtype=float), np.array(W2, dtype=float)
+    return Model("mlp_1hidden", {"W1": W1, "b1": np.zeros(len(W2)), "W2": W2, "b2": np.zeros(2)})
+
+
+def row_l1(X):
+    """The largest L1 norm of a row of X, as train computes it: inf if it overflows."""
+    with np.errstate(over="ignore"):
+        return np.abs(X).sum(axis=1).max()
+
+
+class TestScoreBound:
+    """Where _scores_bounded holds, no score can be non-finite, so train skips scoring."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(model_and_rows=models_and_rows())
+    # Logits of both signs just below a quarter of the float maximum (bounded)...
+    @example(model_and_rows=(linear([[1e154, -1e154]] * 2, [0, 0]), [[2e153, 2e153]]))
+    @example(model_and_rows=(
+        mlp([[1e3, -1e3] * 2], [[1.1e307, -1.1e307], [-1.1e307, 1.1e307]] * 2), [[1.0]]))
+    # ...and past it, where the difference of two logits overflows: the
+    # quarter, the bias and the hidden width each belong in the bound.
+    @example(model_and_rows=(linear([[1e154, -1e154]] * 2, [0, 0]), [[5e153, 5e153]]))
+    @example(model_and_rows=(linear([[0, 0]], [1e308, -1e308]), [[1.0]]))
+    @example(model_and_rows=(
+        mlp([[1e3, -1e3] * 2], [[4e307, -4e307], [-4e307, 4e307]] * 2), [[1.0]]))
+    def test_bounded_scores_are_finite_without_a_warning(self, model_and_rows):
+        model, X = model_and_rows
+        X = np.asarray(X, dtype=float)
+        with np.errstate(over="ignore", invalid="ignore"):  # as in train
+            bounded = _scores_bounded(model, row_l1(X))
+        if bounded:
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                P = predict_proba(model, X)
+            assert np.isfinite(P).all()
+
+    def test_finite_scores_past_the_bound_are_scored(self):
+        # A row's L1 norm overflows, so the bound fails, though every score is
+        # finite: each epoch scores the training split, as with the AUC, and
+        # the model is the same.
+        config = TrainConfig(epochs=2, learning_rate=1e-3, seed=3)
+        X = np.random.default_rng(3).normal(size=(6, 2))
+        X[0] = 1e308
+        examples = ExampleSet(X, np.arange(6) % 2, np.full(6, 3))
+        with mock.patch.object(training, "predict_proba", wraps=predict_proba) as scored:
+            model, _ = train(examples, config, epoch_auc=False)
+        expected, _ = train(examples, config)
+        assert scored.call_count == config.epochs
+        assert [w.tobytes() for w in model.weights.values()] == [
+            w.tobytes() for w in expected.weights.values()
+        ]
+        with np.errstate(invalid="ignore"):
+            assert not _scores_bounded(model, row_l1(X))
+
+
 class TestTrain:
     def test_separable_data_reaches_perfect_auc(self):
         examples = toy_separable()
@@ -462,6 +549,31 @@ class TestSweep:
                 cells = sweep(data.examples, TrainConfig(epochs=3),
                               [Fraction(1, 3), Fraction(5, 12)], [0, 1])
         assert (len(cells), trains.call_count, aucs.call_count) == (4, 4, 4)
+
+    def test_cells_score_only_the_eval_split(self):
+        # The weight bound proves each epoch's scores finite, so a cell's one
+        # predict_proba is its held-out AUC; without the bound every epoch
+        # scores the training split again, and the models are the same.
+        data = synthetic_noisy_generator(200, 3, {3: 0.0, 0: 0.4}, seed=6)
+
+        def run():
+            models = []
+
+            def kept(*args, **kwargs):
+                models.append(train(*args, **kwargs)[0])
+                return models[-1], []
+
+            with mock.patch.object(training, "train", side_effect=kept):
+                with mock.patch.object(training, "predict_proba", wraps=predict_proba) as scored:
+                    cells = sweep(data.examples, TrainConfig(epochs=3),
+                                  [Fraction(1, 3), Fraction(5, 12)], [0, 1])
+            return cells, [[w.tobytes() for w in m.weights.values()] for m in models], scored
+
+        cells, weights, scored = run()
+        with mock.patch.object(training, "_scores_bounded", return_value=False):
+            cells_scored, weights_scored, scored_again = run()
+        assert (len(weights), scored.call_count, scored_again.call_count) == (4, 4, 16)
+        assert (cells, weights) == (cells_scored, weights_scored)
 
     def test_cell_configs_are_k_major_with_grid_seeds(self):
         base = TrainConfig(epochs=3, seed=7)
