@@ -243,8 +243,8 @@ def build_dataset_file(
 _REQUIRED_FIELDS = {
     "study_id": "str",
     "category": "str",
-    "y": "int",
-    "u": "int",
+    "y": "label",
+    "u": "score",
     "r": "number",
     "target_neg": "number",
     "target_pos": "number",
@@ -301,45 +301,42 @@ def validate_dataset(path, params: SmoothingParams = DEFAULT_PARAMS) -> DatasetS
     stats = DatasetStats()
     per_category, per_score = stats.per_category_counts, stats.per_score_counts
     problems: list[str] = []
-    for first, lines, groups in framed_blocks(path, READ_BLOCK_LINES, _DATASET_LINE):
-        counts = _block_counts(groups, known, u_of) if groups else None
-        if counts is not None:
-            for totals, block in zip((per_category, per_score), counts):
-                for key, count in block.items():
-                    totals[key] = totals.get(key, 0) + count
-            stats.record_count += len(lines)
-            continue
-        for lineno, rec in decode_records(enumerate(lines, first), _REQUIRED_FIELDS):
-            if isinstance(rec, DataError):
-                problems.append(str(rec))
+    try:
+        for first, lines, groups in framed_blocks(path, READ_BLOCK_LINES, _DATASET_LINE):
+            counts = _block_counts(groups, known, u_of) if groups else None
+            if counts is not None:
+                for totals, block in zip((per_category, per_score), counts):
+                    for key, count in block.items():
+                        totals[key] = totals.get(key, 0) + count
+                stats.record_count += len(lines)
                 continue
-            name, y, u = rec["category"], rec["y"], rec["u"]
-            if name not in known:
-                problems.append(f"line {lineno}: unknown category {name!r}")
-                continue
-            if y not in (0, 1):
-                problems.append(f"line {lineno}: y must be 0 or 1, got {y!r}")
-                continue
-            if u not in SCORE_LEVELS:
-                problems.append(f"line {lineno}: u {u!r} outside {{-3..3}}")
-                continue
-            expected_r, expected_neg, expected_pos = expected_text[y, u]
-            r = f"{rec['r']:.6f}"
-            if r != expected_r:
-                problems.append(
-                    f"line {lineno}: r {r} does not match -k|u|+r0 = {expected_r} for u={u}"
-                )
-                continue
-            neg, pos = f"{rec['target_neg']:.6f}", f"{rec['target_pos']:.6f}"
-            if neg != expected_neg or pos != expected_pos:
-                problems.append(
-                    f"line {lineno}: target [{neg}, {pos}] does not match "
-                    f"[{expected_neg}, {expected_pos}]"
-                )
-                continue
-            stats.record_count += 1
-            per_category[name] = per_category.get(name, 0) + 1
-            per_score[u] = per_score.get(u, 0) + 1
+            for lineno, rec in decode_records(enumerate(lines, first), _REQUIRED_FIELDS):
+                if isinstance(rec, DataError):
+                    problems.append(str(rec))
+                    continue
+                name, y, u = rec["category"], rec["y"], rec["u"]
+                if name not in known:
+                    problems.append(f"line {lineno}: unknown category {name!r}")
+                    continue
+                expected_r, expected_neg, expected_pos = expected_text[y, u]
+                r = f"{rec['r']:.6f}"
+                if r != expected_r:
+                    problems.append(
+                        f"line {lineno}: r {r} does not match -k|u|+r0 = {expected_r} for u={u}"
+                    )
+                    continue
+                neg, pos = f"{rec['target_neg']:.6f}", f"{rec['target_pos']:.6f}"
+                if neg != expected_neg or pos != expected_pos:
+                    problems.append(
+                        f"line {lineno}: target [{neg}, {pos}] does not match "
+                        f"[{expected_neg}, {expected_pos}]"
+                    )
+                    continue
+                stats.record_count += 1
+                per_category[name] = per_category.get(name, 0) + 1
+                per_score[u] = per_score.get(u, 0) + 1
+    except DataError as exc:  # a line that is not UTF-8 ends the read
+        problems.append(str(exc))
     if problems:
         text = "; ".join(problems[:MAX_REPORTED_PROBLEMS])
         if len(problems) > MAX_REPORTED_PROBLEMS:

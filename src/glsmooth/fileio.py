@@ -2,7 +2,8 @@
 
 Lines are numbered from 1 as written, blank and comment lines included, so a
 message cites the line a user sees in an editor.  Bytes that are not UTF-8
-raise a DataError naming the input: no line of it can be trusted.
+raise a DataError naming the line that holds them in a JSON Lines file, and
+naming the input in a table or JSON document.
 
 A JSON Lines file is read in blocks of READ_BLOCK_LINES lines
 (``framed_blocks``).  A reader that knows the exact layout its writer emits
@@ -27,6 +28,7 @@ from pathlib import Path
 from typing import Iterator
 
 from .errors import DataError
+from .smoothing import SCORE_LEVELS
 
 
 def _not_utf8(name, exc: UnicodeDecodeError) -> DataError:
@@ -43,10 +45,15 @@ def _is_number(value) -> bool:
 
 # What a typed JSON Lines field must hold: kind -> (test, phrase for messages).
 FIELD_KINDS = {
-    "int": (lambda value: type(value) is int, "an integer"),
+    "label": (lambda value: type(value) is int and value in (0, 1), "0 or 1"),
+    "score": (lambda value: type(value) is int and value in SCORE_LEVELS, "an integer in {-3..3}"),
     "number": (_is_number, "a number"),
-    "numbers": (lambda value: type(value) is list and all(map(_is_number, value)),
-                "a list of numbers"),
+    # Each value a number that float64 holds finitely: NaN fails both comparisons.
+    "finite numbers": (
+        lambda value: type(value) is list and len(value) > 0
+        and all(type(x) in (int, float) and -_FLOAT_MAX <= x <= _FLOAT_MAX for x in value),
+        "a non-empty list of finite numbers",
+    ),
     "str": (lambda value: type(value) is str, "a string"),
     "str or null": (lambda value: value is None or type(value) is str, "a string or null"),
 }
@@ -84,14 +91,17 @@ def table_lines(source, what: str) -> Iterator[tuple[int, str]]:
 def numbered_lines(path) -> Iterator[tuple[int, str]]:
     """(line number, line) for every line of a UTF-8 text file, blank ones included.
 
-    Bytes that are not UTF-8 raise a DataError naming the file when the
-    reader reaches them.
+    A line holding bytes that are not UTF-8 raises a DataError naming the
+    file and the line, after every line before it has been yielded.
     """
-    try:
-        with open(path, encoding="utf-8") as fh:
-            yield from enumerate(fh, start=1)
-    except UnicodeDecodeError as exc:
-        raise _not_utf8(path, exc) from None
+    with open(path, encoding="utf-8", errors="surrogateescape") as fh:
+        for lineno, line in enumerate(fh, start=1):
+            if not line.isascii():
+                try:
+                    line.encode("utf-8", "surrogateescape").decode("utf-8")
+                except UnicodeDecodeError as exc:
+                    raise _not_utf8(f"{path}: line {lineno}", exc) from None
+            yield lineno, line
 
 
 # The number of lines a block reader takes at a time.  read_examples converts
@@ -119,9 +129,9 @@ def framed_blocks(
     ``frame`` is a regex of one whole line, ``^...$`` with at least two
     groups and nothing that matches a newline.  ``groups`` holds one tuple of
     its groups per line when every line of the block matches it, and is None
-    otherwise.  Bytes that are not UTF-8 raise their DataError only after
-    the block of lines read before them, so a bad line there fails first, as
-    line by line.
+    otherwise.  A line that is not UTF-8 raises its DataError only after
+    the block of lines before it, so a bad line there fails first, as line
+    by line.
     """
     first, lines, error = 1, [], None
     try:

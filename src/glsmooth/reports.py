@@ -110,11 +110,7 @@ class _PhraseTable:
                     start = m.start()
                     i = bisect_right(starts, start) - 1
                     base = starts[i]
-                    hit = (start - base, m.end() - base, idx)
-                    if i in found:
-                        found[i].append(hit)
-                    else:
-                        found[i] = [hit]
+                    found.setdefault(i, []).append((start - base, m.end() - base, idx))
         return found
 
 

@@ -649,7 +649,7 @@ def write_examples(path, examples: ExampleSet) -> None:
             )
 
 
-_EXAMPLE_FIELDS = {"features": "numbers", "y": "int", "u": "int"}
+_EXAMPLE_FIELDS = {"features": "finite numbers", "y": "label", "u": "score"}
 # A line as write_examples and json.dumps write it: only number characters in
 # features, y 0 or 1, u -3..3, and nothing else on the line.
 _EXAMPLE_LINE = r'^\{"features": \[([-0-9.eE+, ]*)\], "y": ([01]), "u": (-?[0-3])\}$'
@@ -666,7 +666,7 @@ def _decode_block(
     the numbers do not decode, a row is empty or its length differs from
     ``dim`` or from the others, or a value is not below the float maximum in
     magnitude: an integer just past the float range rounds to the maximum,
-    which the line-by-line check rejects as no number.
+    which the line-by-line check rejects as not finite.
     """
     features, ys, us = zip(*groups)
     commas = list(map(str.count, features, repeat(",")))
@@ -713,22 +713,14 @@ def read_examples(path) -> ExampleSet:
         for lineno, rec in decode_records(enumerate(lines, first), _EXAMPLE_FIELDS):
             if isinstance(rec, DataError):
                 raise rec
-            features, y, u = rec["features"], rec["y"], rec["u"]
+            features = rec["features"]
             if len(features) != dim:
                 if dim is not None:
                     raise DataError(f"line {lineno}: feature dimension {len(features)} != {dim}")
                 dim = len(features)
-                if dim == 0:
-                    raise DataError(f"line {lineno}: features must not be empty")
-            if y not in (0, 1):
-                raise DataError(f"line {lineno}: y must be 0 or 1")
-            if u not in SCORE_LEVELS:
-                raise DataError(f"line {lineno}: u outside {{-3..3}}")
-            if not all(map(math.isfinite, features)):
-                raise DataError(f"line {lineno}: features contain non-finite values")
             rows.append(features)
-            ys.append(y)
-            us.append(u)
+            ys.append(rec["y"])
+            us.append(rec["u"])
         if rows:
             blocks.append(np.array(rows, dtype=np.float64))
     if not ys:

@@ -518,13 +518,58 @@ class TestMalformedInput:
          ("config", "config")],
     )
     def test_non_utf8_bytes(self, tmp_path, capsys, files, command, target):
+        # A JSON Lines file names the line holding the bytes; a table or a
+        # JSON document names the file alone.
+        lineno = files[target].read_bytes().count(b"\n") + 1
         with open(files[target], "ab") as fh:
             fh.write(b"\xff\n")
         out = tmp_path / "out"
         code, _, err = run_cli(capsys, *self.argv(command, files, out))
         assert code == 2
-        assert f"{files[target]}: not valid UTF-8" in err
+        where = f"line {lineno}: " if target in ("reports", "dataset", "examples") else ""
+        assert f"{files[target]}: {where}not valid UTF-8" in err
         assert "Traceback" not in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("layout", ["written", "compact"])
+    @pytest.mark.parametrize(
+        "command, target, bad",
+        [("validate", "dataset", {"y": 5}), ("eval", "examples", {"y": 5})],
+    )
+    def test_bad_line_before_non_utf8_bytes_fails_first(
+        self, tmp_path, capsys, files, command, target, bad, layout
+    ):
+        # Line 1 breaks a field rule and line 3 holds a byte that is not UTF-8,
+        # in one block and one text-decoder chunk: line 1's error comes first,
+        # and validate, which names every bad line, names line 3 after it.
+        separators = (", ", ": ") if layout == "written" else (",", ":")
+        records = [json.loads(line) for line in files[target].read_text().splitlines()]
+        records[0].update(bad)
+        lines = [json.dumps(record, separators=separators).encode() for record in records]
+        lines[2] = b'{"note": "\xff", ' + lines[2][1:]
+        files[target].write_bytes(b"\n".join(lines) + b"\n")
+        code, _, err = run_cli(capsys, *self.argv(command, files, tmp_path / "out"))
+        rest = f"; {files[target]}: line 3: not valid UTF-8 (invalid start byte)"
+        assert (code, err) == (
+            2, f"error: line 1: y must be 0 or 1{rest if command == 'validate' else ''}\n"
+        )
+
+    @pytest.mark.parametrize(
+        "command, target",
+        [("build", "reports"), ("validate", "dataset"), ("eval", "examples")],
+    )
+    def test_non_utf8_line_is_named(self, tmp_path, capsys, files, command, target):
+        # The only fault is at line 400, blocks and text-decoder chunks past line 1.
+        if target == "reports":
+            write_reports(files["reports"], make_reports(450, seed=1))
+        lines = (files[target].read_bytes().splitlines(keepends=True) * 400)[:450]
+        lines[399] = b'{"note": "\xff", ' + lines[399][1:]
+        files[target].write_bytes(b"".join(lines))
+        out = tmp_path / "out"
+        code, _, err = run_cli(capsys, *self.argv(command, files, out))
+        assert (code, err) == (
+            2, f"error: {files[target]}: line 400: not valid UTF-8 (invalid start byte)\n"
+        )
         assert not out.exists()
 
     # Lines the JSON decoder itself cannot turn into a value, with the reason given.
@@ -566,15 +611,15 @@ class TestMalformedInput:
         "command, target, patch, message",
         [
             ("train", "examples", {"features": ["a", 1.0, 2.0]},
-             "features must be a list of numbers"),
+             "features must be a non-empty list of finite numbers"),
             ("train", "examples", {"features": [10**400, 1.0, 2.0]},
-             "features must be a list of numbers"),
+             "features must be a non-empty list of finite numbers"),
             ("train", "examples", {"y": True, "u": 3.0},
-             "y must be an integer; u must be an integer"),
+             "y must be 0 or 1; u must be an integer in {-3..3}"),
             ("eval", "examples", {"u": "3"}, "u must be an integer"),
             ("validate", "dataset", {"r": "x"}, "r must be a number"),
             ("validate", "dataset", {"target_neg": None}, "target_neg must be a number"),
-            ("validate", "dataset", {"y": True}, "y must be an integer"),
+            ("validate", "dataset", {"y": True}, "y must be 0 or 1"),
             ("validate", "dataset", {"category": []}, "category must be a string"),
             ("validate", "dataset", {"study_id": 5}, "study_id must be a string"),
             ("validate", "dataset", {"study_id": [1, 2]}, "study_id must be a string"),
@@ -629,7 +674,7 @@ class TestMalformedInput:
         out = tmp_path / "out"
         code, _, err = run_cli(capsys, *self.argv(command, files, out))
         assert code == 2
-        assert "line 1: features must not be empty" in err
+        assert "line 1: features must be a non-empty list of finite numbers" in err
         assert not out.exists()
 
     @pytest.mark.parametrize("command", ["train", "eval", "sweep"])
@@ -646,7 +691,9 @@ class TestMalformedInput:
         files["examples"].write_text("\n".join(lines) + "\n")
         out = tmp_path / "out"
         code, _, err = run_cli(capsys, *self.argv(command, files, out))
-        assert (code, err) == (2, "error: line 2: features contain non-finite values\n")
+        assert (code, err) == (
+            2, "error: line 2: features must be a non-empty list of finite numbers\n"
+        )
         assert not out.exists()
 
     def test_sweep_split_without_eval_rows(self, tmp_path, capsys, files):

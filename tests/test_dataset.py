@@ -327,37 +327,34 @@ def oracle_validate_dataset(path, params=DEFAULT_PARAMS):
     stats = DatasetStats()
     per_category, per_score = stats.per_category_counts, stats.per_score_counts
     problems: list[str] = []
-    for lineno, rec in jsonl_records(path, _REQUIRED_FIELDS):
-        if isinstance(rec, DataError):
-            problems.append(str(rec))
-            continue
-        name, y, u = rec["category"], rec["y"], rec["u"]
-        if name not in known:
-            problems.append(f"line {lineno}: unknown category {name!r}")
-            continue
-        if y not in (0, 1):
-            problems.append(f"line {lineno}: y must be 0 or 1, got {y!r}")
-            continue
-        if u not in SCORE_LEVELS:
-            problems.append(f"line {lineno}: u {u!r} outside {{-3..3}}")
-            continue
-        expected_r, expected_neg, expected_pos = oracle_expected_text(params, y, u)
-        r = f"{rec['r']:.6f}"
-        if r != expected_r:
-            problems.append(
-                f"line {lineno}: r {r} does not match -k|u|+r0 = {expected_r} for u={u}"
-            )
-            continue
-        neg, pos = f"{rec['target_neg']:.6f}", f"{rec['target_pos']:.6f}"
-        if neg != expected_neg or pos != expected_pos:
-            problems.append(
-                f"line {lineno}: target [{neg}, {pos}] does not match "
-                f"[{expected_neg}, {expected_pos}]"
-            )
-            continue
-        stats.record_count += 1
-        per_category[name] = per_category.get(name, 0) + 1
-        per_score[u] = per_score.get(u, 0) + 1
+    try:
+        for lineno, rec in jsonl_records(path, _REQUIRED_FIELDS):
+            if isinstance(rec, DataError):
+                problems.append(str(rec))
+                continue
+            name, y, u = rec["category"], rec["y"], rec["u"]
+            if name not in known:
+                problems.append(f"line {lineno}: unknown category {name!r}")
+                continue
+            expected_r, expected_neg, expected_pos = oracle_expected_text(params, y, u)
+            r = f"{rec['r']:.6f}"
+            if r != expected_r:
+                problems.append(
+                    f"line {lineno}: r {r} does not match -k|u|+r0 = {expected_r} for u={u}"
+                )
+                continue
+            neg, pos = f"{rec['target_neg']:.6f}", f"{rec['target_pos']:.6f}"
+            if neg != expected_neg or pos != expected_pos:
+                problems.append(
+                    f"line {lineno}: target [{neg}, {pos}] does not match "
+                    f"[{expected_neg}, {expected_pos}]"
+                )
+                continue
+            stats.record_count += 1
+            per_category[name] = per_category.get(name, 0) + 1
+            per_score[u] = per_score.get(u, 0) + 1
+    except DataError as exc:  # a line that is not UTF-8 ends the read
+        problems.append(str(exc))
     if problems:
         text = "; ".join(problems[:MAX_REPORTED_PROBLEMS])
         if len(problems) > MAX_REPORTED_PROBLEMS:

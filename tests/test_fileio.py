@@ -11,40 +11,40 @@ from glsmooth.dataset import _DATASET_LINE
 from glsmooth.dataset import _REQUIRED_FIELDS as DATASET_FIELDS
 from glsmooth.errors import DataError
 from glsmooth.fileio import FIELD_KINDS, _not_utf8, framed_blocks, jsonl_records, numbered_lines
+from glsmooth.training import _EXAMPLE_FIELDS as EXAMPLE_FIELDS
 from glsmooth.training import _EXAMPLE_LINE
-
-EXAMPLE_FIELDS = {"features": "numbers", "y": "int", "u": "int"}
 
 
 def oracle_jsonl_records(path, fields=None):
-    """The reader as it was: json.loads on every line, message lists built for every record."""
+    """A plain reader: json.loads on every line, message lists built for every record.
+
+    The file's bytes are split at universal newlines and each line is decoded
+    on its own, so a line that is not UTF-8 fails after every line before it.
+    """
     fields = fields or {}
     typed = [(key, *FIELD_KINDS[kind]) for key, kind in fields.items() if kind is not None]
-    try:
-        with open(path, encoding="utf-8") as fh:
-            for lineno, line in enumerate(fh, start=1):
-                if not line.strip():
-                    continue
-                try:
-                    record = json.loads(line)
-                except json.JSONDecodeError as exc:
-                    record = DataError(f"line {lineno}: invalid record ({exc.msg})")
-                else:
-                    if not isinstance(record, dict):
-                        record = DataError(f"line {lineno}: expected a JSON object")
-                    elif missing := [key for key in fields if key not in record]:
-                        record = DataError(
-                            f"line {lineno}: missing field(s) {', '.join(missing)}"
-                        )
-                    elif wrong := [
-                        f"{key} must be {phrase}"
-                        for key, test, phrase in typed
-                        if not test(record[key])
-                    ]:
-                        record = DataError(f"line {lineno}: {'; '.join(wrong)}")
-                yield lineno, record
-    except UnicodeDecodeError as exc:
-        raise _not_utf8(path, exc) from None
+    with open(path, "rb") as fh:
+        for lineno, raw in enumerate(fh.read().splitlines(keepends=True), start=1):
+            try:
+                line = raw.decode("utf-8")
+            except UnicodeDecodeError as exc:
+                raise _not_utf8(f"{path}: line {lineno}", exc) from None
+            if not line.strip():
+                continue
+            try:
+                record = json.loads(line)
+            except json.JSONDecodeError as exc:
+                record = DataError(f"line {lineno}: invalid record ({exc.msg})")
+            else:
+                if not isinstance(record, dict):
+                    record = DataError(f"line {lineno}: expected a JSON object")
+                elif missing := [key for key in fields if key not in record]:
+                    record = DataError(f"line {lineno}: missing field(s) {', '.join(missing)}")
+                elif wrong := [
+                    f"{key} must be {phrase}" for key, test, phrase in typed if not test(record[key])
+                ]:
+                    record = DataError(f"line {lineno}: {'; '.join(wrong)}")
+            yield lineno, record
 
 
 def outcome(records):
@@ -63,9 +63,10 @@ NUMBER = st.one_of(
     st.sampled_from([-0.0, 5e-324, 10**400, -(10**400)]),
 )
 GOOD = {
-    "int": st.integers(-4, 4),
+    "label": st.integers(-1, 2),
+    "score": st.integers(-4, 4),
     "number": NUMBER,
-    "numbers": st.lists(NUMBER, max_size=4),
+    "finite numbers": st.lists(NUMBER, max_size=4),
     "str": st.text(max_size=5),
     "str or null": st.one_of(st.none(), st.text(max_size=5)),
     None: st.one_of(st.none(), st.text(max_size=5)),
@@ -120,8 +121,8 @@ def test_decoder_matches_json_loads_reader(tmp_path_factory, fields, lines, last
 
 def test_records_before_invalid_utf8_come_first(tmp_path):
     # Good and bad lines, then bytes that are not UTF-8 more than one text-decoder
-    # chunk later, all inside one block: every line before the chunk holding
-    # the bad bytes is yielded, then the error is raised, as line by line.
+    # chunk later, all inside one block: every line before the one holding
+    # the bad bytes is yielded, then the error naming that line is raised.
     lines = [json.dumps({"y": i, "features": [0.5] * 20}) for i in range(300)]
     lines[3] = "{"
     path = tmp_path / "utf8.jsonl"
@@ -135,7 +136,44 @@ def test_records_before_invalid_utf8_come_first(tmp_path):
         return outcome(seen), str(error.value)
 
     expected = until_error(oracle_jsonl_records(path, EXAMPLE_FIELDS))
-    assert len(expected[0]) > 100 and expected[1] == f"{path}: not valid UTF-8 (invalid start byte)"
+    assert len(expected[0]) == 300
+    assert expected[1] == f"{path}: line 301: not valid UTF-8 (invalid start byte)"
+    assert until_error(jsonl_records(path, EXAMPLE_FIELDS)) == expected
+
+
+# Bytes that are not UTF-8: a lone continuation or start byte, a truncated
+# sequence, an encoded surrogate and an overlong slash.
+NOT_UTF8 = [b"\xff", b"\x80", b"\xe2\x82", b"\xed\xa0\x80", b"\xc0\xaf"]
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    lines=st.lists(
+        st.one_of(
+            json_line().map(str.encode),
+            st.tuples(json_line(), st.sampled_from(NOT_UTF8), st.integers(0, 3)).map(
+                lambda t: t[0].encode()[: t[2]] + t[1] + t[0].encode()[t[2]:]
+            ),
+            st.binary(max_size=6),
+        ),
+        max_size=8,
+    ),
+    end=st.sampled_from([b"\n", b"\r\n", b"\r"]),
+)
+def test_decoder_names_the_line_that_is_not_utf8(tmp_path_factory, lines, end):
+    path = tmp_path_factory.getbasetemp() / "decoder-utf8-property.jsonl"
+    path.write_bytes(end.join(lines))
+
+    def until_error(records):
+        seen, error = [], None
+        try:
+            for item in records:
+                seen.append(item)
+        except DataError as exc:
+            error = str(exc)
+        return outcome(seen), error
+
+    expected = until_error(oracle_jsonl_records(path, EXAMPLE_FIELDS))
     assert until_error(jsonl_records(path, EXAMPLE_FIELDS)) == expected
 
 
@@ -231,5 +269,5 @@ def test_framed_blocks_bad_line_before_invalid_utf8(tmp_path, frame):
 
     expected = until_error(oracle_framed_blocks(path, 1024, frame))
     assert expected[0] and expected[0][0][2] is None
-    assert expected[1] == f"{path}: not valid UTF-8 (invalid start byte)"
+    assert expected[1] == f"{path}: line 401: not valid UTF-8 (invalid start byte)"
     assert until_error(framed_blocks(path, 1024, frame)) == expected

@@ -84,3 +84,14 @@ def test_package_reads_every_private_name_it_defines():
         if name not in read
     ]
     assert unread == []
+
+
+def test_every_field_kind_has_a_reader():
+    from glsmooth import dataset, fileio, training
+
+    named = {
+        *training._EXAMPLE_FIELDS.values(),
+        *dataset._REQUIRED_FIELDS.values(),
+        *dataset._REPORT_FIELDS.values(),
+    }
+    assert sorted(fileio.FIELD_KINDS.keys() - named) == []

@@ -725,48 +725,54 @@ def oracle_as_arrays(dataset):
     return X, y, u
 
 
+def oracle_field_errors(rec):
+    """What an example line's single-field rules say of its values, every bad field named."""
+    features, y, u = rec["features"], rec["y"], rec["u"]
+    numbers = type(features) is list and all(
+        type(x) is float or (type(x) is int and abs(x) <= MAX_FLOAT) for x in features
+    )
+    wrong = []
+    if not (numbers and features and np.all(np.isfinite(np.array(features, dtype=np.float64)))):
+        wrong.append("features must be a non-empty list of finite numbers")
+    if type(y) is not int or y not in (0, 1):
+        wrong.append("y must be 0 or 1")
+    if type(u) is not int or u not in SCORE_LEVELS:
+        wrong.append("u must be an integer in {-3..3}")
+    return "; ".join(wrong)
+
+
 def oracle_read_examples(path):
     examples = []
     dim = None
     with open(path, encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, start=1):
             rec = json.loads(line)
+            if wrong := oracle_field_errors(rec):
+                raise DataError(f"line {lineno}: {wrong}")
             features = np.asarray(rec["features"], dtype=np.float64)
             if dim is None:
                 dim = features.shape[0]
             elif features.shape[0] != dim:
                 raise DataError(f"line {lineno}: feature dimension {features.shape[0]} != {dim}")
-            if rec["y"] not in (0, 1):
-                raise DataError(f"line {lineno}: y must be 0 or 1")
-            if rec["u"] not in SCORE_LEVELS:
-                raise DataError(f"line {lineno}: u outside {{-3..3}}")
-            if not np.all(np.isfinite(features)):
-                raise DataError(f"line {lineno}: features contain non-finite values")
             examples.append(Row(features=features, y=rec["y"], u=rec["u"]))
     return examples
 
 
 def oracle_line_reader(path):
-    """The reader line by line: json.loads and typed fields per line, then the line
-    checks (a non-finite feature last), then one float64 array; the first problem raises."""
+    """The reader line by line: json.loads and the fields' rules per line, then the
+    feature width, then one float64 array; the first problem raises."""
     rows, ys, us = [], [], []
     dim = None
-    for lineno, rec in oracle_jsonl_records(path, {"features": "numbers", "y": "int", "u": "int"}):
+    for lineno, rec in oracle_jsonl_records(path, {"features": None, "y": None, "u": None}):
         if isinstance(rec, DataError):
             raise rec
+        if wrong := oracle_field_errors(rec):
+            raise DataError(f"line {lineno}: {wrong}")
         features, y, u = rec["features"], rec["y"], rec["u"]
         if dim is None:
             dim = len(features)
-            if dim == 0:
-                raise DataError(f"line {lineno}: features must not be empty")
         elif len(features) != dim:
             raise DataError(f"line {lineno}: feature dimension {len(features)} != {dim}")
-        if y not in (0, 1):
-            raise DataError(f"line {lineno}: y must be 0 or 1")
-        if u not in SCORE_LEVELS:
-            raise DataError(f"line {lineno}: u outside {{-3..3}}")
-        if not np.all(np.isfinite(np.array(features, dtype=np.float64))):
-            raise DataError(f"line {lineno}: features contain non-finite values")
         rows.append(features)
         ys.append(y)
         us.append(u)
@@ -1107,7 +1113,7 @@ class TestReaderBlocks:
             # 3 + 4 + 2 + 3 values would fill four rows of 3, but rows 2 and 3 are ragged.
             ([3, 4, 2, 3], "line 2: feature dimension 4 != 3"),
             # An empty row alone in the second block has no comma, like a row of 1.
-            ([1, 1, 1, 1, 0], "line 5: feature dimension 0 != 1"),
+            ([1, 1, 1, 1, 0], "line 5: features must be a non-empty list of finite numbers"),
         ],
     )
     def test_rows_of_another_width_in_a_block(self, tmp_path, monkeypatch, widths, error):
@@ -1122,9 +1128,9 @@ class TestReaderBlocks:
     @pytest.mark.parametrize("bad_record", [True, False])
     def test_bad_line_before_invalid_utf8_in_one_block(self, tmp_path, monkeypatch, bad_record):
         # A bad line 2, then far more than one text-decoder chunk of good lines,
-        # then bytes that are not UTF-8, all inside one block: read line by
-        # line, line 2 fails first; the bad bytes are the first error only
-        # when line 2 is good.
+        # then bytes that are not UTF-8 at line 401, all inside one block:
+        # read line by line, line 2 fails first; the bad bytes are the first
+        # error, naming their line, only when line 2 is good.
         monkeypatch.setattr("glsmooth.training.READ_BLOCK_LINES", 1024)
         path = tmp_path / "utf8.jsonl"
         write_examples(path, example_set(random_examples(400, 400, 8)))
@@ -1139,7 +1145,9 @@ class TestReaderBlocks:
         with pytest.raises(DataError) as got:
             read_examples(path)
         assert str(got.value) == str(expected.value)
-        assert str(got.value).startswith("line 2: " if bad_record else f"{path}: not valid UTF-8")
+        assert str(got.value).startswith(
+            "line 2: " if bad_record else f"{path}: line 401: not valid UTF-8"
+        )
 
     def test_written_file_takes_the_block_path(self, tmp_path, monkeypatch, capsys):
         # A gen-synthetic file of several blocks is read without the line-by-line decoder.
