@@ -34,8 +34,8 @@ for seed in range(N_SEEDS):
         architecture="mlp_1hidden",
         hidden_width=32,
     )
-    gls_model, _ = train(train_split, TrainConfig(loss="gls", **common), epoch_auc=False)
-    ce_model, _ = train(train_split, TrainConfig(loss="ce", **common), epoch_auc=False)
+    gls_model, _ = train(train_split, TrainConfig(loss="gls", **common), epoch_metrics=False)
+    ce_model, _ = train(train_split, TrainConfig(loss="ce", **common), epoch_metrics=False)
 
     gls_auc = auc(predict_proba(gls_model, X_eval)[:, 1], clean_eval)
     ce_auc = auc(predict_proba(ce_model, X_eval)[:, 1], clean_eval)

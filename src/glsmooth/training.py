@@ -144,7 +144,7 @@ class EpochMetrics:
     """Per-epoch record: mean loss over the samples the epoch trained on, and
     ranking quality (AUC of the class-1 probability against the flip-resolved
     effective labels) over the full dataset.  ``auc`` is NaN when the labels
-    hold one class, or when ``train`` ran with ``epoch_auc=False``."""
+    hold one class; both are NaN when ``train`` ran with ``epoch_metrics=False``."""
 
     epoch: int
     mean_loss: float
@@ -299,6 +299,18 @@ def _scores_bounded(model: Model, x_l1: float) -> bool:
     )
 
 
+def _losses_bounded(r: np.ndarray) -> bool:
+    """True when every loss at rates ``r`` of probabilities clamped to [PROB_FLOOR, 1] is finite.
+
+    Both of the loss's parts, the cross-entropy and the uniform term, lie in
+    [0, -log PROB_FLOOR], so a row's loss is at most that times
+    |1 - r| + |r| in magnitude; below a quarter of the float maximum leaves
+    room for rounding.  A bound that overflows fails.  A NaN probability
+    still makes a NaN loss.
+    """
+    return (np.abs(1.0 - r).max() + np.abs(r).max()) * -math.log(PROB_FLOOR) < _FLOAT_MAX / 4
+
+
 def _lr_at(epoch: int, config: TrainConfig) -> float:
     """Linear ramp for lr_warmup_epochs, then cosine decay toward zero."""
     ramp = min(config.lr_warmup_epochs, config.epochs)
@@ -310,7 +322,7 @@ def _lr_at(epoch: int, config: TrainConfig) -> float:
 
 
 def train(
-    dataset: ExampleSet, config: TrainConfig, *, epoch_auc: bool = True
+    dataset: ExampleSet, config: TrainConfig, *, epoch_metrics: bool = True
 ) -> tuple[Model, list[EpochMetrics]]:
     """Train a model on (features, y, u) triples.
 
@@ -322,10 +334,17 @@ def train(
     the shuffled rows gathered GATHER_ROWS at a time.
     Raises NumericError on a non-finite loss, and once per epoch, after
     scoring every example, on non-finite weights or scores, so a diverged
-    model is never returned.  With ``epoch_auc=False`` the examples are
-    scored, or proven finite by the weight bound (``_scores_bounded``), and
-    checked each epoch, but each history entry's ``auc`` is NaN: no AUC is
-    computed, for callers that discard the history.
+    model is never returned.
+
+    With ``epoch_metrics=False``, for callers that discard the history, each
+    history entry's ``mean_loss`` and ``auc`` are NaN.  No AUC is computed:
+    the examples are scored, or proven finite by the weight bound
+    (``_scores_bounded``), and checked each epoch.  No step computes its
+    loss either, when the rates bound every loss (``_losses_bounded``): then
+    a loss can only turn non-finite through a NaN probability, which makes
+    the bias gradients, and through Adam the weights, NaN, so the run still
+    raises NumericError, at the end of that epoch ("non-finite weights").
+    Rates past the bound keep the per-step loss and its check.
     """
     _require_rows(dataset)
     X, y, u = dataset.X, dataset.y, dataset.u
@@ -364,7 +383,8 @@ def train(
     # it (NumericError), so numpy's overflow warnings would only be noise.
     with np.errstate(over="ignore", invalid="ignore"):
         # The largest row L1 norm, for _scores_bounded; inf if it overflows.
-        x_l1 = None if epoch_auc else np.abs(X).sum(axis=1).max()
+        x_l1 = None if epoch_metrics else np.abs(X).sum(axis=1).max()
+        step_loss = epoch_metrics or not _losses_bounded(r)
         for epoch in range(1, config.epochs + 1):
             active = extreme if epoch <= config.warmup_epochs else np.arange(n)
             order = active[rng.permutation(len(active))]
@@ -375,18 +395,21 @@ def train(
                 offset = start % block_rows
                 if offset == 0:
                     rows = order[start : start + block_rows]
-                    X_rows, y_rows, r_rows, T_rows = X[rows], y_eff[rows], r[rows], T[rows]
+                    X_rows, T_rows = X[rows], T[rows]
+                    if step_loss:
+                        y_rows, r_rows = y_eff[rows], r[rows]
                 batch = slice(offset, offset + config.batch_size)
                 Xb = X_rows[batch]
                 logits, hidden = _forward(model, Xb)
                 P = softmax(logits)
-                P_safe = P.clip(PROB_FLOOR, 1 - PROB_FLOOR)
-                losses = batch_loss(P_safe, y_rows[batch], r_rows[batch])
-                if not np.isfinite(losses).all():
-                    raise NumericError(
-                        f"non-finite loss at epoch {epoch}, batch starting {start}"
-                    )
-                total_loss += float(losses.sum())
+                if step_loss:
+                    P_safe = P.clip(PROB_FLOOR, 1 - PROB_FLOOR)
+                    losses = batch_loss(P_safe, y_rows[batch], r_rows[batch])
+                    if not np.isfinite(losses).all():
+                        raise NumericError(
+                            f"non-finite loss at epoch {epoch}, batch starting {start}"
+                        )
+                    total_loss += float(losses.sum())
 
                 # G = (P - targets) / batch size, in P's buffer.
                 G = P
@@ -418,20 +441,23 @@ def train(
 
             if not np.isfinite(theta).all():
                 raise NumericError(f"training diverged: non-finite weights after epoch {epoch}")
-            if epoch_auc or not _scores_bounded(model, x_l1):
+            if epoch_metrics or not _scores_bounded(model, x_l1):
                 scores = predict_proba(model, X)[:, 1]
                 if not np.isfinite(scores).all():
                     raise NumericError(
                         f"training diverged: non-finite scores after epoch {epoch}"
                     )
-            try:
-                score = auc(scores, y_eff) if epoch_auc else float("nan")
-            except NumericError:
-                score = float("nan")
+            mean_loss = score = float("nan")
+            if epoch_metrics:
+                mean_loss = total_loss / len(order)
+                try:
+                    score = auc(scores, y_eff)
+                except NumericError:
+                    pass
             history.append(
                 EpochMetrics(
                     epoch=epoch,
-                    mean_loss=total_loss / len(order),
+                    mean_loss=mean_loss,
                     auc=score,
                     samples_used=len(order),
                 )
@@ -587,10 +613,11 @@ def sweep(
     split, a deterministic 75/25 split of the input (seeded by
     base_config.seed) is used.  The eval split's feature width and its two
     classes, and the training split's |u| = 3 rows when a warm-up is in the
-    grid, are checked before the first cell trains too.  Each epoch of a cell
+    grid, are checked before the first cell trains too.  Each cell trains
+    with ``epoch_metrics=False``: the history is discarded, so no epoch
+    computes an AUC, and no step a loss while the rates bound it; each epoch
     is scored, or proven finite by the weight bound, so a diverged cell
-    raises NumericError, but computes no per-epoch AUC: the history is
-    discarded.
+    still raises NumericError.
     """
     configs = sweep_configs(base_config, k_values, warmup_values)
     _require_rows(dataset)
@@ -612,7 +639,7 @@ def sweep(
 
     cells = []
     for config in configs:
-        model, _ = train(train_split, config, epoch_auc=False)
+        model, _ = train(train_split, config, epoch_metrics=False)
         auc = evaluate(model, eval_split)
         cells.append(SweepCell(config.smoothing_params.k, config.warmup_epochs, auc))
     return cells

@@ -318,8 +318,8 @@ def test_gls_beats_plain_ce_on_noisy_labels():
             architecture="mlp_1hidden",
             hidden_width=32,
         )
-        model_gls, _ = train(train_split, TrainConfig(loss="gls", **common), epoch_auc=False)
-        model_ce, _ = train(train_split, TrainConfig(loss="ce", **common), epoch_auc=False)
+        model_gls, _ = train(train_split, TrainConfig(loss="gls", **common), epoch_metrics=False)
+        model_ce, _ = train(train_split, TrainConfig(loss="ce", **common), epoch_metrics=False)
         gls_aucs.append(auc(predict_proba(model_gls, X_eval)[:, 1], true_eval))
         ce_aucs.append(auc(predict_proba(model_ce, X_eval)[:, 1], true_eval))
 

@@ -610,21 +610,33 @@ class TestMalformedInput:
     @pytest.mark.parametrize(
         "command, target, patch, message",
         [
-            ("train", "examples", {"features": ["a", 1.0, 2.0]},
-             "features must be a non-empty list of finite numbers"),
-            ("train", "examples", {"features": [10**400, 1.0, 2.0]},
-             "features must be a non-empty list of finite numbers"),
-            ("train", "examples", {"y": True, "u": 3.0},
-             "y must be 0 or 1; u must be an integer in {-3..3}"),
-            ("eval", "examples", {"u": "3"}, "u must be an integer"),
-            ("validate", "dataset", {"r": "x"}, "r must be a number"),
-            ("validate", "dataset", {"target_neg": None}, "target_neg must be a number"),
-            ("validate", "dataset", {"y": True}, "y must be 0 or 1"),
-            ("validate", "dataset", {"category": []}, "category must be a string"),
-            ("validate", "dataset", {"study_id": 5}, "study_id must be a string"),
-            ("validate", "dataset", {"study_id": [1, 2]}, "study_id must be a string"),
-            ("validate", "dataset", {"study_id": {}}, "study_id must be a string"),
-            ("validate", "dataset", {"cue": 5}, "cue must be a string or null"),
+            pytest.param("train", "examples", {"features": ["a", 1.0, 2.0]},
+                         "features must be a non-empty list of finite numbers",
+                         id="train-features-string"),
+            pytest.param("train", "examples", {"features": [10**400, 1.0, 2.0]},
+                         "features must be a non-empty list of finite numbers",
+                         id="train-features-huge-int"),
+            pytest.param("train", "examples", {"y": True, "u": 3.0},
+                         "y must be 0 or 1; u must be an integer in {-3..3}",
+                         id="train-y-bool-u-float"),
+            pytest.param("eval", "examples", {"u": "3"}, "u must be an integer in {-3..3}",
+                         id="eval-u-string"),
+            pytest.param("validate", "dataset", {"r": "x"}, "r must be a number",
+                         id="validate-r-string"),
+            pytest.param("validate", "dataset", {"target_neg": None},
+                         "target_neg must be a number", id="validate-target_neg-null"),
+            pytest.param("validate", "dataset", {"y": True}, "y must be 0 or 1",
+                         id="validate-y-bool"),
+            pytest.param("validate", "dataset", {"category": []}, "category must be a string",
+                         id="validate-category-list"),
+            pytest.param("validate", "dataset", {"study_id": 5}, "study_id must be a string",
+                         id="validate-study_id-int"),
+            pytest.param("validate", "dataset", {"study_id": [1, 2]},
+                         "study_id must be a string", id="validate-study_id-list"),
+            pytest.param("validate", "dataset", {"study_id": {}}, "study_id must be a string",
+                         id="validate-study_id-object"),
+            pytest.param("validate", "dataset", {"cue": 5}, "cue must be a string or null",
+                         id="validate-cue-int"),
         ],
     )
     def test_mistyped_field(self, tmp_path, capsys, files, command, target, patch, message):
@@ -768,6 +780,28 @@ class TestDivergence:
         assert proc.returncode == 3
         assert proc.stderr == f"error: training diverged: non-finite {what} after epoch 1\n"
         assert not model.exists()
+
+    @pytest.mark.parametrize("flags, error", [
+        # The cells compute no per-step loss: a NaN probability makes the
+        # weights NaN, which the epoch's end reports.
+        pytest.param(["--lr", "1e308"], "training diverged: non-finite weights after epoch 1",
+                     id="lr"),
+        # Rates whose loss could overflow keep the per-step loss and its check.
+        pytest.param(["--k", "4e307"], "non-finite loss at epoch 1, batch starting 0", id="k"),
+    ])
+    def test_sweep_divergence_exits_3_without_a_table(self, tmp_path, capsys, flags, error):
+        data, out = tmp_path / "ex.jsonl", tmp_path / "sweep.tsv"
+        argv = ["gen-synthetic", "--n", "200", "--d", "3", "--profile", "3:0.02,0:0.45",
+                "--seed", "1", "--out", str(data)]
+        assert run_cli(capsys, *argv)[0] == 0
+        sweep = ["sweep", "--data", str(data), "--k", "5/12", "--warmup", "0", "--out", str(out),
+                 "--epochs", "1", "--lr-warmup-epochs", "0", *flags]
+        proc = subprocess.run(
+            [sys.executable, "-m", "glsmooth.cli", *sweep], capture_output=True, text=True,
+            env={**os.environ, "PYTHONPATH": str(Path(glsmooth.__file__).parents[1])},
+        )
+        assert (proc.returncode, proc.stdout, proc.stderr) == (3, "", f"error: {error}\n")
+        assert not out.exists()
 
     def test_eval_overflow_exits_3(self, tmp_path, capsys):
         # Finite weights whose scores overflow: 10 * 1e308 is inf, and inf - inf is NaN.

@@ -40,6 +40,7 @@ from glsmooth.training import (
     batch_loss,
     _backward,
     _forward,
+    _losses_bounded,
     _lr_at,
     _scores_bounded,
     _views,
@@ -267,10 +268,10 @@ class TestPredict:
         u[-1] = 0
         monkeypatch.setattr(training, "PREDICT_BLOCK_ROWS", block)
         examples = ExampleSet(X, np.arange(n) % 2, u)
-        for epoch_auc in (True, False):
+        for epoch_metrics in (True, False):
             with pytest.raises(NumericError, match="non-finite scores after epoch 1"):
-                train(examples, config, epoch_auc=epoch_auc)
-            train(examples[:-1], config, epoch_auc=epoch_auc)
+                train(examples, config, epoch_metrics=epoch_metrics)
+            train(examples[:-1], config, epoch_metrics=epoch_metrics)
 
     @pytest.mark.parametrize("architecture", ARCHITECTURES)
     def test_inputs_left_unmodified(self, architecture):
@@ -357,7 +358,7 @@ class TestScoreBound:
         X[0] = 1e308
         examples = ExampleSet(X, np.arange(6) % 2, np.full(6, 3))
         with mock.patch.object(training, "predict_proba", wraps=predict_proba) as scored:
-            model, _ = train(examples, config, epoch_auc=False)
+            model, _ = train(examples, config, epoch_metrics=False)
         expected, _ = train(examples, config)
         assert scored.call_count == config.epochs
         assert [w.tobytes() for w in model.weights.values()] == [
@@ -365,6 +366,33 @@ class TestScoreBound:
         ]
         with np.errstate(invalid="ignore"):
             assert not _scores_bounded(model, row_l1(X))
+
+
+class TestLossBound:
+    """Where _losses_bounded holds, no loss of clamped probabilities can be non-finite."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        r=hnp.arrays(np.float64, st.integers(1, 4), elements=st.one_of(
+            st.floats(-MAX_FLOAT, 1.0), st.builds(lambda m, e: m * 10.0**e,
+                                                  st.floats(-1.0, 1.0), st.integers(0, 308)))),
+        p=st.floats(0.0, 1.0),
+    )
+    # A rate just inside the bound, with each row's own class at the floor.
+    @example(r=np.array([-8.1e305, 1.0]), p=0.0)
+    def test_bounded_losses_are_finite_without_a_warning(self, r, p):
+        r = r.clip(max=1.0)  # a rate is -k|u| + r0 with k > 0 and r0 <= 1
+        y = np.arange(len(r)) % 2
+        P = np.stack([np.full(len(r), p), np.full(len(r), 1 - p)], axis=1)
+        P[y == 1] = P[y == 1, ::-1]  # each row's own class has probability p
+        P = P.clip(PROB_FLOOR, 1 - PROB_FLOOR)  # as in train
+        with np.errstate(over="ignore"):  # as in train
+            bounded = _losses_bounded(r)
+        if bounded:
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                losses = batch_loss(P, y, r)
+            assert np.isfinite(losses).all()
 
 
 class TestTrain:
@@ -549,6 +577,18 @@ class TestSweep:
                 cells = sweep(data.examples, TrainConfig(epochs=3),
                               [Fraction(1, 3), Fraction(5, 12)], [0, 1])
         assert (len(cells), trains.call_count, aucs.call_count) == (4, 4, 4)
+
+    def test_cells_compute_no_loss(self):
+        # No step of a cell computes its loss: the history is discarded.  A
+        # train() that keeps its history computes one per step.
+        data = synthetic_noisy_generator(200, 3, {3: 0.0, 0: 0.4}, seed=6)
+        config = TrainConfig(epochs=3, batch_size=16)
+        with mock.patch.object(training, "batch_loss", wraps=batch_loss) as losses:
+            cells = sweep(data.examples, config, [Fraction(1, 3), Fraction(5, 12)], [0, 1])
+            assert (len(cells), losses.call_count) == (4, 0)
+            _, history = train(data.examples, config)
+        steps = sum(math.ceil(m.samples_used / config.batch_size) for m in history)
+        assert losses.call_count == steps == 3 * 13
 
     def test_cells_score_only_the_eval_split(self):
         # The weight bound proves each epoch's scores finite, so a cell's one
@@ -900,6 +940,12 @@ class TestAgainstReference:
         # Gather blocks smaller than, equal to and larger than a batch, and the default.
         gather_rows=st.sampled_from([1, 5, 64, training.GATHER_ROWS]),
     )
+    # Several gather blocks of several batches each: the mean loss adds each
+    # batch's sum to the running total in turn, as the oracle does.
+    @example(seed=3, n=70, d=2, architecture="linear", hidden_width=1, weight_decay=0.0,
+             batch_size=1, epochs=2, warmup=0, lr_warmup=1, loss="gls", gather_rows=5)
+    @example(seed=3, n=70, d=2, architecture="mlp_1hidden", hidden_width=3, weight_decay=0.0,
+             batch_size=1, epochs=2, warmup=0, lr_warmup=1, loss="gls", gather_rows=5)
     def test_flat_adam_matches_per_key_loop(
         self, seed, n, d, architecture, hidden_width, weight_decay, batch_size, epochs,
         warmup, lr_warmup, loss, gather_rows,
@@ -914,17 +960,19 @@ class TestAgainstReference:
         expected_weights, expected_history = oracle_train(examples, config)
         with mock.patch.object(training, "GATHER_ROWS", gather_rows):
             model, history = train(example_set(examples), config)
-            quiet_model, quiet_history = train(example_set(examples), config, epoch_auc=False)
+            quiet_model, quiet_history = train(
+                example_set(examples), config, epoch_metrics=False
+            )
         for trained in (model, quiet_model):
             assert list(trained.weights) == list(expected_weights)
             for key, w in expected_weights.items():
                 assert trained.weights[key].tobytes() == w.tobytes(), key
         assert repr(history) == repr(expected_history)  # bitwise, NaN AUCs included
-        # Without the AUC, the same losses and sample counts, bit for bit, and NaN AUCs.
-        assert [(m.epoch, m.mean_loss.hex(), m.samples_used) for m in quiet_history] == [
-            (m.epoch, m.mean_loss.hex(), m.samples_used) for m in expected_history
+        # Without the loss and the AUC, the same weights and sample counts, and NaN metrics.
+        assert [(m.epoch, m.samples_used) for m in quiet_history] == [
+            (m.epoch, m.samples_used) for m in expected_history
         ]
-        assert all(math.isnan(m.auc) for m in quiet_history)
+        assert all(math.isnan(m.mean_loss) and math.isnan(m.auc) for m in quiet_history)
 
     @settings(max_examples=60, deadline=None)
     @given(
@@ -1111,9 +1159,11 @@ class TestReaderBlocks:
         "widths, error",
         [
             # 3 + 4 + 2 + 3 values would fill four rows of 3, but rows 2 and 3 are ragged.
-            ([3, 4, 2, 3], "line 2: feature dimension 4 != 3"),
+            pytest.param([3, 4, 2, 3], "line 2: feature dimension 4 != 3", id="ragged"),
             # An empty row alone in the second block has no comma, like a row of 1.
-            ([1, 1, 1, 1, 0], "line 5: features must be a non-empty list of finite numbers"),
+            pytest.param([1, 1, 1, 1, 0],
+                         "line 5: features must be a non-empty list of finite numbers",
+                         id="empty-row"),
         ],
     )
     def test_rows_of_another_width_in_a_block(self, tmp_path, monkeypatch, widths, error):
