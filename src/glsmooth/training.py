@@ -300,15 +300,17 @@ def _scores_bounded(model: Model, x_l1: float) -> bool:
 
 
 def _losses_bounded(r: np.ndarray) -> bool:
-    """True when every loss at rates ``r`` of probabilities clamped to [PROB_FLOOR, 1] is finite.
+    """True when every epoch's loss total at rates ``r``, one per row, is finite.
 
-    Both of the loss's parts, the cross-entropy and the uniform term, lie in
-    [0, -log PROB_FLOOR], so a row's loss is at most that times
-    |1 - r| + |r| in magnitude; below a quarter of the float maximum leaves
-    room for rounding.  A bound that overflows fails.  A NaN probability
-    still makes a NaN loss.
+    With probabilities clamped to [PROB_FLOOR, 1], both of the loss's parts,
+    the cross-entropy and the uniform term, lie in [0, -log PROB_FLOOR], so
+    a row's loss is at most that times |1 - r| + |r| in magnitude, and an
+    epoch sums at most ``len(r)`` of them; below a quarter of the float
+    maximum leaves room for rounding.  A bound that overflows fails.  A NaN
+    probability still makes a NaN loss.
     """
-    return (np.abs(1.0 - r).max() + np.abs(r).max()) * -math.log(PROB_FLOOR) < _FLOAT_MAX / 4
+    row_bound = (np.abs(1.0 - r).max() + np.abs(r).max()) * -math.log(PROB_FLOOR)
+    return len(r) * row_bound < _FLOAT_MAX / 4
 
 
 def _lr_at(epoch: int, config: TrainConfig) -> float:
@@ -332,19 +334,21 @@ def train(
     the effective labels, y flipped where u < 0 ("ce" mode).  Fully
     determined by config.seed.  Each epoch's steps take their batches from
     the shuffled rows gathered GATHER_ROWS at a time.
-    Raises NumericError on a non-finite loss, and once per epoch, after
-    scoring every example, on non-finite weights or scores, so a diverged
-    model is never returned.
+    Raises NumericError when the epoch's running loss total turns non-finite
+    (a non-finite row loss, or finite ones whose sum overflows), and once per
+    epoch, after scoring every example, on non-finite weights or scores, so a
+    diverged model is never returned.
 
     With ``epoch_metrics=False``, for callers that discard the history, each
     history entry's ``mean_loss`` and ``auc`` are NaN.  No AUC is computed:
     the examples are scored, or proven finite by the weight bound
     (``_scores_bounded``), and checked each epoch.  No step computes its
-    loss either, when the rates bound every loss (``_losses_bounded``): then
-    a loss can only turn non-finite through a NaN probability, which makes
-    the bias gradients, and through Adam the weights, NaN, so the run still
-    raises NumericError, at the end of that epoch ("non-finite weights").
-    Rates past the bound keep the per-step loss and its check.
+    loss either, when the rates bound every epoch's loss total
+    (``_losses_bounded``): then a loss can only turn non-finite through a
+    NaN probability, which makes the bias gradients, and through Adam the
+    weights, NaN, so the run still raises NumericError, at the end of that
+    epoch ("non-finite weights").  Rates past the bound keep the per-step
+    loss and its check.
     """
     _require_rows(dataset)
     X, y, u = dataset.X, dataset.y, dataset.u
@@ -404,12 +408,13 @@ def train(
                 P = softmax(logits)
                 if step_loss:
                     P_safe = P.clip(PROB_FLOOR, 1 - PROB_FLOOR)
-                    losses = batch_loss(P_safe, y_rows[batch], r_rows[batch])
-                    if not np.isfinite(losses).all():
+                    total_loss += float(batch_loss(P_safe, y_rows[batch], r_rows[batch]).sum())
+                    # A non-finite row loss makes the total non-finite, and so
+                    # does a total of finite losses that overflows.
+                    if not math.isfinite(total_loss):
                         raise NumericError(
                             f"non-finite loss at epoch {epoch}, batch starting {start}"
                         )
-                    total_loss += float(losses.sum())
 
                 # G = (P - targets) / batch size, in P's buffer.
                 G = P
@@ -555,13 +560,19 @@ def synthetic_noisy_generator(
     rng = np.random.default_rng(seed)
     true = rng.integers(0, 2, size=n)
     direction = np.ones(d) / math.sqrt(d)
-    X = rng.standard_normal((n, d)) + np.where(true[:, None] == 1, 1.0, -1.0) * direction
+    # Each row is shifted toward its class's centre, +direction or -direction,
+    # in place: subtracting direction is adding -direction, bit for bit, so
+    # the data holds one n x d array and no sign or shift matrix.
+    X = rng.standard_normal((n, d))
+    positive = (true == 1)[:, None]
+    np.add(X, direction, out=X, where=positive)
+    np.subtract(X, direction, out=X, where=~positive)
 
     levels = sorted(noise_profile)
     flip_p = np.array([noise_profile[level] for level in levels], dtype=np.float64)
     drawn = rng.integers(0, len(levels), size=n)
     flipped = rng.random(n) < flip_p[drawn]
-    observed = np.where(flipped, 1 - true, true)
+    observed = true ^ flipped
     magnitude = np.array(levels, dtype=np.int64)[drawn]
     return SyntheticDataset(examples=ExampleSet(X, observed, magnitude), true_labels=true)
 
@@ -652,8 +663,11 @@ def sweep(
 # write_examples turns this many rows at a time into Python floats to format
 # them.  The allocator keeps a block's float objects resident after the call:
 # with 4096-row blocks a 10k-row gen-synthetic left more memory resident than
-# writing row by row, with 1024 less, at the same speed.
-WRITE_BLOCK_ROWS = 1024
+# writing row by row, with 1024 less, at the same speed.  256 holds a quarter
+# of 1024's floats (traced peak of a 20k x 10 write: 127 against 434 kB) at
+# the same speed again: 10k rows x 10 wrote in 110.5, 115.1 and 116.6 ms at
+# 128, 256 and 1024 rows (medians of 15, 2-core Xeon).
+WRITE_BLOCK_ROWS = 256
 
 
 def write_examples(path, examples: ExampleSet) -> None:

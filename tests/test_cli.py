@@ -803,6 +803,31 @@ class TestDivergence:
         assert (proc.returncode, proc.stdout, proc.stderr) == (3, "", f"error: {error}\n")
         assert not out.exists()
 
+    @pytest.mark.parametrize("command, flags, batch", [
+        pytest.param("train", ["--k", "2e306", "--model-out", "model.json",
+                               "--metrics-out", "metrics.jsonl"], 352, id="train"),
+        # The sweep's 450-row training split sums to 1.7e308 per epoch at
+        # k = 2e306, which is finite; at 3e306 it overflows.
+        pytest.param("sweep", ["--k", "3e306", "--warmup", "0", "--out", "sweep.tsv"], 320,
+                     id="sweep"),
+    ])
+    def test_overflowing_loss_total_exits_3(self, tmp_path, capsys, command, flags, batch):
+        # Every row's loss is finite, but the epoch's running total overflows;
+        # the mean loss would be written as -Infinity, which is not JSON.
+        data = tmp_path / "ex.jsonl"
+        argv = ["gen-synthetic", "--n", "600", "--d", "5", "--profile",
+                "3:0.0,2:0.1,1:0.25,0:0.5", "--seed", "3", "--out", str(data)]
+        assert run_cli(capsys, *argv)[0] == 0
+        proc = subprocess.run(
+            [sys.executable, "-m", "glsmooth.cli", command, "--data", str(data),
+             "--epochs", "2", *flags],
+            capture_output=True, text=True, cwd=tmp_path,
+            env={**os.environ, "PYTHONPATH": str(Path(glsmooth.__file__).parents[1])},
+        )
+        error = f"error: non-finite loss at epoch 1, batch starting {batch}\n"
+        assert (proc.returncode, proc.stdout, proc.stderr) == (3, "", error)
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["ex.jsonl"]
+
     def test_eval_overflow_exits_3(self, tmp_path, capsys):
         # Finite weights whose scores overflow: 10 * 1e308 is inf, and inf - inf is NaN.
         data, model = tmp_path / "ex.jsonl", tmp_path / "model.json"

@@ -2,11 +2,13 @@
 
 import io
 import re
+from collections import Counter
 
 import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
+from corpus_util import SIGN_SEPARATORS, sign_error_grid
 from glsmooth.errors import DataError
 from glsmooth.reports import (
     AFFIRMATIVE_DEFAULT_SCORE,
@@ -575,3 +577,45 @@ class TestAbbreviations:
         text = "".join(" " if i in kept else char for i, char in enumerate(text))
         assert not kept_dots(text)
         assert split_sentences(text) == oracle_split_sentences(text)
+
+
+def _sign(u: int) -> int:
+    return (u > 0) - (u < 0)
+
+
+class TestSignErrorGrid:
+    """How often a mention's parsed u differs from the u its own clause plants.
+
+    The counts below are known limits, not goals: the nearest cue by offset
+    reaches across ";", ",", "but", "however" and "and" into the other
+    clause.  A change of cue scope that moves them declares each count as a
+    correction.
+    """
+
+    def test_sign_error_grid_known_limits(self, lexicon, vocabulary, capsys):
+        counts = {sep: Counter() for sep in ("all", *SIGN_SEPARATORS)}
+        for text, planted in sign_error_grid():
+            parsed = {f.raw_phrase: f.u for f in extract_findings(text, lexicon, vocabulary)}
+            for finding, u, _, sep in planted:
+                got = parsed.get(finding)
+                outcome = Counter(mentions=1)
+                if got is None:
+                    outcome["missed"] = 1
+                else:
+                    outcome["wrong sign"] = _sign(got) != _sign(u)
+                    outcome["wrong u"] = got != u
+                    outcome["affirmed to negative"] = u > 0 > got
+                counts["all"].update(outcome)
+                counts[sep].update(outcome)
+        columns = ("mentions", "missed", "wrong sign", "wrong u", "affirmed to negative")
+        with capsys.disabled():
+            print("\nseparator\t" + "\t".join(columns))
+            for sep, row in counts.items():
+                print(f"{sep!r}\t" + "\t".join(str(row[c]) for c in columns))
+        assert {c: counts["all"][c] for c in columns} == {
+            "mentions": 67_200, "missed": 0, "wrong sign": 7_691, "wrong u": 10_565,
+            "affirmed to negative": 5_670,
+        }
+        assert {sep: counts[sep]["wrong sign"] for sep in SIGN_SEPARATORS} == {
+            ". ": 0, "; ": 1_678, ", ": 1_678, " but ": 1_488, "; however ": 1_359, " and ": 1_488,
+        }

@@ -2,6 +2,7 @@
 
 import json
 import math
+import sys
 import tracemalloc
 import warnings
 from collections import namedtuple
@@ -369,7 +370,7 @@ class TestScoreBound:
 
 
 class TestLossBound:
-    """Where _losses_bounded holds, no loss of clamped probabilities can be non-finite."""
+    """Where _losses_bounded holds, no clamped probabilities' loss, nor their sum, is non-finite."""
 
     @settings(max_examples=200, deadline=None)
     @given(
@@ -380,6 +381,8 @@ class TestLossBound:
     )
     # A rate just inside the bound, with each row's own class at the floor.
     @example(r=np.array([-8.1e305, 1.0]), p=0.0)
+    # Rates just inside the bound on two rows' total.
+    @example(r=np.array([-4.0e305, 1.0]), p=0.0)
     def test_bounded_losses_are_finite_without_a_warning(self, r, p):
         r = r.clip(max=1.0)  # a rate is -k|u| + r0 with k > 0 and r0 <= 1
         y = np.arange(len(r)) % 2
@@ -393,6 +396,7 @@ class TestLossBound:
                 warnings.simplefilter("error")
                 losses = batch_loss(P, y, r)
             assert np.isfinite(losses).all()
+            assert math.isfinite(float(losses.sum()))
 
 
 class TestTrain:
@@ -1311,6 +1315,37 @@ class TestWriterAndGenerator:
         assert (tmp_path / "got.jsonl").read_bytes() == (tmp_path / "oracle.jsonl").read_bytes()
         assert len((tmp_path / "got.jsonl").read_text().splitlines()) == n
         assert_same_bits(read_examples(tmp_path / "got.jsonl"), examples.X, examples.y, examples.u)
+
+    def test_generator_holds_one_feature_matrix(self):
+        n, d = 20_000, 10
+        profile = {3: 0.0, 2: 0.1, 1: 0.25, 0: 0.5}
+        synthetic_noisy_generator(10, d, profile, seed=0)  # imports and caches, untraced
+        tracemalloc.start()
+        try:
+            data = synthetic_noisy_generator(n, d, profile, seed=0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # X built in place, plus the label, level and flip columns; a sign or
+        # shift matrix beside X would add another X.nbytes (1.6 MB).
+        assert peak < data.examples.X.nbytes + 8 * n * 8
+
+    def test_write_holds_one_block_of_floats(self, tmp_path):
+        n, d = 20_000, 10
+        examples = synthetic_noisy_generator(n, d, {3: 0.0, 0: 0.5}, seed=0).examples
+        write_examples(tmp_path / "warm.jsonl", examples[:10])
+        tracemalloc.start()
+        try:
+            write_examples(tmp_path / "ex.jsonl", examples)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # One block of rows as Python lists of floats, and a block is at most
+        # 256 rows: the allocator keeps a block's floats resident after the
+        # write (see WRITE_BLOCK_ROWS).  1024-row blocks held about 4x this.
+        row_bytes = sys.getsizeof([0.0] * d) + d * sys.getsizeof(0.0)
+        assert training.WRITE_BLOCK_ROWS <= 256
+        assert peak < 2 * training.WRITE_BLOCK_ROWS * row_bytes
 
     def test_non_finite_feature_is_not_written(self, tmp_path):
         examples = toy_separable(n=5, seed=1)
