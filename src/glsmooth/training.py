@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import json
 import math
+from array import array
 from dataclasses import dataclass, field, fields, replace
 from fractions import Fraction
 from itertools import repeat
@@ -332,8 +333,12 @@ def train(
     sample re-enters the loss.  Per-example smoothing rates come from the
     configured score-to-rate conversion ("gls" mode) or are forced to zero on
     the effective labels, y flipped where u < 0 ("ce" mode).  Fully
-    determined by config.seed.  Each epoch's steps take their batches from
-    the shuffled rows gathered GATHER_ROWS at a time.
+    determined by config.seed.  Each epoch's order is drawn from the run's
+    generator: ``rng.permutation(n)`` past the warm-up, so no index array is
+    held beside it (the same values and draws as ``np.arange(n)`` permuted),
+    and the |u| = 3 rows' indices permuted during it.  Each epoch's steps
+    take their batches from the rows in that order, gathered GATHER_ROWS at
+    a time.
     Raises NumericError when the epoch's running loss total turns non-finite
     (a non-finite row loss, or finite ones whose sum overflows), and once per
     epoch, after scoring every example, on non-finite weights or scores, so a
@@ -390,8 +395,10 @@ def train(
         x_l1 = None if epoch_metrics else np.abs(X).sum(axis=1).max()
         step_loss = epoch_metrics or not _losses_bounded(r)
         for epoch in range(1, config.epochs + 1):
-            active = extreme if epoch <= config.warmup_epochs else np.arange(n)
-            order = active[rng.permutation(len(active))]
+            if epoch <= config.warmup_epochs:
+                order = extreme[rng.permutation(len(extreme))]
+            else:
+                order = rng.permutation(n)
             lr = _lr_at(epoch, config)
 
             total_loss = 0.0
@@ -489,15 +496,22 @@ def auc(scores, labels) -> float:
     Equal to the probability that a random positive outscores a random
     negative, ties counted half (the Mann-Whitney U formulation with
     midranks).  One sort ranks the scores; equal scores (0.0 and -0.0 among
-    them) share their midrank.  The rank sum is a sum of half-integers, exact
-    in any order below about 9e7 rows.  A NaN score raises ValueError: it has
-    no rank.
+    them) share their midrank.  Once the sorted positive mask and the
+    tie-group starts are known, the sort order and the sorted scores are
+    dropped, so the call holds at most about three n-sized arrays of 8-byte
+    values beside its inputs (the tie-group starts, each group's count of
+    positives, and the mask widened to int64 while it is counted).  Twice the
+    positives' rank sum is a sum of integers, midrank times positives per
+    group, exact in int64; it is the same half-integer sum as one midrank
+    per positive, so the result is the same float, and exact, below about
+    9e7 rows.  A NaN score raises ValueError: it has no rank.
     """
     scores = np.asarray(scores, dtype=np.float64)
     labels = np.asarray(labels, dtype=np.int64)
     if scores.shape != labels.shape or scores.ndim != 1:
         raise ValueError("scores and labels must be equal-length 1-d sequences")
-    n_pos = int((labels == 1).sum())
+    positive = labels == 1
+    n_pos = int(positive.sum())
     n_neg = int((labels == 0).sum())
     if n_pos + n_neg != len(labels):
         raise ValueError("labels must be 0 or 1")
@@ -506,15 +520,24 @@ def auc(scores, labels) -> float:
     ranked = scores[order]
     if np.isnan(ranked[-1]):  # NaNs sort last
         raise ValueError("scores must not be NaN")
+    positive = positive[order]
+    del order
     # A tie group starts where the sorted score changes.
     starts = np.empty(len(ranked), dtype=bool)
     starts[0] = True
     np.not_equal(ranked[1:], ranked[:-1], out=starts[1:])
+    del ranked
     first = np.flatnonzero(starts)
-    counts = np.diff(first, append=len(ranked))
-    midranks = first + 1 + (counts - 1) / 2.0
-    rank_sum_pos = float(np.repeat(midranks, counts)[labels[order] == 1].sum())
-    return (rank_sum_pos - n_pos * (n_pos + 1) / 2.0) / (n_pos * n_neg)
+    del starts
+    group_pos = np.add.reduceat(positive, first, dtype=np.int64)
+    del positive
+    # The group at 0-based positions [first, end) has midrank (first + end + 1) / 2,
+    # and each group ends where the next one starts.
+    twice_rank_sum = (
+        int(group_pos @ first) + int(group_pos[:-1] @ first[1:])
+        + int(group_pos[-1]) * len(labels) + n_pos
+    )
+    return (twice_rank_sum / 2.0 - n_pos * (n_pos + 1) / 2.0) / (n_pos * n_neg)
 
 
 def evaluate(model: Model, dataset: ExampleSet) -> float:
@@ -729,28 +752,31 @@ def _decode_block(
 def read_examples(path) -> ExampleSet:
     """The examples of a JSON Lines file; the first bad line raises a DataError citing it.
 
-    The file is read a block of READ_BLOCK_LINES lines at a time
-    (``fileio.framed_blocks``, with the frame ``_EXAMPLE_LINE``).  A block
-    whose every line has the layout write_examples writes is decoded as a
-    whole.  Any other block (blank, padded or reordered lines, other
-    separators, a non-number in ``features``, a bad line), so every block of
-    a file written in another layout, is read line by line with every check,
-    so each line gives the same values or the same error.
+    The file is read once, a block of READ_BLOCK_LINES lines at a time
+    (``fileio.framed_blocks``, with the frame ``_EXAMPLE_LINE``), so a pipe
+    reads as a file does.  A block whose every line has the layout
+    write_examples writes is decoded as a whole.  Any other block (blank,
+    padded or reordered lines, other separators, a non-number in
+    ``features``, a bad line), so every block of a file written in another
+    layout, is read line by line with every check, so each line gives the
+    same values or the same error.
     A NaN or infinite feature (``NaN``, ``Infinity``, ``1e400``) is an error
     of its line; a block holding one is always read line by line.
+    Each block's values are appended to one growable buffer per column, and
+    the ExampleSet's arrays are views of those buffers: the file's examples
+    are held once, not once as blocks and again joined.
     """
-    blocks, ys, us = [], [], []
+    xs, ys, us = array("d"), array("q"), array("q")
     dim = None
     for first, lines, groups in framed_blocks(path, READ_BLOCK_LINES, _EXAMPLE_LINE):
         decoded = _decode_block(groups, dim) if groups else None
         if decoded is not None:
             X, block_y, block_u = decoded
             dim = X.shape[1]
-            blocks.append(X)
+            xs.frombytes(X.tobytes())
             ys.extend(block_y)
             us.extend(block_u)
             continue
-        rows = []
         for lineno, rec in decode_records(enumerate(lines, first), _EXAMPLE_FIELDS):
             if isinstance(rec, DataError):
                 raise rec
@@ -759,14 +785,13 @@ def read_examples(path) -> ExampleSet:
                 if dim is not None:
                     raise DataError(f"line {lineno}: feature dimension {len(features)} != {dim}")
                 dim = len(features)
-            rows.append(features)
+            xs.extend(features)
             ys.append(rec["y"])
             us.append(rec["u"])
-        if rows:
-            blocks.append(np.array(rows, dtype=np.float64))
     if not ys:
         raise DataError(f"no examples in {path}")
-    return ExampleSet(np.concatenate(blocks), np.array(ys), np.array(us))
+    X = np.frombuffer(xs, dtype=np.float64).reshape(-1, dim)
+    return ExampleSet(X, np.frombuffer(ys, dtype=np.int64), np.frombuffer(us, dtype=np.int64))
 
 
 def save_model(model: Model, path) -> None:

@@ -1,0 +1,158 @@
+"""Run the same CLI calls under two glsmooth source trees and report any output that differs.
+
+    python tests/same_outputs.py SRC_A SRC_B [--rows N]
+
+SRC_A and SRC_B are ``src`` directories (each holding ``glsmooth/``).  The
+script writes one set of seeded input files, made here without glsmooth, so
+both trees read the same bytes.  Then it runs each call of ``CALLS`` as
+``python -m glsmooth.cli`` in a fresh subprocess, once per tree, each tree in
+its own working directory.  Paths are relative, so messages name the same
+files under both trees.  A call's exit code, its standard output and every
+file it writes are compared, and every call must exit 0.  Exit code 0 means
+nothing differed, 1 means something did (each difference is printed), 2
+means bad arguments.
+
+The calls cover training both architectures under both losses with a
+warm-up, writing models and metrics; ``eval``; ``sweep`` on its own split
+and with ``--eval-data``; ``gen-synthetic``; and ``build`` then
+``validate``.  ``--rows`` sets the rows of each example file (default 4000).
+"""
+
+from __future__ import annotations
+
+import argparse
+import json
+import os
+import random
+import shutil
+import subprocess
+import sys
+import tempfile
+from concurrent.futures import ThreadPoolExecutor
+from pathlib import Path
+
+REPORTS = Path(__file__).resolve().parent / "data" / "build_golden.reports.jsonl"
+IN = "../in"
+
+TRAIN_FLAGS = ["--epochs", "3", "--warmup-epochs", "1", "--lr-warmup-epochs", "1",
+               "--batch-size", "32", "--seed", "11"]
+MLP = ["--arch", "mlp_1hidden", "--hidden-width", "8"]
+SWEEP_FLAGS = ["--k", "1/3,1/2", "--warmup", "0,1", "--epochs", "2", "--lr-warmup-epochs", "1",
+               "--seed", "5", *MLP]
+
+
+def _train(arch: list[str], loss: str, name: str) -> list[str]:
+    return ["train", "--data", f"{IN}/train.jsonl", "--model-out", f"{name}.json",
+            "--metrics-out", f"{name}.metrics.jsonl", "--loss", loss, *TRAIN_FLAGS, *arch]
+
+
+# Each call runs in the tree's working directory, after the calls before it.
+CALLS = [
+    _train(["--arch", "linear"], "gls", "linear_gls"),
+    _train(["--arch", "linear"], "ce", "linear_ce"),
+    _train(MLP, "gls", "mlp_gls"),
+    _train(MLP, "ce", "mlp_ce"),
+    ["eval", "--data", f"{IN}/heldout.jsonl", "--model", "mlp_gls.json"],
+    ["eval", "--data", f"{IN}/heldout.jsonl", "--model", "linear_ce.json"],
+    ["sweep", "--data", f"{IN}/train.jsonl", "--out", "sweep_split.tsv", *SWEEP_FLAGS],
+    ["sweep", "--data", f"{IN}/train.jsonl", "--eval-data", f"{IN}/heldout.jsonl",
+     "--out", "sweep_eval.tsv", *SWEEP_FLAGS],
+    ["gen-synthetic", "--n", "{rows}", "--d", "6", "--profile", "3:0.02,2:0.1,1:0.25,0:0.45",
+     "--seed", "3", "--out", "generated.jsonl", "--truth-out", "generated.truth.jsonl"],
+    ["build", "--input", f"{IN}/reports.jsonl", "--out", "dataset.jsonl"],
+    ["validate", "--input", "dataset.jsonl"],
+]
+
+
+def write_inputs(folder: Path, rows: int) -> None:
+    """Two seeded example files and the golden report corpus, under ``folder``.
+
+    Lines are written as ``json.dumps`` writes them, the layout the readers
+    decode a block at a time, but for one compact line in every 100, so the
+    line-by-line reader runs too.
+    """
+    folder.mkdir()
+    rng = random.Random(20240611)
+    for name, n in (("train.jsonl", rows), ("heldout.jsonl", rows // 2)):
+        with open(folder / name, "w", encoding="utf-8") as fh:
+            for i in range(n):
+                y = rng.randrange(2)
+                sign = 1.0 if y else -1.0
+                record = {
+                    "features": [rng.gauss(0.6 * sign, 1.0) for _ in range(6)],
+                    "y": y,
+                    "u": rng.choice([-3, -2, -1, 0, 1, 2, 3, 3, 3]),
+                }
+                separators = (",", ":") if i % 100 == 7 else None
+                fh.write(json.dumps(record, separators=separators) + "\n")
+    shutil.copyfile(REPORTS, folder / "reports.jsonl")
+
+
+def run_calls(src: Path, workdir: Path, rows: int) -> list[tuple[int, bytes]]:
+    """(exit code, standard output) of each call, run under ``src`` in ``workdir``."""
+    workdir.mkdir()
+    env = {**os.environ, "PYTHONPATH": str(src.resolve())}
+    results = []
+    for argv in CALLS:
+        argv = [arg.format(rows=rows) for arg in argv]
+        done = subprocess.run([sys.executable, "-m", "glsmooth.cli", *argv],
+                              cwd=workdir, env=env, capture_output=True, timeout=300)
+        results.append((done.returncode, done.stdout))
+    return results
+
+
+def differences(a: Path, b: Path, results_a, results_b) -> list[str]:
+    """Each call whose exit code or output differs, then each written file that differs.
+
+    Every call is a valid one, so a call that fails under both trees is
+    reported too: it compared an error, not outputs.
+    """
+    found = []
+    for argv, (code_a, out_a), (code_b, out_b) in zip(CALLS, results_a, results_b):
+        call = " ".join(argv)
+        if code_a == code_b != 0:
+            found.append(f"exit code {code_a} under both trees: {call}")
+        elif code_a != code_b:
+            found.append(f"exit code {code_a} != {code_b}: {call}")
+        if out_a != out_b:
+            found.append(f"stdout differs: {call}")
+    names = sorted({p.name for p in a.iterdir()} | {p.name for p in b.iterdir()})
+    for name in names:
+        file_a, file_b = a / name, b / name
+        if not (file_a.exists() and file_b.exists()):
+            found.append(f"{name}: written under one tree only")
+        elif file_a.read_bytes() != file_b.read_bytes():
+            found.append(f"{name}: bytes differ")
+    return found
+
+
+def compare(src_a: Path, src_b: Path, rows: int) -> list[str]:
+    """The differences between the two trees' outputs, run side by side in a scratch folder."""
+    with tempfile.TemporaryDirectory(prefix="same-outputs-") as scratch:
+        root = Path(scratch)
+        write_inputs(root / "in", rows)
+        dirs = (root / "a", root / "b")
+        with ThreadPoolExecutor(max_workers=2) as pool:
+            runs = [pool.submit(run_calls, src, d, rows) for src, d in zip((src_a, src_b), dirs)]
+            results = [run.result() for run in runs]
+        return differences(*dirs, *results)
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("src_a", type=Path)
+    parser.add_argument("src_b", type=Path)
+    parser.add_argument("--rows", type=int, default=4000)
+    args = parser.parse_args(argv)
+    for src in (args.src_a, args.src_b):
+        if not (src / "glsmooth" / "cli.py").is_file():
+            parser.error(f"no glsmooth sources under {src}")
+    found = compare(args.src_a, args.src_b, args.rows)
+    for line in found:
+        print(line)
+    print(f"{len(CALLS)} calls, {len(found)} difference(s)")
+    return 1 if found else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

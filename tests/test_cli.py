@@ -257,6 +257,24 @@ class TestTrainEval:
         # stdout carries six decimals; the metrics file keeps full precision
         assert float(out.split()[1]) == pytest.approx(summary["final_auc"], abs=5e-7)
 
+    @pytest.mark.skipif(not os.path.exists("/dev/stdin"), reason="no /dev/stdin")
+    def test_eval_reads_examples_from_a_pipe(self, tmp_path, capsys, data_file):
+        # cat data | glsmooth eval --data /dev/stdin: the examples are read in
+        # one pass, so a pipe gives the file's line.  A reader that read its
+        # input twice would find no examples the second time.
+        model_path = tmp_path / "model.json"
+        argv = ["train", "--data", str(data_file), "--model-out", str(model_path), "--epochs", "2"]
+        assert run_cli(capsys, *argv)[0] == 0
+        on_file = run_cli(capsys, "eval", "--data", str(data_file), "--model", str(model_path))
+        assert on_file[0] == 0
+        proc = subprocess.run(
+            [sys.executable, "-m", "glsmooth.cli", "eval", "--data", "/dev/stdin",
+             "--model", str(model_path)],
+            input=data_file.read_text(), capture_output=True, text=True, timeout=60,
+            env={**os.environ, "PYTHONPATH": str(Path(glsmooth.__file__).parents[1])},
+        )
+        assert (proc.returncode, proc.stdout, proc.stderr) == on_file
+
     def test_train_idempotent(self, tmp_path, capsys, data_file):
         a, b = tmp_path / "a.json", tmp_path / "b.json"
         for target in (a, b):

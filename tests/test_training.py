@@ -2,7 +2,9 @@
 
 import json
 import math
+import os
 import sys
+import threading
 import tracemalloc
 import warnings
 from collections import namedtuple
@@ -146,6 +148,11 @@ class TestAuc:
         distinct=st.integers(1, len(TIE_POOL)),
         seed=st.integers(0, 2**32 - 1),
     )
+    # One giant tie group: 140k equal scores (seed 0 keeps them equal) hold
+    # about 70k positives, past a 16-bit count of a group's positives.
+    @example(n=140_000, distinct=1, seed=0)
+    @example(n=100_000, distinct=2, seed=1)
+    @example(n=70_000, distinct=3, seed=2)  # -0.0 and 0.0 make one group of ~47k
     def test_equals_unique_midrank_oracle(self, n, distinct, seed):
         rng = np.random.default_rng(seed)
         scores = rng.choice(self.TIE_POOL[:distinct], size=n)
@@ -1203,6 +1210,38 @@ class TestReaderBlocks:
             "line 2: " if bad_record else f"{path}: line 401: not valid UTF-8"
         )
 
+    @pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="no named pipes")
+    def test_fifo_reads_as_the_file(self, tmp_path):
+        # A pipe can be read once.  A reader that reads its input twice finds
+        # no rows the second time, or waits to open the pipe again; it is then
+        # given an end of file, and fails here either way.
+        path = tmp_path / "examples.jsonl"
+        write_examples(path, random_special_rows(700, 3, seed=5))
+        lines = path.read_text().splitlines(keepends=True)
+        lines[300] = lines[300].replace(", ", ",")  # its block is read line by line
+        path.write_text("".join(lines))
+        fifo = tmp_path / "examples.fifo"
+        os.mkfifo(fifo)
+        got = []
+
+        def feed():
+            with open(fifo, "wb") as fh:
+                fh.write(path.read_bytes())
+
+        writer = threading.Thread(target=feed, daemon=True)
+        reader = threading.Thread(target=lambda: got.append(read_outcome(read_examples, fifo)),
+                                  daemon=True)
+        writer.start()
+        reader.start()
+        reader.join(timeout=10)
+        if reader.is_alive():
+            os.close(os.open(fifo, os.O_WRONLY | os.O_NONBLOCK))
+            reader.join(timeout=30)
+        writer.join(timeout=30)
+        assert not writer.is_alive() and not reader.is_alive()
+        assert got == [read_outcome(read_examples, path)]
+        assert isinstance(got[0], tuple)  # arrays, not an error
+
     def test_written_file_takes_the_block_path(self, tmp_path, monkeypatch, capsys):
         # A gen-synthetic file of several blocks is read without the line-by-line decoder.
         path = tmp_path / "synthetic.jsonl"
@@ -1355,6 +1394,64 @@ class TestWriterAndGenerator:
         with pytest.raises(DataError, match="non-finite"):
             write_examples(path, ExampleSet(X, examples.y, examples.u))
         assert not path.exists()
+
+
+class TestPeakMemory:
+    """Traced peaks of the calls that hold n-sized arrays (tracemalloc counts numpy's buffers)."""
+
+    PROFILE = {3: 0.0, 2: 0.1, 1: 0.25, 0: 0.5}
+
+    def test_reader_holds_one_copy_of_the_examples(self, tmp_path):
+        n, d = 20_000, 10
+        path = tmp_path / "ex.jsonl"
+        write_examples(path, synthetic_noisy_generator(n, d, self.PROFILE, seed=0).examples)
+        read_examples(DATA_DIR / "gen_synthetic_golden.jsonl")  # imports and caches, untraced
+        tracemalloc.start()
+        try:
+            got = read_examples(path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # The columns, plus a 16th of X that the buffer grows by, an 8th of X
+        # for ExampleSet's finite-feature mask, and 256 KiB for one block's
+        # decoding and the label and score masks: 2.28 MiB of a 2.37 MiB
+        # bound.  Blocks kept in a list and then joined peaked at 3.95 MiB.
+        columns = got.X.nbytes + got.y.nbytes + got.u.nbytes
+        assert peak < columns + got.X.nbytes // 16 + got.X.nbytes // 8 + 256 * 1024
+
+    def test_auc_holds_few_n_sized_arrays(self):
+        n = 200_000
+        rng = np.random.default_rng(1)
+        scores, labels = rng.random(n), rng.integers(0, 2, size=n)
+        auc(scores[:10], [0, 1] * 5)  # imports and caches, untraced
+        tracemalloc.start()
+        try:
+            auc(scores, labels)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # Distinct scores make n tie groups: 3.13 arrays of n float64s.  Keeping
+        # the sort order, the sorted scores and a midrank per row to the end
+        # peaked at 7.25.
+        assert peak < 4 * 8 * n
+
+    def test_loud_train_holds_few_n_sized_arrays(self):
+        n, d = 20_000, 10
+        examples = synthetic_noisy_generator(n, d, self.PROFILE, seed=0).examples
+        config = TrainConfig(epochs=2, warmup_epochs=1, lr_warmup_epochs=1, batch_size=64,
+                             architecture="mlp_1hidden", hidden_width=32)
+        train(examples[:100], config)  # imports and caches, untraced
+        tracemalloc.start()
+        try:
+            train(examples, config)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # Above X, which the caller holds: 11.9 arrays of n float64s (1.82
+        # MiB).  An epoch order drawn beside np.arange(n), and an AUC that
+        # kept its sort order, sorted scores and a midrank per row, peaked at
+        # 16.4 (2.50 MiB).
+        assert peak < 13 * 8 * n
 
 
 class TestExampleSet:
