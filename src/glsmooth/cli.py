@@ -89,10 +89,11 @@ def _read_config_file(path: str) -> dict[str, object]:
     ``r0`` must make valid ``SmoothingParams``, each alone and together.
     Rules between settings (``warmup_epochs <= epochs``, an mlp's
     ``hidden_width``) are checked once the flags are merged in, when the
-    subcommand makes its ``TrainConfig``.
+    subcommand makes its ``TrainConfig``.  Each key is given at most once.
     """
     values: dict[str, object] = {}
     rates: dict[str, Fraction] = {}
+    seen: dict[str, int] = {}
     for lineno, line in table_lines(_require_file(path, "config"), "config"):
         if "=" not in line:
             raise ConfigError(f"config line {lineno}: expected key=value, got {line!r}")
@@ -100,6 +101,8 @@ def _read_config_file(path: str) -> dict[str, object]:
         key, value = key.strip(), value.strip()
         if key not in _SETTINGS:
             raise ConfigError(f"config line {lineno}: unknown key {key!r}")
+        if seen.setdefault(key, lineno) != lineno:
+            raise ConfigError(f"config line {lineno}: duplicate key {key!r} (line {seen[key]})")
         try:
             values[key] = type(_SETTINGS[key])(value)
         except ValueError:
@@ -160,18 +163,6 @@ def _require_file(path: str, what: str) -> Path:
     return p
 
 
-def _load_lexicon_arg(args):
-    if args.lexicon is None:
-        return default_lexicon()
-    return load_lexicon(_require_file(args.lexicon, "lexicon"))
-
-
-def _load_taxonomy_arg(args):
-    if args.taxonomy is None:
-        return default_taxonomy()
-    return load_taxonomy(_require_file(args.taxonomy, "taxonomy"))
-
-
 def _train_config(args) -> TrainConfig:
     """The TrainConfig of the settings; a key the subcommand lacks keeps its default."""
     keys = [key for key in _TRAIN_FLAGS if hasattr(args, key)]
@@ -184,8 +175,10 @@ def cmd_build(args) -> int:
     stats = build_dataset_file(
         _require_file(args.input, "input"),
         args.out,
-        _load_lexicon_arg(args),
-        _load_taxonomy_arg(args),
+        default_lexicon() if args.lexicon is None
+        else load_lexicon(_require_file(args.lexicon, "lexicon")),
+        default_taxonomy() if args.taxonomy is None
+        else load_taxonomy(_require_file(args.taxonomy, "taxonomy")),
         params,
     )
     print(

@@ -75,14 +75,15 @@ def table_lines(source, what: str) -> Iterator[tuple[int, str]]:
 
     ``source`` is a path (a ``Path``, or a string with no tab or newline), the
     text itself, bytes, or a readable stream.  ``what`` names the format
-    ("lexicon", "taxonomy", "config") in error messages.
+    ("lexicon", "taxonomy", "config") in error messages.  A leading byte-order
+    mark is dropped: an editor may save one, and it would join the first field.
     """
     try:
         text = _read_text(source, what)
     except UnicodeDecodeError as exc:
         name = f"{what} {source}" if isinstance(source, (str, Path)) else what
         raise _not_utf8(name, exc) from None
-    for lineno, line in enumerate(io.StringIO(text), start=1):
+    for lineno, line in enumerate(io.StringIO(text.removeprefix("\ufeff")), start=1):
         stripped = line.strip()
         if stripped and not stripped.startswith("#"):
             yield lineno, stripped

@@ -45,9 +45,8 @@ from pathlib import Path
 from typing import NamedTuple
 
 from .errors import DataError
-from .fileio import table_lines
 from .smoothing import SCORE_LEVELS
-from .taxonomy import normalize_phrase
+from .taxonomy import normalize_phrase, phrase_rows
 
 CUE_KINDS = ("uncertainty_cue", "negation_cue")
 
@@ -165,24 +164,16 @@ def load_lexicon(source) -> Lexicon:
     line number.
     """
     entries = []
-    for lineno, line in table_lines(source, "lexicon"):
-        cols = line.split("\t")
-        if len(cols) != 3:
-            raise DataError(
-                f"lexicon line {lineno}: expected 3 tab-separated columns, got {len(cols)}"
-            )
-        pattern = normalize_phrase(cols[0])
-        if not pattern:
-            raise DataError(f"lexicon line {lineno}: empty pattern")
+    for lineno, pattern, (text, kind) in phrase_rows(source, "lexicon", 3):
         try:
-            score = int(cols[1])
+            score = int(text)
         except ValueError:
-            raise DataError(f"lexicon line {lineno}: score {cols[1]!r} is not an integer")
+            raise DataError(f"lexicon line {lineno}: score {text!r} is not an integer")
         if score not in SCORE_LEVELS:
             raise DataError(
                 f"lexicon line {lineno}: score {score} outside {{-3..3}}"
             )
-        kind = cols[2].strip()
+        kind = kind.strip()
         if kind not in CUE_KINDS:
             raise DataError(f"lexicon line {lineno}: unknown kind {kind!r}")
         entries.append(LexiconEntry(pattern=pattern, score=score, kind=kind))
@@ -191,11 +182,7 @@ def load_lexicon(source) -> Lexicon:
 
 def default_lexicon() -> Lexicon:
     """The lexicon shipped with the package."""
-    return load_lexicon(_data_path("lexicon.tsv"))
-
-
-def _data_path(name: str) -> Path:
-    return Path(__file__).parent / "data" / name
+    return load_lexicon(Path(__file__).parent / "data" / "lexicon.tsv")
 
 
 # A '.' with a digit on both sides ("1.5 cm") does not split, nor one inside

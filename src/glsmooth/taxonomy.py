@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import enum
 from pathlib import Path
+from typing import Iterator
 
 from .errors import DataError
 from .fileio import table_lines
@@ -37,6 +38,28 @@ CATEGORY_NAMES = tuple(c.value for c in DiseaseCategory)
 def normalize_phrase(raw: str) -> str:
     """Lowercase, strip, and collapse internal whitespace runs."""
     return " ".join(raw.lower().split())
+
+
+def phrase_rows(source, what: str, columns: int) -> Iterator[tuple[int, str, list[str]]]:
+    """(line number, phrase, other fields) of each row of a ``what`` table ("lexicon", "taxonomy").
+
+    A row is a ``table_lines`` line of ``columns`` tab-separated fields.  Its
+    phrase is its first field normalized: never empty, as the line is
+    stripped, and given by no earlier row.
+    """
+    seen: dict[str, int] = {}
+    for lineno, line in table_lines(source, what):
+        fields = line.split("\t")
+        if len(fields) != columns:
+            raise DataError(
+                f"{what} line {lineno}: expected {columns} tab-separated columns, got {len(fields)}"
+            )
+        phrase = normalize_phrase(fields[0])
+        if seen.setdefault(phrase, lineno) != lineno:
+            raise DataError(
+                f"{what} line {lineno}: duplicate phrase {phrase!r} (line {seen[phrase]})"
+            )
+        yield lineno, phrase, fields[1:]
 
 
 class TaxonomyMap:
@@ -68,23 +91,13 @@ def load_taxonomy(source) -> TaxonomyMap:
     """Parse the taxonomy TSV format: ``raw_phrase<TAB>category`` per line."""
     by_value = {c.value: c for c in DiseaseCategory}
     entries: dict[str, DiseaseCategory] = {}
-    for lineno, line in table_lines(source, "taxonomy"):
-        cols = line.split("\t")
-        if len(cols) != 2:
-            raise DataError(
-                f"taxonomy line {lineno}: expected 2 tab-separated columns, got {len(cols)}"
-            )
-        phrase = normalize_phrase(cols[0])
-        if not phrase:
-            raise DataError(f"taxonomy line {lineno}: empty phrase")
-        category = by_value.get(cols[1].strip())
+    for lineno, phrase, (name,) in phrase_rows(source, "taxonomy", 2):
+        category = by_value.get(name.strip())
         if category is None:
             raise DataError(
-                f"taxonomy line {lineno}: unknown category {cols[1].strip()!r} "
+                f"taxonomy line {lineno}: unknown category {name.strip()!r} "
                 f"(must be one of {', '.join(CATEGORY_NAMES)})"
             )
-        if phrase in entries:
-            raise DataError(f"taxonomy line {lineno}: duplicate phrase {phrase!r}")
         entries[phrase] = category
     return TaxonomyMap(entries)
 

@@ -392,7 +392,10 @@ def train(
     # it (NumericError), so numpy's overflow warnings would only be noise.
     with np.errstate(over="ignore", invalid="ignore"):
         # The largest row L1 norm, for _scores_bounded; inf if it overflows.
-        x_l1 = None if epoch_metrics else np.abs(X).sum(axis=1).max()
+        # Taken a block at a time, so no n x d temporary sits beside X.
+        x_l1 = None if epoch_metrics else max(
+            np.abs(X[i : i + GATHER_ROWS]).sum(axis=1).max() for i in range(0, n, GATHER_ROWS)
+        )
         step_loss = epoch_metrics or not _losses_bounded(r)
         for epoch in range(1, config.epochs + 1):
             if epoch <= config.warmup_epochs:

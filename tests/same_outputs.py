@@ -14,8 +14,9 @@ means bad arguments.
 
 The calls cover training both architectures under both losses with a
 warm-up, writing models and metrics; ``eval``; ``sweep`` on its own split
-and with ``--eval-data``; ``gen-synthetic``; and ``build`` then
-``validate``.  ``--rows`` sets the rows of each example file (default 4000).
+and with ``--eval-data``; ``gen-synthetic``; ``build`` then ``validate``; and
+``build`` with ``--lexicon`` and ``--taxonomy`` given copies of the shipped
+tables.  ``--rows`` sets the rows of each example file (default 4000).
 """
 
 from __future__ import annotations
@@ -32,6 +33,7 @@ from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 REPORTS = Path(__file__).resolve().parent / "data" / "build_golden.reports.jsonl"
+TABLES = Path(__file__).resolve().parent.parent / "src" / "glsmooth" / "data"
 IN = "../in"
 
 TRAIN_FLAGS = ["--epochs", "3", "--warmup-epochs", "1", "--lr-warmup-epochs", "1",
@@ -61,11 +63,13 @@ CALLS = [
      "--seed", "3", "--out", "generated.jsonl", "--truth-out", "generated.truth.jsonl"],
     ["build", "--input", f"{IN}/reports.jsonl", "--out", "dataset.jsonl"],
     ["validate", "--input", "dataset.jsonl"],
+    ["build", "--input", f"{IN}/reports.jsonl", "--out", "dataset_tables.jsonl",
+     "--lexicon", f"{IN}/lexicon.tsv", "--taxonomy", f"{IN}/taxonomy.tsv"],
 ]
 
 
 def write_inputs(folder: Path, rows: int) -> None:
-    """Two seeded example files and the golden report corpus, under ``folder``.
+    """Two seeded example files, the golden report corpus and the shipped tables, under ``folder``.
 
     Lines are written as ``json.dumps`` writes them, the layout the readers
     decode a block at a time, but for one compact line in every 100, so the
@@ -86,6 +90,8 @@ def write_inputs(folder: Path, rows: int) -> None:
                 separators = (",", ":") if i % 100 == 7 else None
                 fh.write(json.dumps(record, separators=separators) + "\n")
     shutil.copyfile(REPORTS, folder / "reports.jsonl")
+    for name in ("lexicon.tsv", "taxonomy.tsv"):
+        shutil.copyfile(TABLES / name, folder / name)
 
 
 def run_calls(src: Path, workdir: Path, rows: int) -> list[tuple[int, bytes]]:

@@ -406,6 +406,18 @@ class TestTrainEval:
         assert code == 1
         assert "flux_capacitor" in err
 
+    def test_config_key_given_twice(self, tmp_path, capsys):
+        config = tmp_path / "run.conf"
+        config.write_text("seed=1\n# again\nseed=2\n")
+        code, _, err = run_cli(capsys, "--config", str(config), "table1")
+        assert (code, err) == (1, "error: config line 3: duplicate key 'seed' (line 1)\n")
+
+    def test_config_byte_order_mark(self, tmp_path, capsys):
+        config = tmp_path / "run.conf"
+        config.write_text("k=1/3\n", encoding="utf-8-sig")
+        code, _, err = run_cli(capsys, "--config", str(config), "-v", "table1")
+        assert code == 0 and "'k': '1/3'" in err
+
     @pytest.mark.parametrize("line, command", [
         ("epochs=two", ["table1"]),
         ("epochs=two", ["build", "--input", "reports.jsonl", "--out", "ds.jsonl"]),
@@ -1026,9 +1038,10 @@ def test_config_values_cover_every_setting():
 @example(lines=[("lr", "1e5000", False)])
 @example(lines=[("weight_decay", "inf", False)])
 def test_config_file_is_valid_or_not_for_every_command(lines):
-    # A value outside its own range is a usage error when the file is read:
-    # exit 1 and table1's message under every subcommand, and no file made.
-    # With every value inside, each command goes on to its missing input.
+    # A value outside its own range, or a key given twice, is a usage error
+    # when the file is read: exit 1 and table1's message under every
+    # subcommand, and no file made.  With each key once and every value
+    # inside, each command goes on to its missing input.
     with tempfile.TemporaryDirectory() as tmp:
         config = Path(tmp) / "run.conf"
         config.write_text("".join(f"{key}={value}\n" for key, value, _ in lines))
@@ -1040,7 +1053,8 @@ def test_config_file_is_valid_or_not_for_every_command(lines):
             outcomes[name] = code, err.getvalue()
         made = sorted(p.name for p in Path(tmp).iterdir())
     table1 = outcomes.pop("table1")
-    if not all(inside for _, _, inside in lines):
+    keys = [key for key, _, _ in lines]
+    if not all(inside for _, _, inside in lines) or len(set(keys)) < len(keys):
         assert table1[0] == 1 and table1[1].startswith("error: ")
         assert outcomes == dict.fromkeys(outcomes, table1)
         assert made == ["run.conf"]

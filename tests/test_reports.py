@@ -80,6 +80,21 @@ class TestLoadLexicon:
         with pytest.raises(DataError, match="likely"):
             load_lexicon(text)
 
+    @pytest.mark.parametrize("repeat", ["no definite", "No  definite"])
+    def test_duplicate_pattern_names_both_lines(self, repeat):
+        text = f"no definite\t-2\tnegation_cue\n# note\n{repeat}\t-1\tnegation_cue\n"
+        with pytest.raises(DataError) as info:
+            load_lexicon(text)
+        assert str(info.value) == "lexicon line 3: duplicate phrase 'no definite' (line 1)"
+
+    def test_byte_order_mark_is_not_part_of_the_first_pattern(self, tmp_path):
+        path = tmp_path / "lexicon.tsv"
+        path.write_text("no\t-3\tnegation_cue\n", encoding="utf-8-sig")
+        lex = load_lexicon(path)
+        assert extract_findings("No pneumonia.", lex, ["pneumonia"]) == [
+            ExtractedFinding("pneumonia", 0, -3, "no")
+        ]
+
     def test_score_out_of_range_names_line(self):
         text = "# header\nfine\t1\tuncertainty_cue\nbroken\t7\tuncertainty_cue\n"
         with pytest.raises(DataError, match="line 3"):

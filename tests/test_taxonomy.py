@@ -1,8 +1,13 @@
 """Tests for the diagnosis-phrase consolidation table."""
 
+import io
+
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from glsmooth.errors import DataError
+from glsmooth.fileio import table_lines
 from glsmooth.taxonomy import (
     DiseaseCategory,
     TaxonomyMap,
@@ -26,6 +31,15 @@ class TestNormalizePhrase:
 
     def test_empty(self):
         assert normalize_phrase("") == ""
+
+    # Tabs, line breaks, '#', other whitespace, a byte-order mark, and a
+    # character whose lowercase form is two characters.
+    @given(st.text(st.sampled_from("a# \t\r\n\v\f\x1c\x85\u2028\u3000\ufeff\u0130")
+                   | st.characters(exclude_categories=("Cs",))))
+    def test_every_table_row_has_a_phrase(self, text):
+        # So a phrase table needs no check for an empty first field.
+        for _, line in table_lines(io.StringIO(text), "table"):
+            assert normalize_phrase(line.split("\t")[0])
 
 
 class TestMapDiagnosis:
@@ -82,9 +96,21 @@ class TestLoadTaxonomy:
         with pytest.raises(DataError, match="duplicate"):
             load_taxonomy(text)
 
+    @pytest.mark.parametrize("repeat", ["pleural effusion", "Pleural  Effusion"])
+    def test_duplicate_phrase_names_both_lines(self, repeat):
+        text = f"# header\npleural effusion\tEffusion\n\n{repeat}\tEdema\n"
+        with pytest.raises(DataError) as info:
+            load_taxonomy(text)
+        assert str(info.value) == "taxonomy line 4: duplicate phrase 'pleural effusion' (line 2)"
+
     def test_wrong_column_count(self):
         with pytest.raises(DataError, match="2 tab-separated"):
             load_taxonomy("pneumonia\n")
+
+    def test_byte_order_mark_is_not_part_of_the_first_phrase(self, tmp_path):
+        path = tmp_path / "taxonomy.tsv"
+        path.write_text("pneumonia\tPneumonia\nedema\tEdema\n", encoding="utf-8-sig")
+        assert load_taxonomy(path).map_diagnosis("pneumonia") == DiseaseCategory.PNEUMONIA
 
     def test_user_extension(self):
         extended = load_taxonomy(

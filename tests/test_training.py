@@ -1453,6 +1453,25 @@ class TestPeakMemory:
         # 16.4 (2.50 MiB).
         assert peak < 13 * 8 * n
 
+    def test_quiet_train_holds_no_more_than_loud(self):
+        n, d = 20_000, 10
+        examples = synthetic_noisy_generator(n, d, self.PROFILE, seed=0).examples
+        config = TrainConfig(epochs=1, batch_size=64, architecture="mlp_1hidden", hidden_width=32)
+        train(examples[:100], config)  # imports and caches, untraced
+        peaks = {}
+        for epoch_metrics in (True, False):
+            tracemalloc.start()
+            try:
+                train(examples, config, epoch_metrics=epoch_metrics)
+                peaks[epoch_metrics] = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+        # A quiet run scores no epoch when the weight bound holds, and takes
+        # its row norms a block at a time.  Taking them in one pass made an
+        # n x d temporary that lifted it above the loud run (2.39 against
+        # 1.72 MiB).
+        assert peaks[False] <= peaks[True]
+
 
 class TestExampleSet:
     @pytest.mark.parametrize(
