@@ -130,7 +130,8 @@ def _config_keys(*keys: str):
 
 
 def _resolve_settings(args: argparse.Namespace) -> None:
-    file_values = _read_config_file(args.config) if getattr(args, "config", None) else {}
+    config = getattr(args, "config", None)
+    file_values = _read_config_file(config) if config is not None else {}
     for key, default in _SETTINGS.items():
         if hasattr(args, key) and getattr(args, key) is None:
             setattr(args, key, file_values.get(key, default))
@@ -157,7 +158,16 @@ def _smoothing_params(args) -> SmoothingParams:
 
 
 def _require_file(path: str, what: str) -> Path:
+    """``path``, which must name something that exists and is not a directory.
+
+    ``Path("")`` is the working directory, so an empty path is refused by
+    name.  A pipe or a device (``/dev/stdin``) passes.
+    """
+    if not path:
+        raise DataError(f"{what} file path is empty")
     p = Path(path)
+    if p.is_dir():
+        raise DataError(f"{what} file is a directory: {path}")
     if not p.exists():
         raise DataError(f"{what} file not found: {path}")
     return p

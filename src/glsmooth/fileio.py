@@ -10,7 +10,10 @@ A JSON Lines file is read in blocks of READ_BLOCK_LINES lines
 passes that layout as a one-line regex, its frame; each block comes with
 the frame's groups of every line when every line matches, and the reader
 takes its values from those.  ``training.read_examples`` does this for
-example files and ``dataset.validate_dataset`` for dataset files.  A block
+example files, decoding a block's numbers with ``orjson.loads``, which gives
+each the value ``json.loads`` gives it (a number past the float range, which
+orjson refuses, sends its block line by line), and
+``dataset.validate_dataset`` does it for dataset files.  A block
 with a line of another layout, so every block of a file written some other
 way, is decoded line by line (``decode_records``): a blank line is skipped
 and any other goes to ``json.loads``, which accepts or rejects it with its

@@ -13,7 +13,8 @@ nothing differed, 1 means something did (each difference is printed), 2
 means bad arguments.
 
 The calls cover training both architectures under both losses with a
-warm-up, writing models and metrics; ``eval``; ``sweep`` on its own split
+warm-up, writing models and metrics; ``eval``; ``train`` and ``eval`` on a
+file of edge numbers; ``sweep`` on its own split
 and with ``--eval-data``; ``gen-synthetic``; ``build`` then ``validate``; and
 ``build`` with ``--lexicon`` and ``--taxonomy`` given copies of the shipped
 tables.  ``--rows`` sets the rows of each example file (default 4000).
@@ -56,6 +57,8 @@ CALLS = [
     _train(MLP, "ce", "mlp_ce"),
     ["eval", "--data", f"{IN}/heldout.jsonl", "--model", "mlp_gls.json"],
     ["eval", "--data", f"{IN}/heldout.jsonl", "--model", "linear_ce.json"],
+    ["train", "--data", f"{IN}/edge.jsonl", "--model-out", "edge.json", *TRAIN_FLAGS, *MLP],
+    ["eval", "--data", f"{IN}/edge.jsonl", "--model", "edge.json"],
     ["sweep", "--data", f"{IN}/train.jsonl", "--out", "sweep_split.tsv", *SWEEP_FLAGS],
     ["sweep", "--data", f"{IN}/train.jsonl", "--eval-data", f"{IN}/heldout.jsonl",
      "--out", "sweep_eval.tsv", *SWEEP_FLAGS],
@@ -68,12 +71,45 @@ CALLS = [
 ]
 
 
+# Feature texts that the float reprs json.dumps writes never hold: a negative
+# integer zero, subnormals, a decimal that rounds to zero, decimals of more
+# digits than a double keeps, integers past 2**64 and the double just below
+# the float maximum.
+EDGE_NUMBERS = [
+    "-0", "5e-324", "-4.9406564584124654e-324", "2.2250738585072011e-308", "1e-400",
+    "0.1000000000000000055511151231257827021181583404541015625",
+    "-1234567890123456789012345678901234567890e-42", "9.999999999999999999999999999999999999e22",
+    "18446744073709551616", "-123456789012345678901234567890", "1" + "0" * 300,
+    "1.7976931348623156e308",
+]
+# Values that json.loads reads as the float maximum, which the block reader
+# leaves to the line-by-line reader.
+AT_FLOAT_MAX = ["1.7976931348623157e308", "1.7976931348623158e308", str(int(1.7976931348623157e308))]
+
+
+def write_edge_examples(path: Path, rng: random.Random) -> None:
+    """An example file of 600 lines in the json.dumps layout, one edge number in each.
+
+    Every number is finite to json.loads, so every call on the file exits 0.
+    Only line 590 holds a value at the float maximum, so the other blocks
+    are decoded a block at a time.
+    """
+    with open(path, "w", encoding="utf-8") as fh:
+        for i in range(600):
+            y = rng.randrange(2)
+            features = [repr(rng.gauss(0.6 if y else -0.6, 1.0)) for _ in range(6)]
+            features[rng.randrange(6)] = rng.choice(AT_FLOAT_MAX if i == 589 else EDGE_NUMBERS)
+            u = rng.choice([-3, -2, -1, 0, 1, 2, 3, 3, 3])
+            fh.write(f'{{"features": [{", ".join(features)}], "y": {y}, "u": {u}}}\n')
+
+
 def write_inputs(folder: Path, rows: int) -> None:
-    """Two seeded example files, the golden report corpus and the shipped tables, under ``folder``.
+    """Three seeded example files, the golden report corpus and the shipped tables, under ``folder``.
 
     Lines are written as ``json.dumps`` writes them, the layout the readers
     decode a block at a time, but for one compact line in every 100, so the
-    line-by-line reader runs too.
+    line-by-line reader runs too.  The third file holds edge numbers
+    (``write_edge_examples``).
     """
     folder.mkdir()
     rng = random.Random(20240611)
@@ -89,6 +125,7 @@ def write_inputs(folder: Path, rows: int) -> None:
                 }
                 separators = (",", ":") if i % 100 == 7 else None
                 fh.write(json.dumps(record, separators=separators) + "\n")
+    write_edge_examples(folder / "edge.jsonl", rng)
     shutil.copyfile(REPORTS, folder / "reports.jsonl")
     for name in ("lexicon.tsv", "taxonomy.tsv"):
         shutil.copyfile(TABLES / name, folder / name)

@@ -528,6 +528,26 @@ class TestMalformedInput:
         }[command]
         return [str(arg) for arg in argv]
 
+    @pytest.mark.parametrize("path", ["empty", "directory"])
+    @pytest.mark.parametrize(
+        "command, target, kind",
+        [("build", "reports", "input"), ("validate", "dataset", "input"),
+         ("train", "examples", "data"), ("eval", "examples", "data"), ("eval", "model", "model"),
+         ("sweep", "examples", "data"), ("lexicon", "lexicon", "lexicon"),
+         ("taxonomy", "taxonomy", "taxonomy"), ("config", "config", "config")],
+    )
+    def test_empty_path_or_directory_names_the_file(
+        self, tmp_path, capsys, files, command, target, kind, path
+    ):
+        # An empty path is the working directory to Path; neither it nor a
+        # directory reaches open(), whose "Is a directory: '.'" names no file.
+        files[target] = "" if path == "empty" else tmp_path
+        out = tmp_path / "out"
+        code, _, err = run_cli(capsys, *self.argv(command, files, out))
+        message = "file path is empty" if path == "empty" else f"file is a directory: {tmp_path}"
+        assert (code, err) == (2, f"error: {kind} {message}\n")
+        assert not out.exists()
+
     @pytest.mark.parametrize(
         "command, target",
         [("validate", "dataset"), ("train", "examples"), ("eval", "examples"),

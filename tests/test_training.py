@@ -1166,6 +1166,48 @@ class TestReaderBlocks:
             assert expected.startswith(f"line {bad_at}: ")
         assert read_outcome(read_examples, path) == expected
 
+    # Number texts in the written layout, beside float reprs: the block
+    # decoder (orjson) must read each as json.loads does, or leave its block
+    # to the line path.  Decimals of 1-40 digits with exponents past both ends
+    # of the float range, signed integers of up to 400 digits, and values
+    # at, just below and just past the float maximum.
+    edge_number = st.one_of(
+        st.floats(allow_nan=False, allow_infinity=False).map(repr),
+        st.builds(
+            lambda sign, lead, rest, point, exponent: (
+                f"{sign}{lead}{rest[:point]}" + (f".{rest[point:]}" if rest[point:] else "")
+                + f"e{exponent}"
+            ),
+            st.sampled_from(["", "-"]), st.sampled_from("123456789"),
+            st.text("0123456789", max_size=39), st.integers(0, 39), st.integers(-400, 400),
+        ),
+        st.builds(lambda sign, lead, rest: f"{sign}{lead}{rest}",
+                  st.sampled_from(["", "-"]), st.sampled_from("123456789"),
+                  st.text("0123456789", max_size=399)),
+        st.sampled_from([
+            "0", "-0", "-0.0", "5e-324", "-5e-324", "2e-324", "1e-400",
+            "1.7976931348623156e308", "1.7976931348623157e308", "-1.7976931348623158e308",
+            "1.7976931348623159e308", str(int(MAX_FLOAT)), str(int(MAX_FLOAT) + 1),
+            str(2**1024 - 2**970 - 1), str(2**1024 - 2**970), str(2**64), str(-(2**63) - 1),
+        ]),
+    )
+
+    @settings(max_examples=200, deadline=None)
+    @given(data=st.data(), d=st.integers(1, 4), block=st.sampled_from([1, 2, 3, 1024]))
+    def test_edge_numbers_read_as_json_loads_reads_them(self, tmp_path_factory, data, d, block):
+        n = data.draw(st.integers(1, 8))
+        lines = []
+        for _ in range(n):
+            features = data.draw(st.lists(self.edge_number, min_size=d, max_size=d))
+            y = data.draw(st.sampled_from(["0", "1"]))
+            u = data.draw(st.sampled_from(["-3", "-2", "-1", "-0", "0", "1", "2", "3"]))
+            lines.append(f'{{"features": [{", ".join(features)}], "y": {y}, "u": {u}}}\n')
+        path = tmp_path_factory.getbasetemp() / "edge-numbers.jsonl"
+        path.write_text("".join(lines))
+        expected = read_outcome(lambda p: oracle_as_arrays(oracle_read_examples(p)), path)
+        with mock.patch.object(training, "READ_BLOCK_LINES", block):
+            assert read_outcome(read_examples, path) == expected
+
     @pytest.mark.parametrize(
         "widths, error",
         [
