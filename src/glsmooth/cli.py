@@ -26,7 +26,7 @@ from dataclasses import asdict
 from fractions import Fraction
 from pathlib import Path
 
-from .dataset import build_dataset_file, validate_dataset
+from .dataset import build_dataset_file, stats_path_for, validate_dataset
 from .errors import ConfigError, DataError, NumericError
 from .fileio import table_lines
 from .reports import default_lexicon, load_lexicon
@@ -173,6 +173,21 @@ def _require_file(path: str, what: str) -> Path:
     return p
 
 
+def _require_output(path: str, what: str) -> None:
+    """Refuse an output ``path`` that open() would fail on, before any work is done.
+
+    An empty path, a directory and a path whose parent directory is missing
+    are refused by name.  A pipe or a device (``/dev/stdout``) passes.
+    """
+    if not path:
+        raise DataError(f"{what} file path is empty")
+    p = Path(path)
+    if p.is_dir():
+        raise DataError(f"{what} file is a directory: {path}")
+    if not p.parent.is_dir():
+        raise DataError(f"{what} file directory not found: {p.parent}")
+
+
 def _train_config(args) -> TrainConfig:
     """The TrainConfig of the settings; a key the subcommand lacks keeps its default."""
     keys = [key for key in _TRAIN_FLAGS if hasattr(args, key)]
@@ -182,6 +197,8 @@ def _train_config(args) -> TrainConfig:
 
 def cmd_build(args) -> int:
     params = _smoothing_params(args)
+    _require_output(args.out, "dataset output")
+    _require_output(str(stats_path_for(args.out)), "stats output")
     stats = build_dataset_file(
         _require_file(args.input, "input"),
         args.out,
@@ -213,10 +230,13 @@ def _metric_value(x: float):
 
 def cmd_train(args) -> int:
     config = _train_config(args)
+    _require_output(args.model_out, "model output")
+    if args.metrics_out is not None:
+        _require_output(args.metrics_out, "metrics output")
     examples = read_examples(_require_file(args.data, "data"))
     model, history = train(examples, config)
     save_model(model, args.model_out)
-    if args.metrics_out:
+    if args.metrics_out is not None:
         with open(args.metrics_out, "w", encoding="utf-8", newline="\n") as fh:
             for m in history:
                 fh.write(json.dumps({**asdict(m), "auc": _metric_value(m.auc)}) + "\n")
@@ -257,6 +277,7 @@ def cmd_sweep(args) -> int:
     k_values = [_fraction(tok, "--k") for tok in k_tokens]
     # Every cell's settings, checked before the data is read.
     sweep_configs(config, k_values, warmups)
+    _require_output(args.out, "sweep output")
     examples = read_examples(_require_file(args.data, "data"))
     eval_examples = (
         read_examples(_require_file(args.eval_data, "eval data"))
@@ -306,9 +327,14 @@ def _parse_profile(text: str) -> dict[int, float]:
 
 
 def cmd_gen_synthetic(args) -> int:
+    # The generator checks the settings first, so a bad one still exits 1;
+    # it reads no input, and no output is opened before every path passes.
     data = synthetic_noisy_generator(args.n, args.d, _parse_profile(args.profile), args.seed)
+    _require_output(args.out, "examples output")
+    if args.truth_out is not None:
+        _require_output(args.truth_out, "truth output")
     write_examples(args.out, data.examples)
-    if args.truth_out:
+    if args.truth_out is not None:
         with open(args.truth_out, "w", encoding="utf-8", newline="\n") as fh:
             fh.writelines(
                 f'{{"index": {i}, "true_y": {label}}}\n'

@@ -690,28 +690,38 @@ def sweep(
 # them.  The allocator keeps a block's float objects resident after the call:
 # with 4096-row blocks a 10k-row gen-synthetic left more memory resident than
 # writing row by row, with 1024 less, at the same speed.  256 holds a quarter
-# of 1024's floats (traced peak of a 20k x 10 write: 127 against 434 kB) at
-# the same speed again: 10k rows x 10 wrote in 110.5, 115.1 and 116.6 ms at
-# 128, 256 and 1024 rows (medians of 15, 2-core Xeon).
+# of 1024's floats (traced peak of a 20k x 10 write: 132 against 508 kB) at
+# the same speed again: 10k rows x 10 wrote in 23.1, 22.6 and 23.6 ms at 128,
+# 256 and 1024 rows (medians of 15, 2-core Xeon).
 WRITE_BLOCK_ROWS = 256
 
 
 def write_examples(path, examples: ExampleSet) -> None:
     """One JSON Lines record per example: ``{"features": [...], "y": y, "u": u}``.
 
-    Each line is the bytes ``json.dumps`` gives: both write a float as its
-    ``repr`` and separate items with ``", "``, and an ExampleSet holds only
-    finite floats.  An empty set raises ConfigError and writes no file.
+    Each line is the bytes ``json.dumps`` gives: a float as its ``repr``,
+    items separated by ``", "``; an ExampleSet holds only finite floats.  A
+    row's features are ``orjson.dumps(row)`` with ``", "`` between items:
+    orjson spells a float with ``repr``'s digits, and in ``repr``'s way
+    wherever ``repr`` writes no exponent.  A row holding a nonzero value
+    below 1e-4 in magnitude, or any value of 1e16 or more, is written with
+    ``repr`` instead.  An empty set raises ConfigError and writes no file.
     """
     _require_rows(examples)
     X, y, u = examples.X, examples.y, examples.u
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+    with open(path, "wb") as fh:
         for start in range(0, len(X), WRITE_BLOCK_ROWS):
             block = slice(start, start + WRITE_BLOCK_ROWS)
+            # The rows where repr writes an exponent, which orjson spells otherwise.
+            magnitude = np.abs(X[block])
+            tiny = (magnitude < 1e-4) & (magnitude != 0)
+            exponent_rows = (tiny | (magnitude >= 1e16)).any(axis=1).tolist()
             fh.writelines(
-                f'{{"features": {row!r}, "y": {label}, "u": {score}}}\n'
-                for row, label, score in zip(
-                    X[block].tolist(), y[block].tolist(), u[block].tolist()
+                b'{"features": %s, "y": %d, "u": %d}\n'
+                % (repr(row).encode() if exponent else orjson.dumps(row).replace(b",", b", "),
+                   label, score)
+                for row, label, score, exponent in zip(
+                    X[block].tolist(), y[block].tolist(), u[block].tolist(), exponent_rows
                 )
             )
 

@@ -19,7 +19,7 @@ from hypothesis import strategies as st
 import glsmooth
 from corpus_util import make_reports
 from glsmooth import training
-from glsmooth.cli import _FIELD_OF, _SETTINGS, _TRAIN_FLAGS, main
+from glsmooth.cli import _FIELD_OF, _SETTINGS, _TRAIN_FLAGS, _require_output, main
 from glsmooth.training import TrainConfig, read_examples, save_model, train
 
 DATA_DIR = Path(__file__).parent / "data"
@@ -807,6 +807,79 @@ class TestMalformedInput:
                                               " one extreme-confidence (|u|=3) example\n")
         assert counted.call_count == 0
         assert not (tmp_path / "out").exists()
+
+
+class TestOutputPaths:
+    """A bad output path exits 2 before the work, names the file kind, and writes nothing."""
+
+    # (command, flag, kind, the cli function that does the work)
+    FLAGS = [
+        ("build", "--out", "dataset output", "build_dataset_file"),
+        ("train", "--model-out", "model output", "read_examples"),
+        ("train", "--metrics-out", "metrics output", "read_examples"),
+        ("sweep", "--out", "sweep output", "read_examples"),
+        ("gen-synthetic", "--out", "examples output", "write_examples"),
+        ("gen-synthetic", "--truth-out", "truth output", "write_examples"),
+    ]
+
+    @pytest.fixture()
+    def inputs(self, tmp_path, capsys):
+        inputs = tmp_path / "in"
+        inputs.mkdir()
+        write_reports(inputs / "reports.jsonl", make_reports(5, seed=1))
+        argv = ["gen-synthetic", "--n", "40", "--d", "3", "--profile", "3:0.0,0:0.4",
+                "--out", str(inputs / "examples.jsonl")]
+        assert run_cli(capsys, *argv)[0] == 0
+        return inputs
+
+    @staticmethod
+    def argv(command, inputs, outputs):
+        """The command's argv writing each output flag to ``outputs[flag]``."""
+        examples = str(inputs / "examples.jsonl")
+        argv, flags = {
+            "build": (["build", "--input", str(inputs / "reports.jsonl")], ["--out"]),
+            "train": (["train", "--data", examples, "--epochs", "1"],
+                      ["--model-out", "--metrics-out"]),
+            "sweep": (["sweep", "--data", examples, "--k", "5/12", "--warmup", "0",
+                       "--epochs", "1"], ["--out"]),
+            "gen-synthetic": (["gen-synthetic", "--n", "40", "--d", "3",
+                               "--profile", "3:0.0,0:0.4"], ["--out", "--truth-out"]),
+        }[command]
+        return argv + [arg for flag in flags for arg in (flag, str(outputs[flag]))]
+
+    @pytest.mark.parametrize("case", ["empty", "directory", "missing parent"])
+    @pytest.mark.parametrize("command, flag, kind, work", FLAGS,
+                             ids=[command + flag for command, flag, *_ in FLAGS])
+    def test_bad_output_path(self, tmp_path, capsys, inputs, case, command, flag, kind, work):
+        out = tmp_path / "out"
+        out.mkdir()
+        outputs = {name: out / name.lstrip("-") for name in ("--out", "--model-out",
+                                                             "--metrics-out", "--truth-out")}
+        outputs[flag] = {"empty": "", "directory": out,
+                         "missing parent": out / "missing" / "file"}[case]
+        message = {"empty": "file path is empty", "directory": f"file is a directory: {out}",
+                   "missing parent": f"file directory not found: {out / 'missing'}"}[case]
+        with mock.patch(f"glsmooth.cli.{work}") as worked:
+            got = run_cli(capsys, *self.argv(command, inputs, outputs))
+        assert got == (2, "", f"error: {kind} {message}\n")
+        assert worked.call_count == 0
+        assert list(out.iterdir()) == []
+
+    def test_stats_sidecar_is_checked_with_the_dataset(self, tmp_path, capsys, inputs):
+        out = tmp_path / "ds.jsonl"
+        (tmp_path / "ds.jsonl.stats.json").mkdir()
+        got = run_cli(capsys, *self.argv("build", inputs, {"--out": out}))
+        stats = tmp_path / "ds.jsonl.stats.json"
+        assert got == (2, "", f"error: stats output file is a directory: {stats}\n")
+        assert not out.exists()
+
+    def test_device_and_pipe_pass(self, tmp_path, capsys, inputs):
+        outputs = {"--out": tmp_path / "ex.jsonl", "--truth-out": os.devnull}
+        code, out, _ = run_cli(capsys, *self.argv("gen-synthetic", inputs, outputs))
+        assert (code, out) == (0, f"wrote 40 examples to {tmp_path / 'ex.jsonl'}\n")
+        if hasattr(os, "mkfifo"):
+            os.mkfifo(tmp_path / "fifo")
+            _require_output(str(tmp_path / "fifo"), "pipe")  # checked without opening it
 
 
 class TestDivergence:

@@ -1,5 +1,6 @@
 """Tests for training, evaluation, and the synthetic noise generator."""
 
+import builtins
 import json
 import math
 import os
@@ -1332,8 +1333,12 @@ def oracle_generator(n, d, noise_profile, seed):
     return examples, true
 
 
+# write_examples formats a row holding a value on the exponent side of 1e-4
+# or 1e16 with repr, and any other row with orjson: both sides of each edge.
 SPECIAL_FLOATS = [0.0, -0.0, 5e-324, -1e-310, 2.2250738585072014e-308, 1e16, 1e-5, 1e300,
-                  MAX_FLOAT, -MAX_FLOAT, 0.1, 1 / 3, 123456789.0]
+                  MAX_FLOAT, -MAX_FLOAT, 0.1, 1 / 3, 123456789.0,
+                  1e-4, -1e-4, 9.999999999999999e-05, -9.999999999999999e-05,
+                  9999999999999998.0, -1e16, 1.0000000000000002e16]
 finite_float = st.one_of(
     st.floats(allow_nan=False, allow_infinity=False), st.sampled_from(SPECIAL_FLOATS)
 )
@@ -1346,6 +1351,23 @@ def random_special_rows(n, d, seed):
     flat = X.ravel()
     flat[: len(SPECIAL_FLOATS)] = SPECIAL_FLOATS[: flat.size]
     return ExampleSet(X, rng.integers(0, 2, size=n), rng.integers(-3, 4, size=n))
+
+
+def rows_through_repr(monkeypatch) -> list:
+    """The rows write_examples formats with repr from now on, in the order written."""
+    rows = []
+
+    def counting_repr(obj):
+        rows.append(obj)
+        return builtins.repr(obj)
+
+    monkeypatch.setattr(training, "repr", counting_repr, raising=False)
+    return rows
+
+
+def exponent_rows(X) -> list:
+    """The rows of X whose repr holds an exponent."""
+    return [row for row in X.tolist() if "e" in builtins.repr(row)]
 
 
 def assert_same_bits(got: ExampleSet, X, y, u):
@@ -1396,6 +1418,29 @@ class TestWriterAndGenerator:
         assert (tmp_path / "got.jsonl").read_bytes() == (tmp_path / "oracle.jsonl").read_bytes()
         assert len((tmp_path / "got.jsonl").read_text().splitlines()) == n
         assert_same_bits(read_examples(tmp_path / "got.jsonl"), examples.X, examples.y, examples.u)
+
+    def test_block_alternating_writer_paths(self, tmp_path, monkeypatch):
+        monkeypatch.setattr("glsmooth.training.WRITE_BLOCK_ROWS", 4)
+        through_repr = rows_through_repr(monkeypatch)
+        X = np.array([[0.5, -0.0], [1e-4, 9.999999999999999e-05],
+                      [9999999999999998.0, 1.0], [-1e16, 2.0]])
+        examples = ExampleSet(X, [0, 1, 0, 1], [3, -3, 0, 1])
+        oracle_write_examples(tmp_path / "oracle.jsonl", rows_of(examples))
+        write_examples(tmp_path / "got.jsonl", examples)
+        assert (tmp_path / "got.jsonl").read_bytes() == (tmp_path / "oracle.jsonl").read_bytes()
+        assert through_repr == [X[1].tolist(), X[3].tolist()]
+
+    def test_only_exponent_rows_take_repr(self, tmp_path, monkeypatch):
+        # Every row would give the same bytes through repr, so the byte tests
+        # alone pass a writer that formats every row the slow way.
+        generated = synthetic_noisy_generator(2000, 10, {3: 0.0, 0: 0.5}, seed=4).examples
+        special = random_special_rows(500, 3, seed=2)
+        for examples in (generated, special):
+            through_repr = rows_through_repr(monkeypatch)
+            write_examples(tmp_path / "ex.jsonl", examples)
+            assert through_repr == exponent_rows(examples.X)
+        assert len(exponent_rows(generated.X)) <= len(generated) // 100
+        assert len(exponent_rows(special.X)) >= len(special) // 4
 
     def test_generator_holds_one_feature_matrix(self):
         n, d = 20_000, 10
