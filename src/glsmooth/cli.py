@@ -18,8 +18,10 @@ from __future__ import annotations
 import argparse
 import contextlib
 import functools
+import itertools
 import json
 import math
+import os
 import re
 import sys
 from dataclasses import asdict
@@ -173,19 +175,31 @@ def _require_file(path: str, what: str) -> Path:
     return p
 
 
-def _require_output(path: str, what: str) -> None:
-    """Refuse an output ``path`` that open() would fail on, before any work is done.
+def _require_outputs(*outputs: tuple[str | None, str]) -> None:
+    """Refuse (path, kind) outputs that open() would fail on, before any work is done.
 
     An empty path, a directory and a path whose parent directory is missing
-    are refused by name.  A pipe or a device (``/dev/stdout``) passes.
+    are refused by name; None is an optional output left unset.  Two
+    outputs that name one file, by their resolved paths or, where both
+    exist, by ``os.path.samefile``, are refused too, as the second would
+    overwrite the first.  A pipe or a device (``/dev/stdout``) passes, also
+    named twice.
     """
-    if not path:
-        raise DataError(f"{what} file path is empty")
-    p = Path(path)
-    if p.is_dir():
-        raise DataError(f"{what} file is a directory: {path}")
-    if not p.parent.is_dir():
-        raise DataError(f"{what} file directory not found: {p.parent}")
+    named = [(Path(path), path, what) for path, what in outputs if path is not None]
+    for p, path, what in named:
+        if not path:
+            raise DataError(f"{what} file path is empty")
+        if p.is_dir():
+            raise DataError(f"{what} file is a directory: {path}")
+        if not p.parent.is_dir():
+            raise DataError(f"{what} file directory not found: {p.parent}")
+    for (a, path, what), (b, _, other) in itertools.combinations(named, 2):
+        if a.exists() and not a.is_file():  # a pipe or a device
+            continue
+        if os.path.realpath(a) == os.path.realpath(b) or (
+            a.exists() and b.exists() and os.path.samefile(a, b)
+        ):
+            raise DataError(f"{what} and {other} name the same file: {path}")
 
 
 def _train_config(args) -> TrainConfig:
@@ -197,8 +211,8 @@ def _train_config(args) -> TrainConfig:
 
 def cmd_build(args) -> int:
     params = _smoothing_params(args)
-    _require_output(args.out, "dataset output")
-    _require_output(str(stats_path_for(args.out)), "stats output")
+    _require_outputs((args.out, "dataset output"))
+    _require_outputs((str(stats_path_for(args.out)), "stats output"))
     stats = build_dataset_file(
         _require_file(args.input, "input"),
         args.out,
@@ -230,9 +244,7 @@ def _metric_value(x: float):
 
 def cmd_train(args) -> int:
     config = _train_config(args)
-    _require_output(args.model_out, "model output")
-    if args.metrics_out is not None:
-        _require_output(args.metrics_out, "metrics output")
+    _require_outputs((args.model_out, "model output"), (args.metrics_out, "metrics output"))
     examples = read_examples(_require_file(args.data, "data"))
     model, history = train(examples, config)
     save_model(model, args.model_out)
@@ -277,13 +289,11 @@ def cmd_sweep(args) -> int:
     k_values = [_fraction(tok, "--k") for tok in k_tokens]
     # Every cell's settings, checked before the data is read.
     sweep_configs(config, k_values, warmups)
-    _require_output(args.out, "sweep output")
-    examples = read_examples(_require_file(args.data, "data"))
-    eval_examples = (
-        read_examples(_require_file(args.eval_data, "eval data"))
-        if args.eval_data
-        else None
-    )
+    _require_outputs((args.out, "sweep output"))
+    data = _require_file(args.data, "data")
+    eval_data = None if args.eval_data is None else _require_file(args.eval_data, "eval data")
+    examples = read_examples(data)
+    eval_examples = None if eval_data is None else read_examples(eval_data)
     cells = sweep(examples, config, k_values, warmups, eval_dataset=eval_examples)
     labels = [token for token in k_tokens for _ in warmups]
     lines = ["k\twarmup\tauc"] + [
@@ -330,9 +340,7 @@ def cmd_gen_synthetic(args) -> int:
     # The generator checks the settings first, so a bad one still exits 1;
     # it reads no input, and no output is opened before every path passes.
     data = synthetic_noisy_generator(args.n, args.d, _parse_profile(args.profile), args.seed)
-    _require_output(args.out, "examples output")
-    if args.truth_out is not None:
-        _require_output(args.truth_out, "truth output")
+    _require_outputs((args.out, "examples output"), (args.truth_out, "truth output"))
     write_examples(args.out, data.examples)
     if args.truth_out is not None:
         with open(args.truth_out, "w", encoding="utf-8", newline="\n") as fh:

@@ -9,16 +9,13 @@ A JSON Lines file is read in blocks of READ_BLOCK_LINES lines
 (``framed_blocks``).  A reader that knows the exact layout its writer emits
 passes that layout as a one-line regex, its frame; each block comes with
 the frame's groups of every line when every line matches, and the reader
-takes its values from those.  ``training.read_examples`` does this for
-example files, decoding a block's numbers with ``orjson.loads``, which gives
-each the value ``json.loads`` gives it (a number past the float range, which
-orjson refuses, sends its block line by line), and
-``dataset.validate_dataset`` does it for dataset files.  A block
-with a line of another layout, so every block of a file written some other
-way, is decoded line by line (``decode_records``): a blank line is skipped
-and any other goes to ``json.loads``, which accepts or rejects it with its
-own exact message.  Report files are read one line at a time
-(``jsonl_records``).
+takes its values from those: ``training.read_examples`` for example files
+(decoded as ``training._decode_block`` describes) and
+``dataset.validate_dataset`` for dataset files.  A block with a line of
+another layout, so every block of a file written some other way, is decoded
+line by line (``decode_records``): a blank line is skipped and any other goes
+to ``json.loads``, which accepts or rejects it with its own exact message.
+Report files are read one line at a time (``jsonl_records``).
 """
 
 from __future__ import annotations
@@ -152,7 +149,7 @@ def framed_blocks(
         raise error
 
 
-def decode_records(numbered, fields=None) -> Iterator[tuple[int, dict | DataError]]:
+def decode_records(numbered, fields) -> Iterator[tuple[int, dict | DataError]]:
     """(line number, object) for each non-blank line of ``numbered``, (line number, line) pairs.
 
     ``fields`` maps each required field to the kind of value it must hold (a
@@ -161,7 +158,6 @@ def decode_records(numbered, fields=None) -> Iterator[tuple[int, dict | DataErro
     kind comes back as a DataError citing its line, so each caller keeps its
     own policy: collect it or raise it.
     """
-    fields = fields or {}
     typed = [(key, *FIELD_KINDS[kind]) for key, kind in fields.items() if kind is not None]
     for lineno, line in numbered:
         if not line.strip():
@@ -188,7 +184,7 @@ def decode_records(numbered, fields=None) -> Iterator[tuple[int, dict | DataErro
         yield lineno, record
 
 
-def jsonl_records(path, fields=None) -> Iterator[tuple[int, dict | DataError]]:
+def jsonl_records(path, fields) -> Iterator[tuple[int, dict | DataError]]:
     """``decode_records`` over a JSON Lines file, read one line at a time."""
     return decode_records(numbered_lines(path), fields)
 

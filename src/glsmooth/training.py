@@ -22,7 +22,6 @@ import math
 from array import array
 from dataclasses import dataclass, field, fields, replace
 from fractions import Fraction
-from itertools import repeat
 
 import numpy as np
 import orjson
@@ -391,11 +390,8 @@ def train(
     # A diverging run overflows mid-epoch; the finiteness checks below report
     # it (NumericError), so numpy's overflow warnings would only be noise.
     with np.errstate(over="ignore", invalid="ignore"):
-        # The largest row L1 norm, for _scores_bounded; inf if it overflows.
-        # Taken a block at a time, so no n x d temporary sits beside X.
-        x_l1 = None if epoch_metrics else max(
-            np.abs(X[i : i + GATHER_ROWS]).sum(axis=1).max() for i in range(0, n, GATHER_ROWS)
-        )
+        # At least every row's L1 norm, for _scores_bounded; inf if it overflows.
+        x_l1 = None if epoch_metrics else X.shape[1] * max(X.max(), -X.min())
         step_loss = epoch_metrics or not _losses_bounded(r)
         for epoch in range(1, config.epochs + 1):
             if epoch <= config.warmup_epochs:
@@ -745,40 +741,37 @@ def _decode_block(
 ) -> tuple[np.ndarray, list[int], list[int]] | None:
     """(X, y values, u values) of a block from its (features, y, u) texts, else None.
 
-    The features are decoded as flat lists by orjson.loads, about
-    DECODE_NUMBERS numbers per call, and ``y`` and ``u`` by one call each.
-    orjson gives each number the double (or integer) json.loads gives it on
-    the line-by-line path, and raises where json.loads would give an
-    infinity.  Each line's comma count gives its row length.  None when the
-    numbers do not decode, a row is empty or its length differs from ``dim``
-    or from the others, or a value is not below the float maximum in
+    The frame (``_EXAMPLE_LINE``) has matched every line, so each features
+    text holds only number characters, commas and spaces.  The rows are
+    decoded by ``orjson.loads``, about DECODE_NUMBERS numbers per call (the
+    first row's comma count sets the rows per call), and ``y`` and ``u`` by
+    one call each.  X's width is the decoded array's: rows of unequal
+    widths, within a call or across calls, make numpy raise.  orjson gives
+    each number the double (or integer) json.loads gives it on the
+    line-by-line path, and raises where json.loads would give an infinity.
+    None when the numbers do not decode, the rows are ragged or empty, their
+    width differs from ``dim``, or a value is not below the float maximum in
     magnitude: a number just past the float range rounds to the maximum,
-    which the line-by-line check rejects as not finite.  The frame holds
-    ``y`` to 0 or 1 and ``u`` to -3..3, and ``-0`` is 0 to both decoders.
+    which the line-by-line check rejects as not finite.  The caller reads
+    such a block line by line, where each line gives the same values or the
+    same first error.  The frame holds ``y`` to 0 or 1 and ``u`` to -3..3,
+    and ``-0`` is 0 to both decoders.
     """
     features, ys, us = zip(*groups)
-    commas = list(map(str.count, features, repeat(",")))
-    width = commas[0] + 1
-    if commas.count(commas[0]) != len(commas) or (dim is not None and width != dim):
-        return None
-    rows = max(1, DECODE_NUMBERS // width)
+    rows = max(1, DECODE_NUMBERS // (features[0].count(",") + 1))
     try:
-        values = np.concatenate([
-            np.array(orjson.loads("[" + ", ".join(features[i : i + rows]) + "]"), dtype=np.float64)
+        X = np.concatenate([
+            np.array(orjson.loads("[[" + "], [".join(features[i : i + rows]) + "]]"),
+                     dtype=np.float64)
             for i in range(0, len(features), rows)
         ])
-    except orjson.JSONDecodeError:  # bad number syntax, or past the float range
+    except ValueError:  # bad number syntax, past the float range, or ragged rows
         return None
-    # A line's features hold one value more than their commas, or none ("[]").
-    if values.size != len(groups) * width:
+    if not X.shape[1] or dim not in (None, X.shape[1]):
         return None
-    if not (-_FLOAT_MAX < values.min() and values.max() < _FLOAT_MAX):
+    if not (-_FLOAT_MAX < X.min() and X.max() < _FLOAT_MAX):
         return None
-    return (
-        values.reshape(-1, width),
-        orjson.loads("[" + ",".join(ys) + "]"),
-        orjson.loads("[" + ",".join(us) + "]"),
-    )
+    return X, orjson.loads("[" + ",".join(ys) + "]"), orjson.loads("[" + ",".join(us) + "]")
 
 
 def read_examples(path) -> ExampleSet:
@@ -787,13 +780,12 @@ def read_examples(path) -> ExampleSet:
     The file is read once, a block of READ_BLOCK_LINES lines at a time
     (``fileio.framed_blocks``, with the frame ``_EXAMPLE_LINE``), so a pipe
     reads as a file does.  A block whose every line has the layout
-    write_examples writes is decoded as a whole.  Any other block (blank,
-    padded or reordered lines, other separators, a non-number in
-    ``features``, a bad line), so every block of a file written in another
-    layout, is read line by line with every check, so each line gives the
-    same values or the same error.
-    A NaN or infinite feature (``NaN``, ``Infinity``, ``1e400``) is an error
-    of its line; a block holding one is always read line by line.
+    write_examples writes is decoded as a whole (``_decode_block``).  Any
+    other block (blank, padded or reordered lines, other separators, a
+    non-number in ``features``, a bad line), so every block of a file
+    written in another layout, is read line by line with every check, so
+    each line gives the same values or the same error.  A NaN or infinite
+    feature (``NaN``, ``Infinity``, ``1e400``) is an error of its line.
     Each block's values are appended to one growable buffer per column, and
     the ExampleSet's arrays are views of those buffers: the file's examples
     are held once, not once as blocks and again joined.

@@ -19,7 +19,7 @@ from hypothesis import strategies as st
 import glsmooth
 from corpus_util import make_reports
 from glsmooth import training
-from glsmooth.cli import _FIELD_OF, _SETTINGS, _TRAIN_FLAGS, _require_output, main
+from glsmooth.cli import _FIELD_OF, _SETTINGS, _TRAIN_FLAGS, _require_outputs, main
 from glsmooth.training import TrainConfig, read_examples, save_model, train
 
 DATA_DIR = Path(__file__).parent / "data"
@@ -496,6 +496,7 @@ class TestMalformedInput:
             "taxonomy": tmp_path / "taxonomy.tsv",
             "config": tmp_path / "run.conf",
         }
+        files["eval"] = files["examples"]
         write_reports(files["reports"], make_reports(5, seed=1))
         files["lexicon"].write_text("likely\t2\tuncertainty_cue\n")
         files["taxonomy"].write_text("pneumonia\tPneumonia\n")
@@ -520,6 +521,8 @@ class TestMalformedInput:
             "eval": ["eval", "--data", files["examples"], "--model", files["model"]],
             "sweep": ["sweep", "--data", files["examples"], "--k", "5/12",
                       "--warmup", "0", "--out", out, "--epochs", "1"],
+            "eval-data": ["sweep", "--data", files["examples"], "--eval-data", files["eval"],
+                          "--k", "5/12", "--warmup", "0", "--out", out, "--epochs", "1"],
             "lexicon": ["build", "--input", files["reports"], "--out", out,
                         "--lexicon", files["lexicon"]],
             "taxonomy": ["build", "--input", files["reports"], "--out", out,
@@ -533,7 +536,8 @@ class TestMalformedInput:
         "command, target, kind",
         [("build", "reports", "input"), ("validate", "dataset", "input"),
          ("train", "examples", "data"), ("eval", "examples", "data"), ("eval", "model", "model"),
-         ("sweep", "examples", "data"), ("lexicon", "lexicon", "lexicon"),
+         ("sweep", "examples", "data"), ("eval-data", "eval", "eval data"),
+         ("lexicon", "lexicon", "lexicon"),
          ("taxonomy", "taxonomy", "taxonomy"), ("config", "config", "config")],
     )
     def test_empty_path_or_directory_names_the_file(
@@ -873,13 +877,54 @@ class TestOutputPaths:
         assert got == (2, "", f"error: stats output file is a directory: {stats}\n")
         assert not out.exists()
 
+    # (command, first flag, its kind, second flag, its kind, the function doing the work)
+    PAIRS = [
+        ("train", "--model-out", "model output", "--metrics-out", "metrics output",
+         "read_examples"),
+        ("gen-synthetic", "--out", "examples output", "--truth-out", "truth output",
+         "write_examples"),
+    ]
+
+    @pytest.mark.parametrize("case", ["same path", "other spelling", "symlink", "hard link"])
+    @pytest.mark.parametrize("command, first, kind, second, other, work", PAIRS,
+                             ids=[pair[0] for pair in PAIRS])
+    def test_two_outputs_naming_one_file(
+        self, tmp_path, capsys, inputs, case, command, first, kind, second, other, work
+    ):
+        out = tmp_path / "out"
+        out.mkdir()
+        target = out / "file"
+        if case in ("symlink", "hard link"):
+            target.write_text("kept\n")
+        named = {"same path": target, "other spelling": out / ".." / "out" / "file",
+                 "symlink": out / "link", "hard link": out / "link"}[case]
+        if case == "symlink":
+            named.symlink_to(target)
+        elif case == "hard link":
+            os.link(target, named)
+        before = sorted(path.name for path in out.iterdir())
+        with mock.patch(f"glsmooth.cli.{work}") as worked:
+            got = run_cli(capsys, *self.argv(command, inputs, {first: target, second: named}))
+        assert got == (2, "", f"error: {kind} and {other} name the same file: {target}\n")
+        assert worked.call_count == 0
+        assert sorted(path.name for path in out.iterdir()) == before
+        if target.exists():
+            assert target.read_text() == "kept\n"
+
     def test_device_and_pipe_pass(self, tmp_path, capsys, inputs):
         outputs = {"--out": tmp_path / "ex.jsonl", "--truth-out": os.devnull}
         code, out, _ = run_cli(capsys, *self.argv("gen-synthetic", inputs, outputs))
         assert (code, out) == (0, f"wrote 40 examples to {tmp_path / 'ex.jsonl'}\n")
+        # A device may be named by both outputs of one command.
+        for command in ("train", "gen-synthetic"):
+            both = dict.fromkeys(["--out", "--model-out", "--metrics-out", "--truth-out"],
+                                 os.devnull)
+            code, _, err = run_cli(capsys, *self.argv(command, inputs, both))
+            assert (code, err) == (0, "")
         if hasattr(os, "mkfifo"):
             os.mkfifo(tmp_path / "fifo")
-            _require_output(str(tmp_path / "fifo"), "pipe")  # checked without opening it
+            fifo = str(tmp_path / "fifo")
+            _require_outputs((fifo, "pipe"), (fifo, "pipe"))  # checked without opening it
 
 
 class TestDivergence:

@@ -107,7 +107,7 @@ def json_line(draw):
 
 
 @pytest.mark.parametrize(
-    "fields", [EXAMPLE_FIELDS, DATASET_FIELDS, None], ids=["examples", "dataset", "none"]
+    "fields", [EXAMPLE_FIELDS, DATASET_FIELDS, {}], ids=["examples", "dataset", "none"]
 )
 @settings(max_examples=150, deadline=None)
 @given(lines=st.lists(json_line(), max_size=8), last_newline=st.booleans())
