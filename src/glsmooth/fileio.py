@@ -6,12 +6,15 @@ raise a DataError naming the line that holds them in a JSON Lines file, and
 naming the input in a table or JSON document.
 
 A JSON Lines file is read in blocks of READ_BLOCK_LINES lines
-(``framed_blocks``).  A reader that knows the exact layout its writer emits
-passes that layout as a one-line regex, its frame; each block comes with
-the frame's groups of every line when every line matches, and the reader
-takes its values from those: ``training.read_examples`` for example files
-(decoded as ``training._decode_block`` describes) and
-``dataset.validate_dataset`` for dataset files.  A block with a line of
+(``framed_blocks``), each taken from the open file in one call and joined
+once; a block whose text is ASCII needs no line's UTF-8 check.  A reader
+that knows the exact layout its writer emits passes that layout as a
+one-line regex, its frame; one ``findall`` over the block's text gives each
+block with the frame's groups of every line when every line matches, and
+the reader takes its values from those: ``training.read_examples`` for
+example files (one ``orjson`` call per block, as
+``training._decode_block`` describes) and ``dataset.validate_dataset`` for
+dataset files.  A block with a line of
 another layout, so every block of a file written some other way, is decoded
 line by line (``decode_records``): a blank line is skipped and any other goes
 to ``json.loads``, which accepts or rejects it with its own exact message.
@@ -24,6 +27,7 @@ import io
 import json
 import re
 import sys
+from itertools import islice
 from pathlib import Path
 from typing import Iterator
 
@@ -89,6 +93,15 @@ def table_lines(source, what: str) -> Iterator[tuple[int, str]]:
             yield lineno, stripped
 
 
+def _undecodable(line: str) -> UnicodeDecodeError | None:
+    """Why a line read with ``surrogateescape`` is not UTF-8, or None when it is."""
+    try:
+        line.encode("utf-8", "surrogateescape").decode("utf-8")
+    except UnicodeDecodeError as exc:
+        return exc
+    return None
+
+
 def numbered_lines(path) -> Iterator[tuple[int, str]]:
     """(line number, line) for every line of a UTF-8 text file, blank ones included.
 
@@ -97,11 +110,8 @@ def numbered_lines(path) -> Iterator[tuple[int, str]]:
     """
     with open(path, encoding="utf-8", errors="surrogateescape") as fh:
         for lineno, line in enumerate(fh, start=1):
-            if not line.isascii():
-                try:
-                    line.encode("utf-8", "surrogateescape").decode("utf-8")
-                except UnicodeDecodeError as exc:
-                    raise _not_utf8(f"{path}: line {lineno}", exc) from None
+            if not line.isascii() and (exc := _undecodable(line)):
+                raise _not_utf8(f"{path}: line {lineno}", exc)
             yield lineno, line
 
 
@@ -115,11 +125,12 @@ def numbered_lines(path) -> Iterator[tuple[int, str]]:
 READ_BLOCK_LINES = 256
 
 
-def _frame_groups(lines: list[str], frame: str) -> list[tuple] | None:
-    """Each line's groups of ``frame``, or None when a line does not match it."""
-    found = re.findall(frame, "".join(lines), re.MULTILINE)
-    # A match never spans lines, so a line did not match when one is missing.
-    return found if len(found) == len(lines) else None
+def _frame_groups(text: str, count: int, frame: str) -> list[tuple] | None:
+    """The groups of ``frame`` of each of the ``count`` lines of ``text``, else None."""
+    found = re.findall(frame, text, re.MULTILINE)
+    # Matches start at distinct line starts, and one that runs past a line
+    # end covers the next line's start: ``count`` matches leave one to a line.
+    return found if len(found) == count else None
 
 
 def framed_blocks(
@@ -128,25 +139,30 @@ def framed_blocks(
     """(number of the first line, lines, groups) for consecutive ``size``-line blocks of a file.
 
     ``frame`` is a regex of one whole line, ``^...$`` with at least two
-    groups and nothing that matches a newline.  ``groups`` holds one tuple of
-    its groups per line when every line of the block matches it, and is None
-    otherwise.  A line that is not UTF-8 raises its DataError only after
-    the block of lines before it, so a bad line there fails first, as line
-    by line.
+    groups.  It may match across a newline, as ``[^]]*`` does: a match that
+    spans lines leaves the block fewer matches than lines, and the block
+    counts as framed only with one match to each line.  ``groups`` then holds
+    one tuple of its groups per line, and is None otherwise.  A block is checked for UTF-8 as a whole, and
+    line by line only when it is not ASCII; a line that is not UTF-8 raises
+    its DataError only after the lines of its block before it, so a bad line
+    there fails first, as line by line.
     """
-    first, lines, error = 1, [], None
-    try:
-        for lineno, line in numbered_lines(path):
-            lines.append(line)
-            if len(lines) == size:
-                yield first, lines, _frame_groups(lines, frame)
-                first, lines = lineno + 1, []
-    except DataError as exc:
-        error = exc
-    if lines:
-        yield first, lines, _frame_groups(lines, frame)
-    if error is not None:
-        raise error
+    with open(path, encoding="utf-8", errors="surrogateescape") as fh:
+        first = 1
+        while lines := list(islice(fh, size)):
+            text, error = "".join(lines), None
+            if not text.isascii():
+                for i, line in enumerate(lines):
+                    if not line.isascii() and (exc := _undecodable(line)):
+                        error = _not_utf8(f"{path}: line {first + i}", exc)
+                        lines = lines[:i]
+                        text = "".join(lines)
+                        break
+            if lines:
+                yield first, lines, _frame_groups(text, len(lines), frame)
+            if error is not None:
+                raise error
+            first += len(lines)
 
 
 def decode_records(numbered, fields) -> Iterator[tuple[int, dict | DataError]]:

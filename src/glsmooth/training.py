@@ -22,6 +22,7 @@ import math
 from array import array
 from dataclasses import dataclass, field, fields, replace
 from fractions import Fraction
+from itertools import chain
 
 import numpy as np
 import orjson
@@ -60,6 +61,8 @@ class ExampleSet:
         u = np.asarray(self.u, dtype=np.int64)
         if X.ndim != 2:
             raise DataError("examples must have one-dimensional feature vectors")
+        if not X.shape[1]:
+            raise DataError("examples must have at least one feature")
         if y.shape != (len(X),) or u.shape != (len(X),):
             raise DataError("features, labels and scores must have one row per example")
         if not np.all(np.isfinite(X)):
@@ -723,17 +726,12 @@ def write_examples(path, examples: ExampleSet) -> None:
 
 
 _EXAMPLE_FIELDS = {"features": "finite numbers", "y": "label", "u": "score"}
-# A line as write_examples and json.dumps write it: only number characters in
-# features, y 0 or 1, u -3..3, and nothing else on the line.
-_EXAMPLE_LINE = r'^\{"features": \[([-0-9.eE+, ]*)\], "y": ([01]), "u": (-?[0-3])\}$'
-
-
-# _decode_block hands orjson about this many numbers at a time.  The train
-# workload's peak (perfbench's memory pass: train and eval on 20k x 10 rows,
-# 20 runs over 4 seeds) was 10.84 MB with json.loads, 11.24 with one orjson
-# call per block (2560 numbers) and 11.14 with 256 numbers per call, all at
-# one speed (2-core Xeon).
-DECODE_NUMBERS = 256
+# A line as write_examples and json.dumps write it: y 0 or 1, u -3..3, and
+# nothing else on the line.  The features text is any run of characters up to
+# the first "]": _decode_block holds it to number characters.
+_EXAMPLE_LINE = r'^\{"features": \[([^]]*)\], "y": ([01]), "u": (-?[0-3])\}$'
+# The characters of a features text as write_examples writes it.
+_NUMBER_CHARACTERS = b"-0123456789.eE+, "
 
 
 def _decode_block(
@@ -741,34 +739,33 @@ def _decode_block(
 ) -> tuple[np.ndarray, list[int], list[int]] | None:
     """(X, y values, u values) of a block from its (features, y, u) texts, else None.
 
-    The frame (``_EXAMPLE_LINE``) has matched every line, so each features
-    text holds only number characters, commas and spaces.  The rows are
-    decoded by ``orjson.loads``, about DECODE_NUMBERS numbers per call (the
-    first row's comma count sets the rows per call), and ``y`` and ``u`` by
-    one call each.  X's width is the decoded array's: rows of unequal
-    widths, within a call or across calls, make numpy raise.  orjson gives
-    each number the double (or integer) json.loads gives it on the
-    line-by-line path, and raises where json.loads would give an infinity.
-    None when the numbers do not decode, the rows are ragged or empty, their
-    width differs from ``dim``, or a value is not below the float maximum in
-    magnitude: a number just past the float range rounds to the maximum,
-    which the line-by-line check rejects as not finite.  The caller reads
-    such a block line by line, where each line gives the same values or the
-    same first error.  The frame holds ``y`` to 0 or 1 and ``u`` to -3..3,
-    and ``-0`` is 0 to both decoders.
+    The frame (``_EXAMPLE_LINE``) has matched every line.  Its features
+    texts, joined, must hold only number characters, commas and spaces,
+    checked in one ``bytes.translate`` pass.  All the rows are then decoded
+    by one ``orjson.loads`` call, and ``y`` and ``u`` by one call each; X is
+    filled from the rows, once their lengths are one width, by one
+    ``np.fromiter`` call.  orjson gives each number the double (or integer)
+    json.loads gives it on the line-by-line path, and raises where
+    json.loads would give an infinity.  None when a features text holds
+    another character, the numbers do not decode, the rows are ragged or
+    empty, their width differs from ``dim``, or a value is not below the
+    float maximum in magnitude: a number just past the float range rounds
+    to the maximum, which the line-by-line check rejects as not finite.  The
+    caller reads such a block line by line, where each line gives the same
+    values or the same first error.  The frame holds ``y`` to 0 or 1 and
+    ``u`` to -3..3, and ``-0`` is 0 to both decoders.
     """
     features, ys, us = zip(*groups)
-    rows = max(1, DECODE_NUMBERS // (features[0].count(",") + 1))
+    if "".join(features).encode().translate(None, _NUMBER_CHARACTERS):
+        return None
     try:
-        X = np.concatenate([
-            np.array(orjson.loads("[[" + "], [".join(features[i : i + rows]) + "]]"),
-                     dtype=np.float64)
-            for i in range(0, len(features), rows)
-        ])
-    except ValueError:  # bad number syntax, past the float range, or ragged rows
+        rows = orjson.loads("[[" + "], [".join(features) + "]]")
+    except ValueError:  # bad number syntax or past the float range
         return None
-    if not X.shape[1] or dim not in (None, X.shape[1]):
+    width, *others = set(map(len, rows))
+    if others or not width or dim not in (None, width):
         return None
+    X = np.fromiter(chain.from_iterable(rows), np.float64, len(rows) * width).reshape(-1, width)
     if not (-_FLOAT_MAX < X.min() and X.max() < _FLOAT_MAX):
         return None
     return X, orjson.loads("[" + ",".join(ys) + "]"), orjson.loads("[" + ",".join(us) + "]")

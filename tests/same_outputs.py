@@ -14,7 +14,8 @@ means bad arguments.
 
 The calls cover training both architectures under both losses with a
 warm-up, writing models and metrics; ``eval``; ``train`` and ``eval`` on a
-file of edge numbers; ``sweep`` on its own split
+file of edge numbers, and on a file with a non-ASCII line in some blocks;
+``sweep`` on its own split
 and with ``--eval-data``; ``gen-synthetic``; ``build`` then ``validate``; and
 ``build`` with ``--lexicon`` and ``--taxonomy`` given copies of the shipped
 tables.  ``--rows`` sets the rows of each example file (default 4000).
@@ -59,6 +60,8 @@ CALLS = [
     ["eval", "--data", f"{IN}/heldout.jsonl", "--model", "linear_ce.json"],
     ["train", "--data", f"{IN}/edge.jsonl", "--model-out", "edge.json", *TRAIN_FLAGS, *MLP],
     ["eval", "--data", f"{IN}/edge.jsonl", "--model", "edge.json"],
+    ["train", "--data", f"{IN}/noted.jsonl", "--model-out", "noted.json", *TRAIN_FLAGS, *MLP],
+    ["eval", "--data", f"{IN}/noted.jsonl", "--model", "noted.json"],
     ["sweep", "--data", f"{IN}/train.jsonl", "--out", "sweep_split.tsv", *SWEEP_FLAGS],
     ["sweep", "--data", f"{IN}/train.jsonl", "--eval-data", f"{IN}/heldout.jsonl",
      "--out", "sweep_eval.tsv", *SWEEP_FLAGS],
@@ -103,13 +106,30 @@ def write_edge_examples(path: Path, rng: random.Random) -> None:
             fh.write(f'{{"features": [{", ".join(features)}], "y": {y}, "u": {u}}}\n')
 
 
+def write_noted_examples(path: Path, rng: random.Random) -> None:
+    """An example file of 900 lines in the json.dumps layout; every 300th has a ``note`` key.
+
+    The note, ``"é"``, is not ASCII and is not in the layout, so the blocks
+    that hold lines 151, 451 and 751 are checked for UTF-8 and decoded line
+    by line, and the others a block at a time.
+    """
+    with open(path, "w", encoding="utf-8") as fh:
+        for i in range(900):
+            y = rng.randrange(2)
+            features = ", ".join(repr(rng.gauss(0.6 if y else -0.6, 1.0)) for _ in range(6))
+            u = rng.choice([-3, -2, -1, 0, 1, 2, 3, 3, 3])
+            note = ', "note": "é"' if i % 300 == 150 else ""
+            fh.write(f'{{"features": [{features}], "y": {y}, "u": {u}{note}}}\n')
+
+
 def write_inputs(folder: Path, rows: int) -> None:
-    """Three seeded example files, the golden report corpus and the shipped tables, under ``folder``.
+    """Four seeded example files, the golden report corpus and the shipped tables, under ``folder``.
 
     Lines are written as ``json.dumps`` writes them, the layout the readers
     decode a block at a time, but for one compact line in every 100, so the
     line-by-line reader runs too.  The third file holds edge numbers
-    (``write_edge_examples``).
+    (``write_edge_examples``), the fourth a few non-ASCII lines
+    (``write_noted_examples``).
     """
     folder.mkdir()
     rng = random.Random(20240611)
@@ -126,6 +146,7 @@ def write_inputs(folder: Path, rows: int) -> None:
                 separators = (",", ":") if i % 100 == 7 else None
                 fh.write(json.dumps(record, separators=separators) + "\n")
     write_edge_examples(folder / "edge.jsonl", rng)
+    write_noted_examples(folder / "noted.jsonl", rng)
     shutil.copyfile(REPORTS, folder / "reports.jsonl")
     for name in ("lexicon.tsv", "taxonomy.tsv"):
         shutil.copyfile(TABLES / name, folder / name)

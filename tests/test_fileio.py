@@ -4,7 +4,7 @@ import json
 import re
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from glsmooth.dataset import _DATASET_LINE
@@ -226,6 +226,9 @@ FRAMED_LINES = [
     ' {"features": [0.5], "y": 1, "u": 2}',
     '{"features": [0.5], "y": 1, "u": 2} ',
     "", " ", "\t", "{}", "éè", "\ufeff{}",
+    # The halves of a written-layout line split after a comma: one examples
+    # frame match spans both.
+    '{"features": [0.5,', ' 1.0], "y": 1, "u": 2}',
 ]
 
 
@@ -239,6 +242,7 @@ FRAMED_LINES = [
     ),
     last_newline=st.booleans(),
 )
+@example(lines=[(FRAMED_LINES[-2], "\n"), (FRAMED_LINES[-1], "\n")], last_newline=True)
 def test_framed_blocks_match_line_blocks(tmp_path_factory, size, frame, lines, last_newline):
     path = tmp_path_factory.getbasetemp() / "framed-property.jsonl"
     text = "".join(line + end for line, end in lines)

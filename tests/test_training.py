@@ -1139,6 +1139,17 @@ class TestReaderBlocks:
         "overflows float": f'{{"features": [1.0, {10**309}, 3.0], "y": 0, "u": 1}}',
         "prefix": 'x{"features": [1.0, 2.0, 3.0], "y": 0, "u": 1}',
         "empty": '{"features": [], "y": 0, "u": 1}',
+        # Written-layout lines that hold a value other than a number in features.
+        "null": '{"features": [1.0, null, 3.0], "y": 0, "u": 1}',
+        "string": '{"features": [1.0, "2.0", 3.0], "y": 0, "u": 1}',
+        "nan": '{"features": [1.0, NaN, 3.0], "y": 0, "u": 1}',
+        "infinity": '{"features": [1.0, Infinity, 3.0], "y": 0, "u": 1}',
+        "object": '{"features": [1.0, {}, 3.0], "y": 0, "u": 1}',
+        "list": '{"features": [1.0, [2.0], 3.0], "y": 0, "u": 1}',
+        "open list": '{"features": [1.0, [2.0, 3.0], "y": 0, "u": 1}',
+        # One written-layout line split in two after a comma: the frame's
+        # features group can match across the newline.
+        "split": '{"features": [1.0,\n 2.0, 3.0], "y": 0, "u": 1}',
     }
     ODD_LINES = {
         "compact": '{"features":[1.5,-0,1E+05],"y":1,"u":-3}',
@@ -1588,6 +1599,24 @@ class TestExampleSet:
     def test_rejects_bad_columns(self, X, y, u, message):
         with pytest.raises(DataError, match=message):
             ExampleSet(X, y, u)
+
+    # Unchecked, a zero-width X reaches each use: a quiet train raises numpy's
+    # bare ValueError, a loud one trains a model of AUC 0.5, and write_examples
+    # writes '"features": []' lines that read_examples refuses.
+    @pytest.mark.parametrize(
+        "use",
+        [
+            lambda examples, path: train(examples, TrainConfig(epochs=1), epoch_metrics=False),
+            lambda examples, path: train(examples, TrainConfig(epochs=1)),
+            lambda examples, path: write_examples(path, examples),
+        ],
+        ids=["quiet train", "loud train", "write"],
+    )
+    def test_zero_width_features_rejected(self, tmp_path, use):
+        path = tmp_path / "ex.jsonl"
+        with pytest.raises(DataError, match="examples must have at least one feature"):
+            use(ExampleSet(np.zeros((4, 0)), [0, 1, 0, 1], [3, 3, -3, -3]), path)
+        assert not path.exists()
 
     def test_model_weights_share_one_vector(self):
         config = TrainConfig(architecture="mlp_1hidden", hidden_width=3)
