@@ -37,6 +37,7 @@ from .taxonomy import default_taxonomy, load_taxonomy
 from .training import (
     ARCHITECTURES,
     LOSS_MODES,
+    WRITE_BLOCK_ROWS,
     TrainConfig,
     check_setting,
     evaluate,
@@ -175,15 +176,28 @@ def _require_file(path: str, what: str) -> Path:
     return p
 
 
-def _require_outputs(*outputs: tuple[str | None, str]) -> None:
+# The input files a command may read: the attribute of its flag, and its kind.
+_INPUT_FLAGS = {"input": "input", "lexicon": "lexicon", "taxonomy": "taxonomy",
+                "data": "data", "eval_data": "eval data", "config": "config"}
+
+
+def _input_files(args) -> list[tuple[str, str]]:
+    """The (path, kind) of each input file the command's flags name."""
+    return [(getattr(args, key), kind) for key, kind in _INPUT_FLAGS.items()
+            if getattr(args, key, None) is not None]
+
+
+def _require_outputs(*outputs: tuple[str | None, str], inputs=()) -> None:
     """Refuse (path, kind) outputs that open() would fail on, before any work is done.
 
     An empty path, a directory and a path whose parent directory is missing
     are refused by name; None is an optional output left unset.  Two
     outputs that name one file, by their resolved paths or, where both
     exist, by ``os.path.samefile``, are refused too, as the second would
-    overwrite the first.  A pipe or a device (``/dev/stdout``) passes, also
-    named twice.
+    overwrite the first.  So is an output naming one of the command's
+    (path, kind) ``inputs``, by ``os.path.samefile``, which it would
+    overwrite.  A pipe or a device (``/dev/stdout``) passes, also named
+    twice or as an input.
     """
     named = [(Path(path), path, what) for path, what in outputs if path is not None]
     for p, path, what in named:
@@ -200,6 +214,10 @@ def _require_outputs(*outputs: tuple[str | None, str]) -> None:
             a.exists() and b.exists() and os.path.samefile(a, b)
         ):
             raise DataError(f"{what} and {other} name the same file: {path}")
+    for (p, path, what), (source, kind) in itertools.product(named, inputs):
+        # An input that is missing, a pipe or a device cannot be overwritten.
+        if Path(source).is_file() and p.exists() and os.path.samefile(p, source):
+            raise DataError(f"{what} {path} would overwrite the {kind} file {source}")
 
 
 def _train_config(args) -> TrainConfig:
@@ -211,8 +229,9 @@ def _train_config(args) -> TrainConfig:
 
 def cmd_build(args) -> int:
     params = _smoothing_params(args)
-    _require_outputs((args.out, "dataset output"))
-    _require_outputs((str(stats_path_for(args.out)), "stats output"))
+    inputs = _input_files(args)
+    _require_outputs((args.out, "dataset output"), inputs=inputs)
+    _require_outputs((str(stats_path_for(args.out)), "stats output"), inputs=inputs)
     stats = build_dataset_file(
         _require_file(args.input, "input"),
         args.out,
@@ -244,7 +263,8 @@ def _metric_value(x: float):
 
 def cmd_train(args) -> int:
     config = _train_config(args)
-    _require_outputs((args.model_out, "model output"), (args.metrics_out, "metrics output"))
+    _require_outputs((args.model_out, "model output"), (args.metrics_out, "metrics output"),
+                     inputs=_input_files(args))
     examples = read_examples(_require_file(args.data, "data"))
     model, history = train(examples, config)
     save_model(model, args.model_out)
@@ -289,7 +309,7 @@ def cmd_sweep(args) -> int:
     k_values = [_fraction(tok, "--k") for tok in k_tokens]
     # Every cell's settings, checked before the data is read.
     sweep_configs(config, k_values, warmups)
-    _require_outputs((args.out, "sweep output"))
+    _require_outputs((args.out, "sweep output"), inputs=_input_files(args))
     data = _require_file(args.data, "data")
     eval_data = None if args.eval_data is None else _require_file(args.eval_data, "eval data")
     examples = read_examples(data)
@@ -340,14 +360,17 @@ def cmd_gen_synthetic(args) -> int:
     # The generator checks the settings first, so a bad one still exits 1;
     # it reads no input, and no output is opened before every path passes.
     data = synthetic_noisy_generator(args.n, args.d, _parse_profile(args.profile), args.seed)
-    _require_outputs((args.out, "examples output"), (args.truth_out, "truth output"))
+    _require_outputs((args.out, "examples output"), (args.truth_out, "truth output"),
+                     inputs=_input_files(args))
     write_examples(args.out, data.examples)
     if args.truth_out is not None:
-        with open(args.truth_out, "w", encoding="utf-8", newline="\n") as fh:
-            fh.writelines(
-                f'{{"index": {i}, "true_y": {label}}}\n'
-                for i, label in enumerate(data.true_labels.tolist())
-            )
+        labels = data.true_labels.tolist()
+        with open(args.truth_out, "wb") as fh:
+            for start in range(0, len(labels), WRITE_BLOCK_ROWS):
+                block = range(start, min(start + WRITE_BLOCK_ROWS, len(labels)))
+                fh.write(b"".join(
+                    b'{"index": %d, "true_y": %d}\n' % (i, labels[i]) for i in block
+                ))
     print(f"wrote {args.n} examples to {args.out}")
     return 0
 

@@ -188,12 +188,17 @@ def init_model(feature_dim: int, config: TrainConfig, rng: np.random.Generator) 
         }
     else:
         h = config.hidden_width
-        weights = {
-            "W1": rng.uniform(-1.0, 1.0, size=(feature_dim, h)) / math.sqrt(feature_dim),
-            "b1": np.zeros(h),
-            "W2": rng.uniform(-1.0, 1.0, size=(h, 2)) / math.sqrt(h),
-            "b2": np.zeros(2),
-        }
+        try:
+            weights = {
+                "W1": rng.uniform(-1.0, 1.0, size=(feature_dim, h)) / math.sqrt(feature_dim),
+                "b1": np.zeros(h),
+                "W2": rng.uniform(-1.0, 1.0, size=(h, 2)) / math.sqrt(h),
+                "b2": np.zeros(2),
+            }
+        except (ValueError, MemoryError):  # numpy refuses the size, or fails to allocate it
+            raise ConfigError(
+                f"hidden_width {h} is too large: no {feature_dim} x {h} weights can be allocated"
+            ) from None
     theta = np.concatenate([w.ravel() for w in weights.values()])
     return Model(config.architecture, _views(theta, weights))
 
@@ -583,12 +588,15 @@ def synthetic_noisy_generator(
             raise ConfigError(f"flip probability must be in [0, 0.5], got {p}")
 
     rng = np.random.default_rng(seed)
-    true = rng.integers(0, 2, size=n)
-    direction = np.ones(d) / math.sqrt(d)
     # Each row is shifted toward its class's centre, +direction or -direction,
     # in place: subtracting direction is adding -direction, bit for bit, so
     # the data holds one n x d array and no sign or shift matrix.
-    X = rng.standard_normal((n, d))
+    try:
+        true = rng.integers(0, 2, size=n)
+        direction = np.ones(d) / math.sqrt(d)
+        X = rng.standard_normal((n, d))
+    except (ValueError, MemoryError):  # numpy refuses the size, or fails to allocate it
+        raise ConfigError(f"n x d is too large: no {n} x {d} features can be allocated") from None
     positive = (true == 1)[:, None]
     np.add(X, direction, out=X, where=positive)
     np.subtract(X, direction, out=X, where=~positive)
@@ -685,44 +693,73 @@ def sweep(
 # File formats: training examples (JSON lines) and model checkpoints (JSON).
 
 
-# write_examples turns this many rows at a time into Python floats to format
-# them.  The allocator keeps a block's float objects resident after the call:
-# with 4096-row blocks a 10k-row gen-synthetic left more memory resident than
-# writing row by row, with 1024 less, at the same speed.  256 holds a quarter
-# of 1024's floats (traced peak of a 20k x 10 write: 132 against 508 kB) at
-# the same speed again: 10k rows x 10 wrote in 23.1, 22.6 and 23.6 ms at 128,
-# 256 and 1024 rows (medians of 15, 2-core Xeon).
+# write_examples formats this many rows at a time, with one orjson call, and
+# holds one block's texts (orjson's output, its rows and their join) at once.
+# Traced peak of a 20k x 10 write: 97, 154 and 374 kB at 128, 256 and 512
+# rows; 10k x 10 rows wrote in 11.1, 10.7 and 10.2 ms (medians of five
+# processes of 21 writes each, 2-core Xeon).  512 rows would be 5% faster
+# than 256 for 2.4 times the memory.
 WRITE_BLOCK_ROWS = 256
+
+# A line's head, and its end after the features for each label and score:
+# _LINE_ENDS[7 * y + u + 3].
+_LINE_HEAD = b'{"features": ['
+_LINE_ENDS = [b'], "y": %d, "u": %d}\n' % (y, u) for y in (0, 1) for u in SCORE_LEVELS]
 
 
 def write_examples(path, examples: ExampleSet) -> None:
     """One JSON Lines record per example: ``{"features": [...], "y": y, "u": u}``.
 
     Each line is the bytes ``json.dumps`` gives: a float as its ``repr``,
-    items separated by ``", "``; an ExampleSet holds only finite floats.  A
-    row's features are ``orjson.dumps(row)`` with ``", "`` between items:
-    orjson spells a float with ``repr``'s digits, and in ``repr``'s way
-    wherever ``repr`` writes no exponent.  A row holding a nonzero value
-    below 1e-4 in magnitude, or any value of 1e16 or more, is written with
-    ``repr`` instead.  An empty set raises ConfigError and writes no file.
+    items separated by ``", "``; an ExampleSet holds only finite floats.
+    The lines are formatted and written a block of WRITE_BLOCK_ROWS rows at
+    a time (``_block_lines``).  An empty set raises ConfigError and writes
+    no file.
     """
     _require_rows(examples)
     X, y, u = examples.X, examples.y, examples.u
     with open(path, "wb") as fh:
         for start in range(0, len(X), WRITE_BLOCK_ROWS):
             block = slice(start, start + WRITE_BLOCK_ROWS)
-            # The rows where repr writes an exponent, which orjson spells otherwise.
-            magnitude = np.abs(X[block])
-            tiny = (magnitude < 1e-4) & (magnitude != 0)
-            exponent_rows = (tiny | (magnitude >= 1e16)).any(axis=1).tolist()
-            fh.writelines(
-                b'{"features": %s, "y": %d, "u": %d}\n'
-                % (repr(row).encode() if exponent else orjson.dumps(row).replace(b",", b", "),
-                   label, score)
-                for row, label, score, exponent in zip(
-                    X[block].tolist(), y[block].tolist(), u[block].tolist(), exponent_rows
-                )
-            )
+            fh.write(_block_lines(X[block], y[block], u[block]))
+
+
+def _exponent_rows(X: np.ndarray) -> list[int]:
+    """The rows of X where repr writes an exponent, which orjson spells otherwise.
+
+    A function of its own so that its masks are let go before
+    ``_block_lines`` joins a block's text.
+    """
+    magnitude = np.abs(X)
+    tiny = (magnitude < 1e-4) & (magnitude != 0)
+    return np.flatnonzero((tiny | (magnitude >= 1e16)).any(axis=1)).tolist()
+
+
+def _block_lines(X: np.ndarray, y: np.ndarray, u: np.ndarray) -> bytes:
+    """The lines of a block of examples, as ``write_examples`` writes them.
+
+    The block's features are turned into text by one ``orjson.dumps`` call
+    on the float64 array, with ``", "`` between items, and split into rows
+    at ``"], ["``: orjson spells a float with ``repr``'s digits, and in
+    ``repr``'s way wherever ``repr`` writes no exponent.  A row holding a
+    nonzero value below 1e-4 in magnitude, or any value of 1e16 or more, is
+    written with ``repr`` instead.  Each row takes its line's end from
+    ``_LINE_ENDS``, and the lines are joined with one ``join``.  A block's
+    texts are let go when this returns, so a write holds one block's.
+    """
+    # orjson takes only a C-contiguous array: a block of a Fortran-ordered X
+    # or of a column slice is copied.
+    X = np.ascontiguousarray(X)
+    rows = orjson.dumps(X, option=orjson.OPT_SERIALIZE_NUMPY).replace(b",", b", ").split(b"], [")
+    # The array's "[[" and "]]", one after the other: a block may be one row.
+    rows[0] = rows[0][2:]
+    rows[-1] = rows[-1][:-2]
+    for i in _exponent_rows(X):
+        rows[i] = repr(X[i].tolist())[1:-1].encode()
+    for i, end in enumerate((7 * y + u + 3).tolist()):
+        rows[i] += _LINE_ENDS[end]
+    rows[0] = _LINE_HEAD + rows[0]
+    return _LINE_HEAD.join(rows)
 
 
 _EXAMPLE_FIELDS = {"features": "finite numbers", "y": "label", "u": "score"}

@@ -15,10 +15,11 @@ means bad arguments.
 The calls cover training both architectures under both losses with a
 warm-up, writing models and metrics; ``eval``; ``train`` and ``eval`` on a
 file of edge numbers, and on a file with a non-ASCII line in some blocks;
-``sweep`` on its own split
-and with ``--eval-data``; ``gen-synthetic``; ``build`` then ``validate``; and
-``build`` with ``--lexicon`` and ``--taxonomy`` given copies of the shipped
-tables.  ``--rows`` sets the rows of each example file (default 4000).
+``sweep`` on its own split and with ``--eval-data``; ``gen-synthetic``, once
+with ``--rows`` rows and once with 513, which leaves a last write block of
+one row; ``build`` then ``validate``; and ``build`` with ``--lexicon`` and
+``--taxonomy`` given copies of the shipped tables.  ``--rows`` sets the rows
+of each example file (default 4000).
 """
 
 from __future__ import annotations
@@ -67,6 +68,9 @@ CALLS = [
      "--out", "sweep_eval.tsv", *SWEEP_FLAGS],
     ["gen-synthetic", "--n", "{rows}", "--d", "6", "--profile", "3:0.02,2:0.1,1:0.25,0:0.45",
      "--seed", "3", "--out", "generated.jsonl", "--truth-out", "generated.truth.jsonl"],
+    # 513 rows: two full 256-row write blocks, then a block of one row.
+    ["gen-synthetic", "--n", "513", "--d", "3", "--profile", "3:0.0,1:0.25,0:0.5",
+     "--seed", "4", "--out", "one_row_block.jsonl", "--truth-out", "one_row_block.truth.jsonl"],
     ["build", "--input", f"{IN}/reports.jsonl", "--out", "dataset.jsonl"],
     ["validate", "--input", "dataset.jsonl"],
     ["build", "--input", f"{IN}/reports.jsonl", "--out", "dataset_tables.jsonl",

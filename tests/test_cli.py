@@ -911,6 +911,54 @@ class TestOutputPaths:
         if target.exists():
             assert target.read_text() == "kept\n"
 
+    # (command, output flag, its kind, input flag, its kind, the function doing the work)
+    OVERWRITES = [
+        ("build", "--out", "dataset output", "--input", "input", "build_dataset_file"),
+        ("build", "--out", "dataset output", "--taxonomy", "taxonomy", "build_dataset_file"),
+        ("train", "--model-out", "model output", "--data", "data", "read_examples"),
+        ("train", "--metrics-out", "metrics output", "--config", "config", "read_examples"),
+        ("sweep", "--out", "sweep output", "--eval-data", "eval data", "read_examples"),
+        ("gen-synthetic", "--out", "examples output", "--config", "config", "write_examples"),
+        ("gen-synthetic", "--truth-out", "truth output", "--config", "config",
+         "write_examples"),
+    ]
+
+    @pytest.mark.parametrize("case", ["same path", "other spelling", "symlink", "hard link"])
+    @pytest.mark.parametrize("command, flag, kind, input_flag, input_kind, work", OVERWRITES,
+                             ids=[row[0] + row[1] + row[3] for row in OVERWRITES])
+    def test_output_naming_an_input(self, tmp_path, capsys, inputs, case, command, flag, kind,
+                                    input_flag, input_kind, work):
+        source = tmp_path / "source"
+        source.write_bytes(b"seed=3\n" if input_flag == "--config" else {
+            "--input": inputs / "reports.jsonl",
+            "--taxonomy": Path(glsmooth.__file__).parent / "data" / "taxonomy.tsv",
+        }.get(input_flag, inputs / "examples.jsonl").read_bytes())
+        before = source.read_bytes()
+        named = {"same path": source, "other spelling": tmp_path / ".." / tmp_path.name
+                 / "source", "symlink": tmp_path / "link", "hard link": tmp_path / "link"}[case]
+        if case == "symlink":
+            named.symlink_to(source)
+        elif case == "hard link":
+            os.link(source, named)
+        outputs = {name: tmp_path / name.lstrip("-") for name in ("--out", "--model-out",
+                                                                 "--metrics-out", "--truth-out")}
+        outputs[flag] = named
+        argv = self.argv(command, inputs, outputs)
+        if input_flag == "--config":
+            argv = ["--config", str(source), *argv]
+        elif input_flag in argv:
+            argv[argv.index(input_flag) + 1] = str(source)
+        else:
+            argv += [input_flag, str(source)]
+        with mock.patch(f"glsmooth.cli.{work}") as worked:
+            got = run_cli(capsys, *argv)
+        assert got == (2, "", f"error: {kind} {named} would overwrite the {input_kind} file"
+                              f" {source}\n")
+        assert worked.call_count == 0
+        assert source.read_bytes() == before
+        assert sorted(path.name for path in tmp_path.iterdir()) == sorted(
+            ["in", "source"] + ["link"] * (case in ("symlink", "hard link")))
+
     def test_device_and_pipe_pass(self, tmp_path, capsys, inputs):
         outputs = {"--out": tmp_path / "ex.jsonl", "--truth-out": os.devnull}
         code, out, _ = run_cli(capsys, *self.argv("gen-synthetic", inputs, outputs))
@@ -920,6 +968,10 @@ class TestOutputPaths:
             both = dict.fromkeys(["--out", "--model-out", "--metrics-out", "--truth-out"],
                                  os.devnull)
             code, _, err = run_cli(capsys, *self.argv(command, inputs, both))
+            assert (code, err) == (0, "")
+            # ... and be an input as well.
+            code, _, err = run_cli(capsys, "--config", os.devnull,
+                                   *self.argv(command, inputs, both))
             assert (code, err) == (0, "")
         if hasattr(os, "mkfifo"):
             os.mkfifo(tmp_path / "fifo")
@@ -1099,6 +1151,30 @@ class TestUsageErrors:
         code, _, err = run_cli(capsys, *(arg.format(**paths) for arg in argv))
         assert code == 1
         assert setting in err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("argv, error", [
+        (["train", "--data", "{data}", "--model-out", "{out}", "--arch", "mlp_1hidden",
+          "--hidden-width", str(2**62)],
+         f"hidden_width {2**62} is too large: no 3 x {2**62} weights can be allocated"),
+        (["sweep", "--data", "{data}", "--k", "5/12", "--warmup", "0", "--out", "{out}",
+          "--arch", "mlp_1hidden", "--hidden-width", str(2**63)],
+         f"hidden_width {2**63} is too large: no 3 x {2**63} weights can be allocated"),
+        (["gen-synthetic", "--n", str(2**62), "--d", "3", "--profile", "3:0.0", "--out", "{out}"],
+         f"n x d is too large: no {2**62} x 3 features can be allocated"),
+        (["gen-synthetic", "--n", "4", "--d", str(2**62), "--profile", "3:0.0", "--out", "{out}"],
+         f"n x d is too large: no 4 x {2**62} features can be allocated"),
+        (["gen-synthetic", "--n", str(2**64), "--d", "3", "--profile", "3:0.0", "--out", "{out}"],
+         f"n x d is too large: no {2**64} x 3 features can be allocated"),
+    ])
+    def test_setting_numpy_refuses_is_one_line_error(self, tmp_path, capsys, argv, error):
+        # Only sizes numpy refuses before allocating anything (2**62 floats and up).
+        data = tmp_path / "ex.jsonl"
+        assert run_cli(capsys, "gen-synthetic", "--n", "40", "--d", "3", "--profile",
+                       "3:0.0,0:0.4", "--out", str(data))[0] == 0
+        paths = {"data": str(data), "out": str(tmp_path / "out")}
+        got = run_cli(capsys, *(arg.format(**paths) for arg in argv))
+        assert got == (1, "", f"error: {error}\n")
         assert not (tmp_path / "out").exists()
 
     def test_setting_types_match_train_config(self):

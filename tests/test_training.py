@@ -1378,6 +1378,21 @@ def random_special_rows(n, d, seed):
     return ExampleSet(X, rng.integers(0, 2, size=n), rng.integers(-3, 4, size=n))
 
 
+def laid_out(examples: ExampleSet, layout: str) -> ExampleSet:
+    """The examples with X in C order, in Fortran order, or as a column slice of a wider array."""
+    X = examples.X
+    if layout == "F":
+        X = np.asfortranarray(X)
+    elif layout == "columns":
+        wide = np.zeros((len(X), 2 * X.shape[1]))
+        wide[:, 1::2] = X
+        X = wide[:, 1::2]
+    return ExampleSet(X, examples.y, examples.u)
+
+
+LAYOUTS = ["C", "F", "columns"]
+
+
 def rows_through_repr(monkeypatch) -> list:
     """The rows write_examples formats with repr from now on, in the order written."""
     rows = []
@@ -1402,13 +1417,14 @@ def assert_same_bits(got: ExampleSet, X, y, u):
 
 class TestWriterAndGenerator:
     @settings(max_examples=150, deadline=None)
-    @given(data=st.data(), n=st.integers(1, 12), d=st.integers(1, 5))
-    def test_writer_matches_json_dumps(self, tmp_path_factory, data, n, d):
+    @given(data=st.data(), n=st.integers(1, 12), d=st.integers(1, 5),
+           layout=st.sampled_from(LAYOUTS))
+    def test_writer_matches_json_dumps(self, tmp_path_factory, data, n, d, layout):
         rows = data.draw(st.lists(st.lists(finite_float, min_size=d, max_size=d),
                                   min_size=n, max_size=n))
         y = data.draw(st.lists(st.integers(0, 1), min_size=n, max_size=n))
         u = data.draw(st.lists(st.integers(-3, 3), min_size=n, max_size=n))
-        examples = ExampleSet(np.array(rows, dtype=np.float64), y, u)
+        examples = laid_out(ExampleSet(np.array(rows, dtype=np.float64), y, u), layout)
         base = tmp_path_factory.getbasetemp()
         oracle_write_examples(base / "oracle.jsonl", rows_of(examples))
         write_examples(base / "got.jsonl", examples)
@@ -1433,11 +1449,13 @@ class TestWriterAndGenerator:
         assert_same_bits(data.examples, *oracle_as_arrays(examples))
         assert data.true_labels.tobytes() == true.tobytes()
 
-    @pytest.mark.parametrize("n", [3, 4, 5, 9])
-    def test_blocks_match_json_dumps(self, tmp_path, monkeypatch, n):
+    @pytest.mark.parametrize("layout", LAYOUTS)
+    @pytest.mark.parametrize("d", [1, 3])
+    @pytest.mark.parametrize("n", [3, 4, 5, 9])  # 5 and 9 end on a block of one row
+    def test_blocks_match_json_dumps(self, tmp_path, monkeypatch, n, d, layout):
         monkeypatch.setattr("glsmooth.training.WRITE_BLOCK_ROWS", 4)
         monkeypatch.setattr("glsmooth.training.READ_BLOCK_LINES", 4)
-        examples = random_special_rows(n, 3, seed=n)
+        examples = laid_out(random_special_rows(n, d, seed=n), layout)
         oracle_write_examples(tmp_path / "oracle.jsonl", rows_of(examples))
         write_examples(tmp_path / "got.jsonl", examples)
         assert (tmp_path / "got.jsonl").read_bytes() == (tmp_path / "oracle.jsonl").read_bytes()
@@ -1491,9 +1509,10 @@ class TestWriterAndGenerator:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        # One block of rows as Python lists of floats, and a block is at most
-        # 256 rows: the allocator keeps a block's floats resident after the
-        # write (see WRITE_BLOCK_ROWS).  1024-row blocks held about 4x this.
+        # One block's texts (orjson's output, its rows and their join), and a
+        # block is at most 256 rows (see WRITE_BLOCK_ROWS): about 154 kB.  The
+        # bound is two blocks of rows as Python float lists, the writer that
+        # formatted each row from a list; 1024-row blocks peak at about 601 kB.
         row_bytes = sys.getsizeof([0.0] * d) + d * sys.getsizeof(0.0)
         assert training.WRITE_BLOCK_ROWS <= 256
         assert peak < 2 * training.WRITE_BLOCK_ROWS * row_bytes
