@@ -160,17 +160,26 @@ def _smoothing_params(args) -> SmoothingParams:
     return SmoothingParams(**{key: _fraction(getattr(args, key), f"--{key}") for key in keys})
 
 
-def _require_file(path: str, what: str) -> Path:
-    """``path``, which must name something that exists and is not a directory.
+def _require_path(path: str, what: str) -> Path:
+    """``path``, refused when it is empty or names a directory.
 
     ``Path("")`` is the working directory, so an empty path is refused by
-    name.  A pipe or a device (``/dev/stdin``) passes.
+    name.  ``what`` names the file in the messages ("input", "model output").
     """
     if not path:
         raise DataError(f"{what} file path is empty")
     p = Path(path)
     if p.is_dir():
         raise DataError(f"{what} file is a directory: {path}")
+    return p
+
+
+def _require_file(path: str, what: str) -> Path:
+    """``path``, which must name something that exists and is not a directory.
+
+    A pipe or a device (``/dev/stdin``) passes.
+    """
+    p = _require_path(path, what)
     if not p.exists():
         raise DataError(f"{what} file not found: {path}")
     return p
@@ -201,11 +210,7 @@ def _require_outputs(*outputs: tuple[str | None, str], inputs=()) -> None:
     """
     named = [(Path(path), path, what) for path, what in outputs if path is not None]
     for p, path, what in named:
-        if not path:
-            raise DataError(f"{what} file path is empty")
-        if p.is_dir():
-            raise DataError(f"{what} file is a directory: {path}")
-        if not p.parent.is_dir():
+        if not _require_path(path, what).parent.is_dir():
             raise DataError(f"{what} file directory not found: {p.parent}")
     for (a, path, what), (b, _, other) in itertools.combinations(named, 2):
         if a.exists() and not a.is_file():  # a pipe or a device
@@ -229,9 +234,8 @@ def _train_config(args) -> TrainConfig:
 
 def cmd_build(args) -> int:
     params = _smoothing_params(args)
-    inputs = _input_files(args)
-    _require_outputs((args.out, "dataset output"), inputs=inputs)
-    _require_outputs((str(stats_path_for(args.out)), "stats output"), inputs=inputs)
+    _require_outputs((args.out, "dataset output"), (str(stats_path_for(args.out)), "stats output"),
+                     inputs=_input_files(args))
     stats = build_dataset_file(
         _require_file(args.input, "input"),
         args.out,

@@ -21,7 +21,7 @@ from pathlib import Path
 from typing import Iterable, Iterator, NamedTuple
 
 from .errors import DataError
-from .fileio import READ_BLOCK_LINES, decode_records, framed_blocks, jsonl_records
+from .fileio import READ_BLOCK_LINES, decode_records, framed_blocks
 from .reports import Lexicon, extract_findings
 from .smoothing import (
     SCORE_LEVELS,
@@ -198,8 +198,7 @@ _DATASET_LINE = (
 
 
 def stats_path_for(out_path) -> Path:
-    out_path = Path(out_path)
-    return out_path.with_name(out_path.name + ".stats.json")
+    return Path(f"{Path(out_path)}.stats.json")
 
 
 def write_dataset(labeled: list[LabeledRecord], stats: DatasetStats, out_path) -> None:
@@ -213,18 +212,22 @@ def write_dataset(labeled: list[LabeledRecord], stats: DatasetStats, out_path) -
 
 
 def read_report_file(path) -> Iterator[ReportRecord | DataError]:
-    """Stream a line-delimited report file, one line at a time.
+    """Stream a line-delimited report file, a block of READ_BLOCK_LINES lines at a time.
 
     Yields a ReportRecord for each well-formed line and a DataError citing
     "line N" for each malformed one, which build_dataset counts and skips.
+    The blocks come from ``fileio.framed_blocks`` with no frame, so each
+    line is decoded on its own (``decode_records``); a line that is not
+    UTF-8 raises its DataError after the records of every line before it.
     """
-    for lineno, item in jsonl_records(path, _REPORT_FIELDS):
-        if not isinstance(item, DataError):
-            try:
-                item = ReportRecord(item["patient_id"], item["study_id"], item["text"])
-            except DataError as exc:
-                item = DataError(f"line {lineno}: {exc}")
-        yield item
+    for first, lines, _ in framed_blocks(path, READ_BLOCK_LINES, None):
+        for lineno, item in decode_records(enumerate(lines, first), _REPORT_FIELDS):
+            if not isinstance(item, DataError):
+                try:
+                    item = ReportRecord(item["patient_id"], item["study_id"], item["text"])
+                except DataError as exc:
+                    item = DataError(f"line {lineno}: {exc}")
+            yield item
 
 
 def build_dataset_file(

@@ -18,7 +18,8 @@ dataset files.  A block with a line of
 another layout, so every block of a file written some other way, is decoded
 line by line (``decode_records``): a blank line is skipped and any other goes
 to ``json.loads``, which accepts or rejects it with its own exact message.
-Report files are read one line at a time (``jsonl_records``).
+Report files, which have no frame, are read in the same blocks and every
+line is decoded so (``dataset.read_report_file``).
 """
 
 from __future__ import annotations
@@ -93,28 +94,6 @@ def table_lines(source, what: str) -> Iterator[tuple[int, str]]:
             yield lineno, stripped
 
 
-def _undecodable(line: str) -> UnicodeDecodeError | None:
-    """Why a line read with ``surrogateescape`` is not UTF-8, or None when it is."""
-    try:
-        line.encode("utf-8", "surrogateescape").decode("utf-8")
-    except UnicodeDecodeError as exc:
-        return exc
-    return None
-
-
-def numbered_lines(path) -> Iterator[tuple[int, str]]:
-    """(line number, line) for every line of a UTF-8 text file, blank ones included.
-
-    A line holding bytes that are not UTF-8 raises a DataError naming the
-    file and the line, after every line before it has been yielded.
-    """
-    with open(path, encoding="utf-8", errors="surrogateescape") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            if not line.isascii() and (exc := _undecodable(line)):
-                raise _not_utf8(f"{path}: line {lineno}", exc)
-            yield lineno, line
-
-
 # The number of lines a block reader takes at a time.  read_examples converts
 # a block's rows to float64 at once, so a large file never sits in memory as
 # lists: 128 to 1024 read a 20k-line example file at one speed, and the
@@ -134,7 +113,7 @@ def _frame_groups(text: str, count: int, frame: str) -> list[tuple] | None:
 
 
 def framed_blocks(
-    path, size: int, frame: str
+    path, size: int, frame: str | None
 ) -> Iterator[tuple[int, list[str], list[tuple] | None]]:
     """(number of the first line, lines, groups) for consecutive ``size``-line blocks of a file.
 
@@ -142,10 +121,11 @@ def framed_blocks(
     groups.  It may match across a newline, as ``[^]]*`` does: a match that
     spans lines leaves the block fewer matches than lines, and the block
     counts as framed only with one match to each line.  ``groups`` then holds
-    one tuple of its groups per line, and is None otherwise.  A block is checked for UTF-8 as a whole, and
-    line by line only when it is not ASCII; a line that is not UTF-8 raises
-    its DataError only after the lines of its block before it, so a bad line
-    there fails first, as line by line.
+    one tuple of its groups per line, and is None otherwise.  With ``frame``
+    None, no block is searched and ``groups`` is always None.  A block is
+    checked for UTF-8 as a whole, and line by line only when it is not ASCII;
+    a line that is not UTF-8 raises its DataError only after the lines of its
+    block before it, so a bad line there fails first, as line by line.
     """
     with open(path, encoding="utf-8", errors="surrogateescape") as fh:
         first = 1
@@ -153,13 +133,16 @@ def framed_blocks(
             text, error = "".join(lines), None
             if not text.isascii():
                 for i, line in enumerate(lines):
-                    if not line.isascii() and (exc := _undecodable(line)):
+                    try:
+                        line.encode("utf-8", "surrogateescape").decode("utf-8")
+                    except UnicodeDecodeError as exc:
                         error = _not_utf8(f"{path}: line {first + i}", exc)
                         lines = lines[:i]
                         text = "".join(lines)
                         break
             if lines:
-                yield first, lines, _frame_groups(text, len(lines), frame)
+                groups = None if frame is None else _frame_groups(text, len(lines), frame)
+                yield first, lines, groups
             if error is not None:
                 raise error
             first += len(lines)
@@ -198,11 +181,6 @@ def decode_records(numbered, fields) -> Iterator[tuple[int, dict | DataError]]:
             ]:
                 record = DataError(f"line {lineno}: {'; '.join(wrong)}")
         yield lineno, record
-
-
-def jsonl_records(path, fields) -> Iterator[tuple[int, dict | DataError]]:
-    """``decode_records`` over a JSON Lines file, read one line at a time."""
-    return decode_records(numbered_lines(path), fields)
 
 
 def json_document(path) -> dict:

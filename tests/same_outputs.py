@@ -17,9 +17,11 @@ warm-up, writing models and metrics; ``eval``; ``train`` and ``eval`` on a
 file of edge numbers, and on a file with a non-ASCII line in some blocks;
 ``sweep`` on its own split and with ``--eval-data``; ``gen-synthetic``, once
 with ``--rows`` rows and once with 513, which leaves a last write block of
-one row; ``build`` then ``validate``; and ``build`` with ``--lexicon`` and
-``--taxonomy`` given copies of the shipped tables.  ``--rows`` sets the rows
-of each example file (default 4000).
+one row; ``build`` then ``validate``; ``build`` then ``validate`` on a
+report file of three 256-line blocks with malformed lines either side of the
+first block edge; and ``build`` with ``--lexicon`` and ``--taxonomy`` given
+copies of the shipped tables.  ``--rows`` sets the rows of each example file
+(default 4000).
 """
 
 from __future__ import annotations
@@ -73,6 +75,8 @@ CALLS = [
      "--seed", "4", "--out", "one_row_block.jsonl", "--truth-out", "one_row_block.truth.jsonl"],
     ["build", "--input", f"{IN}/reports.jsonl", "--out", "dataset.jsonl"],
     ["validate", "--input", "dataset.jsonl"],
+    ["build", "--input", f"{IN}/block_reports.jsonl", "--out", "block_dataset.jsonl"],
+    ["validate", "--input", "block_dataset.jsonl"],
     ["build", "--input", f"{IN}/reports.jsonl", "--out", "dataset_tables.jsonl",
      "--lexicon", f"{IN}/lexicon.tsv", "--taxonomy", f"{IN}/taxonomy.tsv"],
 ]
@@ -126,6 +130,33 @@ def write_noted_examples(path: Path, rng: random.Random) -> None:
             fh.write(f'{{"features": [{features}], "y": {y}, "u": {u}{note}}}\n')
 
 
+def write_block_reports(path: Path) -> None:
+    """A report file of 600 lines: the golden reports over and over, with renumbered study ids.
+
+    Only the golden lines that are reports are used, so the malformed lines
+    are the two planted at lines 256 and 257, a line that is not JSON and
+    one missing its study id, either side of the first 256-line block edge.
+    """
+    reports = []
+    for line in REPORTS.read_text(encoding="utf-8").splitlines():
+        try:
+            record = json.loads(line)
+        except json.JSONDecodeError:
+            continue
+        if isinstance(record, dict) and all(
+            isinstance(record.get(key), str) for key in ("patient_id", "study_id", "text")
+        ):
+            reports.append(record)
+    with open(path, "w", encoding="utf-8") as fh:
+        for i in range(600):
+            if i == 255:
+                fh.write('{"patient_id": "p1", "study_id": \n')
+            elif i == 256:
+                fh.write('{"patient_id": "p1", "text": "Pneumonia."}\n')
+            else:
+                fh.write(json.dumps({**reports[i % len(reports)], "study_id": f"b{i}"}) + "\n")
+
+
 def write_inputs(folder: Path, rows: int) -> None:
     """Four seeded example files, the golden report corpus and the shipped tables, under ``folder``.
 
@@ -133,7 +164,8 @@ def write_inputs(folder: Path, rows: int) -> None:
     decode a block at a time, but for one compact line in every 100, so the
     line-by-line reader runs too.  The third file holds edge numbers
     (``write_edge_examples``), the fourth a few non-ASCII lines
-    (``write_noted_examples``).
+    (``write_noted_examples``).  A second report file spans three blocks
+    (``write_block_reports``).
     """
     folder.mkdir()
     rng = random.Random(20240611)
@@ -152,6 +184,7 @@ def write_inputs(folder: Path, rows: int) -> None:
     write_edge_examples(folder / "edge.jsonl", rng)
     write_noted_examples(folder / "noted.jsonl", rng)
     shutil.copyfile(REPORTS, folder / "reports.jsonl")
+    write_block_reports(folder / "block_reports.jsonl")
     for name in ("lexicon.tsv", "taxonomy.tsv"):
         shutil.copyfile(TABLES / name, folder / name)
 

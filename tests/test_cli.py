@@ -258,22 +258,36 @@ class TestTrainEval:
         assert float(out.split()[1]) == pytest.approx(summary["final_auc"], abs=5e-7)
 
     @pytest.mark.skipif(not os.path.exists("/dev/stdin"), reason="no /dev/stdin")
-    def test_eval_reads_examples_from_a_pipe(self, tmp_path, capsys, data_file):
+    @pytest.mark.parametrize("command", ["eval", "build"])
+    def test_eval_reads_examples_from_a_pipe(self, tmp_path, capsys, data_file, command):
         # cat data | glsmooth eval --data /dev/stdin: the examples are read in
         # one pass, so a pipe gives the file's line.  A reader that read its
-        # input twice would find no examples the second time.
-        model_path = tmp_path / "model.json"
-        argv = ["train", "--data", str(data_file), "--model-out", str(model_path), "--epochs", "2"]
-        assert run_cli(capsys, *argv)[0] == 0
-        on_file = run_cli(capsys, "eval", "--data", str(data_file), "--model", str(model_path))
+        # input twice would find no examples the second time.  build reads
+        # its 300 reports from a pipe the same way, across two blocks.
+        if command == "eval":
+            model_path = tmp_path / "model.json"
+            argv = ["train", "--data", str(data_file), "--model-out", str(model_path),
+                    "--epochs", "2"]
+            assert run_cli(capsys, *argv)[0] == 0
+            source, outputs = data_file, []
+            flag, rest = "--data", ["--model", str(model_path)]
+        else:
+            source, out = tmp_path / "reports.jsonl", tmp_path / "ds.jsonl"
+            write_reports(source, make_reports(300, seed=3))
+            outputs = [out, tmp_path / "ds.jsonl.stats.json"]
+            flag, rest = "--input", ["--out", str(out)]
+        on_file = run_cli(capsys, command, flag, str(source), *rest)
         assert on_file[0] == 0
+        written = [path.read_bytes() for path in outputs]
+        for path in outputs:
+            path.unlink()
         proc = subprocess.run(
-            [sys.executable, "-m", "glsmooth.cli", "eval", "--data", "/dev/stdin",
-             "--model", str(model_path)],
-            input=data_file.read_text(), capture_output=True, text=True, timeout=60,
+            [sys.executable, "-m", "glsmooth.cli", command, flag, "/dev/stdin", *rest],
+            input=source.read_text(), capture_output=True, text=True, timeout=60,
             env={**os.environ, "PYTHONPATH": str(Path(glsmooth.__file__).parents[1])},
         )
         assert (proc.returncode, proc.stdout, proc.stderr) == on_file
+        assert [path.read_bytes() for path in outputs] == written
 
     def test_train_idempotent(self, tmp_path, capsys, data_file):
         a, b = tmp_path / "a.json", tmp_path / "b.json"
@@ -876,6 +890,27 @@ class TestOutputPaths:
         stats = tmp_path / "ds.jsonl.stats.json"
         assert got == (2, "", f"error: stats output file is a directory: {stats}\n")
         assert not out.exists()
+
+    @pytest.mark.parametrize("case", ["symlink", "symlink to no file", "hard link"])
+    def test_stats_sidecar_naming_the_dataset(self, tmp_path, capsys, inputs, case):
+        # The sidecar would overwrite the dataset just written.
+        out, stats = tmp_path / "ds.jsonl", tmp_path / "ds.jsonl.stats.json"
+        if case != "symlink to no file":
+            out.write_text("kept\n")
+        if case == "hard link":
+            os.link(out, stats)
+        else:
+            stats.symlink_to(out)
+        with mock.patch("glsmooth.cli.build_dataset_file") as worked:
+            got = run_cli(capsys, *self.argv("build", inputs, {"--out": out}))
+        assert got == (
+            2, "", f"error: dataset output and stats output name the same file: {out}\n"
+        )
+        assert worked.call_count == 0
+        if case == "symlink to no file":
+            assert not out.exists()
+        else:
+            assert out.read_text() == "kept\n"
 
     # (command, first flag, its kind, second flag, its kind, the function doing the work)
     PAIRS = [

@@ -1,19 +1,23 @@
 """Tests for the dataset builder and validator."""
 
+import io
 import json
 import re
+from contextlib import redirect_stderr, redirect_stdout
 from fractions import Fraction
 from pathlib import Path
 from unittest import mock
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from corpus_util import make_reports
 from glsmooth import dataset
+from glsmooth.cli import main
 from glsmooth.dataset import (
     MAX_REPORTED_PROBLEMS,
+    _REPORT_FIELDS,
     _REQUIRED_FIELDS,
     DatasetStats,
     LabeledRecord,
@@ -27,7 +31,6 @@ from glsmooth.dataset import (
     write_dataset,
 )
 from glsmooth.errors import DataError
-from glsmooth.fileio import jsonl_records
 from glsmooth.reports import default_lexicon
 from glsmooth.smoothing import (
     DEFAULT_PARAMS,
@@ -38,6 +41,7 @@ from glsmooth.smoothing import (
     smoothing_rate,
 )
 from glsmooth.taxonomy import CATEGORY_NAMES, DiseaseCategory, default_taxonomy
+from test_fileio import NOT_UTF8, oracle_jsonl_records
 
 DATA_DIR = Path(__file__).parent / "data"
 
@@ -328,7 +332,7 @@ def oracle_validate_dataset(path, params=DEFAULT_PARAMS):
     per_category, per_score = stats.per_category_counts, stats.per_score_counts
     problems: list[str] = []
     try:
-        for lineno, rec in jsonl_records(path, _REQUIRED_FIELDS):
+        for lineno, rec in oracle_jsonl_records(path, _REQUIRED_FIELDS):
             if isinstance(rec, DataError):
                 problems.append(str(rec))
                 continue
@@ -545,6 +549,98 @@ def test_block_validate_equals_line_oracle(tmp_path_factory, data, params, block
         assert validate_outcome(validate_dataset, path, params) == expected
 
 
+# build reads its reports a block at a time.  The oracle reads them a line
+# at a time, each line decoded on its own: a drawn report file must give the
+# same exit code, messages, dataset and sidecar.
+
+
+def oracle_read_report_file(path):
+    """read_report_file over the line-by-line oracle reader."""
+    for lineno, item in oracle_jsonl_records(path, _REPORT_FIELDS):
+        if not isinstance(item, DataError):
+            try:
+                item = ReportRecord(item["patient_id"], item["study_id"], item["text"])
+            except DataError as exc:
+                item = DataError(f"line {lineno}: {exc}")
+        yield item
+
+
+def build_outcome(src, out):
+    """build's exit code, stdout and stderr, then the dataset's and the sidecar's bytes or None."""
+    outputs = (out, stats_path_for(out))
+    for path in outputs:
+        path.unlink(missing_ok=True)
+    stdout, stderr = io.StringIO(), io.StringIO()
+    with redirect_stdout(stdout), redirect_stderr(stderr):
+        code = main(["build", "--input", str(src), "--out", str(out)])
+    written = [path.read_bytes() if path.exists() else None for path in outputs]
+    return code, stdout.getvalue(), stderr.getvalue(), *written
+
+
+# Report lines whose study id "@" is filled in by ``renumbered``.
+REPORTS = [json.dumps({**rec, "study_id": "@"}) for rec in make_reports(40, seed=35)]
+# A line that is not JSON, one missing a field, an empty or a non-string
+# field, a value that is not an object, and blank lines.
+MALFORMED_REPORTS = [
+    '{"patient_id": "p", "study_id": ',
+    '{"patient_id": "p", "text": "Pneumonia."}',
+    '{"patient_id": "p", "study_id": "", "text": "Pneumonia."}',
+    '{"patient_id": "", "study_id": "x", "text": "Pneumonia."}',
+    '{"patient_id": "p", "study_id": "x", "text": 7}',
+    "[1, 2]", "", " ", "\t",
+]
+
+
+def renumbered(line, number):
+    """``line`` with the study id ``s<number>`` if it is one of REPORTS."""
+    return line.replace('"study_id": "@"', f'"study_id": "s{number}"', 1)
+
+
+@st.composite
+def report_bytes(draw):
+    """Reports and malformed lines with mixed line ends, a duplicate id or a line not UTF-8."""
+    lines = draw(st.lists(
+        st.one_of(st.sampled_from(REPORTS), st.sampled_from(MALFORMED_REPORTS)),
+        min_size=1, max_size=16,
+    ))
+    # Each line's study id is its own, but now and then that of line 0.
+    lines = [renumbered(line, i if draw(st.integers(0, 29)) else 0)
+             for i, line in enumerate(lines)]
+    ends = draw(st.lists(st.sampled_from(["\n", "\n", "\r\n", "\r"]),
+                         min_size=len(lines), max_size=len(lines)))
+    if draw(st.booleans()):
+        ends[-1] = ""
+    encoded = [(line + end).encode("utf-8") for line, end in zip(lines, ends)]
+    if draw(st.integers(0, 2)) == 0:
+        at = draw(st.integers(0, len(encoded) - 1))
+        cut = draw(st.integers(0, len(encoded[at])))
+        encoded[at] = encoded[at][:cut] + draw(st.sampled_from(NOT_UTF8)) + encoded[at][cut:]
+    return b"".join(encoded)
+
+
+# 300 reports with malformed lines at 256 and 257, either side of a block
+# edge; then with line 285 repeating line 1's study id and bytes that are
+# not UTF-8 at line 290, so the duplicate, read first, is the error.
+_EDGES = [renumbered(REPORTS[i % len(REPORTS)], i) for i in range(300)]
+_EDGES[255:257] = MALFORMED_REPORTS[:2]
+_DUPLICATE = [*_EDGES[:284], renumbered(REPORTS[0], 0), *_EDGES[285:289],
+              _EDGES[289].replace("{", '{"note": "\udcff", ', 1), *_EDGES[290:]]
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=report_bytes(), block=st.sampled_from([1, 2, 3, 4, 5, 256]))
+@example(data="\n".join(_EDGES).encode("utf-8") + b"\n", block=256)
+@example(data="\n".join(_DUPLICATE).encode("utf-8", "surrogateescape") + b"\n", block=256)
+def test_block_build_equals_line_oracle(tmp_path_factory, data, block):
+    work = tmp_path_factory.getbasetemp()
+    src, out = work / "build-property.reports.jsonl", work / "build-property.jsonl"
+    src.write_bytes(data)
+    with mock.patch.object(dataset, "read_report_file", oracle_read_report_file):
+        expected = build_outcome(src, out)
+    with mock.patch.object(dataset, "READ_BLOCK_LINES", block):
+        assert build_outcome(src, out) == expected
+
+
 class TestValidateBlockPath:
     """Files that build writes are checked without the line-by-line decoder."""
 
@@ -564,15 +660,16 @@ class TestValidateBlockPath:
         monkeypatch.setattr("glsmooth.dataset.decode_records", self.no_line_decoding)
         assert validate_outcome(validate_dataset, path, params) == expected
 
-    def test_built_file_takes_the_block_path(self, tmp_path, monkeypatch, lexicon, taxonomy):
+    def test_built_file_takes_the_block_path(self, tmp_path, lexicon, taxonomy):
         src = tmp_path / "reports.jsonl"
         src.write_text("".join(json.dumps(rec) + "\n" for rec in make_reports(400, seed=14)))
-        monkeypatch.setattr("glsmooth.dataset.decode_records", self.no_line_decoding)
         for index, params in enumerate(PARAMS):
             out = tmp_path / f"ds{index}.jsonl"
+            # build decodes its reports line by line: only validate is watched
             build_dataset_file(src, out, lexicon, taxonomy, params)
             assert len(out.read_text().splitlines()) > 3 * dataset.READ_BLOCK_LINES
             expected = validate_outcome(oracle_validate_dataset, out, params)
             # every score occurs, so every written rate and target text is checked
             assert set(expected[0].per_score_counts) == set(SCORE_LEVELS)
-            assert validate_outcome(validate_dataset, out, params) == expected
+            with mock.patch.object(dataset, "decode_records", self.no_line_decoding):
+                assert validate_outcome(validate_dataset, out, params) == expected

@@ -10,41 +10,55 @@ from hypothesis import strategies as st
 from glsmooth.dataset import _DATASET_LINE
 from glsmooth.dataset import _REQUIRED_FIELDS as DATASET_FIELDS
 from glsmooth.errors import DataError
-from glsmooth.fileio import FIELD_KINDS, _not_utf8, framed_blocks, jsonl_records, numbered_lines
+from glsmooth.fileio import FIELD_KINDS, _not_utf8, decode_records, framed_blocks
 from glsmooth.training import _EXAMPLE_FIELDS as EXAMPLE_FIELDS
 from glsmooth.training import _EXAMPLE_LINE
 
 
-def oracle_jsonl_records(path, fields=None):
-    """A plain reader: json.loads on every line, message lists built for every record.
+def oracle_lines(path):
+    """(line number, line) for each line of a file, its line end read as a text file reads it.
 
     The file's bytes are split at universal newlines and each line is decoded
     on its own, so a line that is not UTF-8 fails after every line before it.
+    A "\r\n" or "\r" line end comes out as "\n".
     """
-    fields = fields or {}
-    typed = [(key, *FIELD_KINDS[kind]) for key, kind in fields.items() if kind is not None]
     with open(path, "rb") as fh:
         for lineno, raw in enumerate(fh.read().splitlines(keepends=True), start=1):
             try:
                 line = raw.decode("utf-8")
             except UnicodeDecodeError as exc:
                 raise _not_utf8(f"{path}: line {lineno}", exc) from None
-            if not line.strip():
-                continue
-            try:
-                record = json.loads(line)
-            except json.JSONDecodeError as exc:
-                record = DataError(f"line {lineno}: invalid record ({exc.msg})")
-            else:
-                if not isinstance(record, dict):
-                    record = DataError(f"line {lineno}: expected a JSON object")
-                elif missing := [key for key in fields if key not in record]:
-                    record = DataError(f"line {lineno}: missing field(s) {', '.join(missing)}")
-                elif wrong := [
-                    f"{key} must be {phrase}" for key, test, phrase in typed if not test(record[key])
-                ]:
-                    record = DataError(f"line {lineno}: {'; '.join(wrong)}")
-            yield lineno, record
+            body = line.rstrip("\r\n")
+            yield lineno, (body if body == line else body + "\n")
+
+
+def oracle_jsonl_records(path, fields=None):
+    """A plain reader: json.loads on every line, message lists built for every record."""
+    fields = fields or {}
+    typed = [(key, *FIELD_KINDS[kind]) for key, kind in fields.items() if kind is not None]
+    for lineno, line in oracle_lines(path):
+        if not line.strip():
+            continue
+        try:
+            record = json.loads(line)
+        except json.JSONDecodeError as exc:
+            record = DataError(f"line {lineno}: invalid record ({exc.msg})")
+        else:
+            if not isinstance(record, dict):
+                record = DataError(f"line {lineno}: expected a JSON object")
+            elif missing := [key for key in fields if key not in record]:
+                record = DataError(f"line {lineno}: missing field(s) {', '.join(missing)}")
+            elif wrong := [
+                f"{key} must be {phrase}" for key, test, phrase in typed if not test(record[key])
+            ]:
+                record = DataError(f"line {lineno}: {'; '.join(wrong)}")
+        yield lineno, record
+
+
+def block_records(path, fields, size):
+    """``decode_records`` over the ``size``-line blocks of a file, as report files are read."""
+    for first, lines, _ in framed_blocks(path, size, None):
+        yield from decode_records(enumerate(lines, first), fields)
 
 
 def outcome(records):
@@ -106,17 +120,26 @@ def json_line(draw):
     return bom + draw(padding) + line + draw(padding)
 
 
+# Block sizes for the decoder properties: blocks of one line, block edges
+# inside a short file, and one block for the whole file.
+BLOCK_SIZES = [1, 2, 3, 256]
+
+
 @pytest.mark.parametrize(
     "fields", [EXAMPLE_FIELDS, DATASET_FIELDS, {}], ids=["examples", "dataset", "none"]
 )
 @settings(max_examples=150, deadline=None)
-@given(lines=st.lists(json_line(), max_size=8), last_newline=st.booleans())
-def test_decoder_matches_json_loads_reader(tmp_path_factory, fields, lines, last_newline):
+@given(
+    lines=st.lists(json_line(), max_size=8),
+    last_newline=st.booleans(),
+    size=st.sampled_from(BLOCK_SIZES),
+)
+def test_decoder_matches_json_loads_reader(tmp_path_factory, fields, lines, last_newline, size):
     path = tmp_path_factory.getbasetemp() / "decoder-property.jsonl"
     text = "\n".join(lines) + ("\n" if last_newline else "")
     path.write_bytes(text.encode("utf-8"))
     expected = outcome(oracle_jsonl_records(path, fields))
-    assert outcome(jsonl_records(path, fields)) == expected
+    assert outcome(block_records(path, fields, size)) == expected
 
 
 def test_records_before_invalid_utf8_come_first(tmp_path):
@@ -138,7 +161,7 @@ def test_records_before_invalid_utf8_come_first(tmp_path):
     expected = until_error(oracle_jsonl_records(path, EXAMPLE_FIELDS))
     assert len(expected[0]) == 300
     assert expected[1] == f"{path}: line 301: not valid UTF-8 (invalid start byte)"
-    assert until_error(jsonl_records(path, EXAMPLE_FIELDS)) == expected
+    assert until_error(block_records(path, EXAMPLE_FIELDS, 1024)) == expected
 
 
 # Bytes that are not UTF-8: a lone continuation or start byte, a truncated
@@ -159,8 +182,9 @@ NOT_UTF8 = [b"\xff", b"\x80", b"\xe2\x82", b"\xed\xa0\x80", b"\xc0\xaf"]
         max_size=8,
     ),
     end=st.sampled_from([b"\n", b"\r\n", b"\r"]),
+    size=st.sampled_from(BLOCK_SIZES),
 )
-def test_decoder_names_the_line_that_is_not_utf8(tmp_path_factory, lines, end):
+def test_decoder_names_the_line_that_is_not_utf8(tmp_path_factory, lines, end, size):
     path = tmp_path_factory.getbasetemp() / "decoder-utf8-property.jsonl"
     path.write_bytes(end.join(lines))
 
@@ -174,14 +198,14 @@ def test_decoder_names_the_line_that_is_not_utf8(tmp_path_factory, lines, end):
         return outcome(seen), error
 
     expected = until_error(oracle_jsonl_records(path, EXAMPLE_FIELDS))
-    assert until_error(jsonl_records(path, EXAMPLE_FIELDS)) == expected
+    assert until_error(block_records(path, EXAMPLE_FIELDS, size)) == expected
 
 
 def oracle_line_blocks(path, size):
     """The block reader before blocks came with their frame's groups."""
     first, lines, error = 1, [], None
     try:
-        for lineno, line in numbered_lines(path):
+        for lineno, line in oracle_lines(path):
             lines.append(line)
             if len(lines) == size:
                 yield first, lines
@@ -197,12 +221,12 @@ def oracle_line_blocks(path, size):
 def oracle_framed_blocks(path, size, frame):
     """Each block with each line's own groups of ``frame``, or None when one does not match."""
     for first, lines in oracle_line_blocks(path, size):
-        matches = [re.fullmatch(frame, line.removesuffix("\n")) for line in lines]
+        matches = [frame and re.fullmatch(frame, line.removesuffix("\n")) for line in lines]
         groups = None if any(m is None for m in matches) else [m.groups() for m in matches]
         yield first, lines, groups
 
 
-FRAMES = {"dataset": _DATASET_LINE, "examples": _EXAMPLE_LINE}
+FRAMES = {"dataset": _DATASET_LINE, "examples": _EXAMPLE_LINE, "none": None}
 # Lines each frame matches, then near misses of each, then lines neither matches.
 FRAMED_LINES = [
     '{"study_id": "s1", "category": "Pneumonia", "y": 1, "u": -3, "r": -0.250000, '
