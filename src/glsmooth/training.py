@@ -10,9 +10,9 @@ are independent and both implemented:
   * an optimizer learning-rate ramp (linear for ``lr_warmup_epochs``) followed
     by cosine decay.
 
-Optimization uses adaptive moments with decoupled weight decay.  Everything
-is driven by one seeded generator per run: same config, same trajectory,
-bit for bit.
+Optimization uses adaptive moments with decoupled weight decay, one
+``_adam_step`` per batch.  Everything is driven by one seeded generator per
+run: same config, same trajectory, bit for bit.
 """
 
 from __future__ import annotations
@@ -331,6 +331,26 @@ def _lr_at(epoch: int, config: TrainConfig) -> float:
     return config.learning_rate * 0.5 * (1.0 + math.cos(math.pi * progress))
 
 
+def _adam_step(theta, grad, m, v, lr, step, weight_decay) -> None:
+    """One Adam update with decoupled weight decay, in place on ``theta``, ``m`` and ``v``.
+
+    ``step`` counts from 1 and sets the bias corrections of the moments.
+    ``update`` and ``denom`` are finished in place: at these parameter sizes a
+    temporary array costs about as much as its arithmetic.
+    """
+    m *= ADAM_BETA1
+    m += (1 - ADAM_BETA1) * grad
+    v *= ADAM_BETA2
+    v += np.square(grad) * (1 - ADAM_BETA2)
+    update = m / (1 - ADAM_BETA1**step)
+    denom = np.sqrt(v / (1 - ADAM_BETA2**step))
+    denom += 1e-8
+    update /= denom
+    update += weight_decay * theta
+    update *= lr
+    theta -= update
+
+
 def train(
     dataset: ExampleSet, config: TrainConfig, *, epoch_metrics: bool = True
 ) -> tuple[Model, list[EpochMetrics]]:
@@ -387,11 +407,7 @@ def train(
     g = _views(grad, model.weights)
     opt_m = np.zeros_like(theta)
     opt_v = np.zeros_like(theta)
-    # Scratch for the Adam update, so a step allocates no parameter-sized array.
-    buf_a = np.empty_like(theta)
-    buf_b = np.empty_like(theta)
     step = 0
-    eps = 1e-8
     block_rows = config.batch_size * max(1, GATHER_ROWS // config.batch_size)
 
     history: list[EpochMetrics] = []
@@ -430,33 +446,11 @@ def train(
                             f"non-finite loss at epoch {epoch}, batch starting {start}"
                         )
 
-                # G = (P - targets) / batch size, in P's buffer.
-                G = P
-                G -= T_rows[batch]
-                G /= len(Xb)
+                G = (P - T_rows[batch]) / len(Xb)
                 _backward(model, Xb, hidden, G, g)
 
-                # Adam with decoupled weight decay, one pass over all parameters:
-                #   m = b1*m + (1-b1)*g;  v = b2*v + (1-b2)*g**2
-                #   theta -= lr * (m_hat / (sqrt(v_hat) + eps) + decay*theta)
-                # with m_hat computed in buf_a and v_hat in buf_b.
                 step += 1
-                opt_m *= ADAM_BETA1
-                np.multiply(1 - ADAM_BETA1, grad, out=buf_a)
-                opt_m += buf_a
-                opt_v *= ADAM_BETA2
-                np.square(grad, out=buf_a)
-                buf_a *= 1 - ADAM_BETA2
-                opt_v += buf_a
-                np.divide(opt_m, 1 - ADAM_BETA1**step, out=buf_a)
-                np.divide(opt_v, 1 - ADAM_BETA2**step, out=buf_b)
-                np.sqrt(buf_b, out=buf_b)
-                buf_b += eps
-                buf_a /= buf_b
-                np.multiply(config.weight_decay, theta, out=buf_b)
-                buf_a += buf_b
-                buf_a *= lr
-                theta -= buf_a
+                _adam_step(theta, grad, opt_m, opt_v, lr, step, config.weight_decay)
 
             if not np.isfinite(theta).all():
                 raise NumericError(f"training diverged: non-finite weights after epoch {epoch}")

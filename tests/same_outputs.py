@@ -13,15 +13,15 @@ nothing differed, 1 means something did (each difference is printed), 2
 means bad arguments.
 
 The calls cover training both architectures under both losses with a
-warm-up, writing models and metrics; ``eval``; ``train`` and ``eval`` on a
-file of edge numbers, and on a file with a non-ASCII line in some blocks;
-``sweep`` on its own split and with ``--eval-data``; ``gen-synthetic``, once
-with ``--rows`` rows and once with 513, which leaves a last write block of
-one row; ``build`` then ``validate``; ``build`` then ``validate`` on a
-report file of three 256-line blocks with malformed lines either side of the
-first block edge; and ``build`` with ``--lexicon`` and ``--taxonomy`` given
-copies of the shipped tables.  ``--rows`` sets the rows of each example file
-(default 4000).
+warm-up, writing models and metrics, and once with weight decay; ``eval``;
+``train`` and ``eval`` on a file of edge numbers, and on a file with a
+non-ASCII line in some blocks; ``sweep`` on its own split and with
+``--eval-data``; ``gen-synthetic``, once with ``--rows`` rows and once with
+513, which leaves a last write block of one row; ``build`` then
+``validate``; ``build`` then ``validate`` on a report file of three 256-line
+blocks with malformed lines either side of the first block edge; and
+``build`` with ``--lexicon`` and ``--taxonomy`` given copies of the shipped
+tables.  ``--rows`` sets the rows of each example file (default 4000).
 """
 
 from __future__ import annotations
@@ -59,6 +59,8 @@ CALLS = [
     _train(["--arch", "linear"], "ce", "linear_ce"),
     _train(MLP, "gls", "mlp_gls"),
     _train(MLP, "ce", "mlp_ce"),
+    # The one call with weight decay, so the update's decay term is compared too.
+    [*_train(MLP, "gls", "mlp_decay"), "--weight-decay", "0.01"],
     ["eval", "--data", f"{IN}/heldout.jsonl", "--model", "mlp_gls.json"],
     ["eval", "--data", f"{IN}/heldout.jsonl", "--model", "linear_ce.json"],
     ["train", "--data", f"{IN}/edge.jsonl", "--model-out", "edge.json", *TRAIN_FLAGS, *MLP],

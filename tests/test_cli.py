@@ -1,6 +1,7 @@
 """End-to-end tests of the command-line interface and its exit codes."""
 
 import contextlib
+import errno
 import io
 import json
 import os
@@ -20,6 +21,7 @@ import glsmooth
 from corpus_util import make_reports
 from glsmooth import training
 from glsmooth.cli import _FIELD_OF, _SETTINGS, _TRAIN_FLAGS, _require_outputs, main
+from glsmooth.dataset import stats_path_for
 from glsmooth.training import TrainConfig, read_examples, save_model, train
 
 DATA_DIR = Path(__file__).parent / "data"
@@ -993,6 +995,38 @@ class TestOutputPaths:
         assert source.read_bytes() == before
         assert sorted(path.name for path in tmp_path.iterdir()) == sorted(
             ["in", "source"] + ["link"] * (case in ("symlink", "hard link")))
+
+    # (command, the flag of the output written first, that of the output written second;
+    # None for build's stats sidecar, which is named after --out)
+    WRITE_ORDER = [
+        ("build", "--out", None),
+        ("train", "--model-out", "--metrics-out"),
+        ("gen-synthetic", "--out", "--truth-out"),
+    ]
+
+    @pytest.mark.parametrize("command, first, second", WRITE_ORDER,
+                             ids=[row[0] for row in WRITE_ORDER])
+    def test_full_disk_at_the_second_output(self, tmp_path, capsys, inputs, command, first,
+                                            second):
+        # Every check passes, so the first output is written before opening the
+        # second one fails: the run exits 2 with a one-line error and leaves the
+        # first output whole and the second one absent.
+        outputs = {flag: tmp_path / flag.lstrip("-") for flag in ("--out", "--model-out",
+                                                                 "--metrics-out", "--truth-out")}
+        second_path = stats_path_for(outputs[first]) if second is None else outputs[second]
+        full = OSError(errno.ENOSPC, os.strerror(errno.ENOSPC), str(second_path))
+        real_open = open
+
+        def open_on_a_full_disk(file, *args, **kwargs):
+            if os.fspath(file) == str(second_path):
+                raise full
+            return real_open(file, *args, **kwargs)
+
+        with mock.patch("builtins.open", open_on_a_full_disk):
+            code, out, err = run_cli(capsys, *self.argv(command, inputs, outputs))
+        assert (code, out, err) == (2, "", f"error: {full}\n")  # one line, no traceback
+        assert outputs[first].stat().st_size > 0
+        assert not second_path.exists()
 
     def test_device_and_pipe_pass(self, tmp_path, capsys, inputs):
         outputs = {"--out": tmp_path / "ex.jsonl", "--truth-out": os.devnull}

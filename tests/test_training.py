@@ -754,6 +754,57 @@ class TestBackward:
         np.testing.assert_allclose(grad, numeric, rtol=1e-6, atol=1e-9)
 
 
+def scratch_buffer_adam_step(theta, grad, opt_m, opt_v, lr, step, weight_decay):
+    """The Adam update as ``train`` once inlined it: 16 in-place operations on two buffers."""
+    buf_a = np.empty_like(theta)
+    buf_b = np.empty_like(theta)
+    eps = 1e-8
+    opt_m *= ADAM_BETA1
+    np.multiply(1 - ADAM_BETA1, grad, out=buf_a)
+    opt_m += buf_a
+    opt_v *= ADAM_BETA2
+    np.square(grad, out=buf_a)
+    buf_a *= 1 - ADAM_BETA2
+    opt_v += buf_a
+    np.divide(opt_m, 1 - ADAM_BETA1**step, out=buf_a)
+    np.divide(opt_v, 1 - ADAM_BETA2**step, out=buf_b)
+    np.sqrt(buf_b, out=buf_b)
+    buf_b += eps
+    buf_a /= buf_b
+    np.multiply(weight_decay, theta, out=buf_b)
+    buf_a += buf_b
+    buf_a *= lr
+    theta -= buf_a
+
+
+# Signed zeros, subnormals, values near the float maximum, infinities and NaN.
+EDGE_FLOATS = st.one_of(
+    st.floats(allow_nan=True, allow_infinity=True),
+    st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 2.2250738585072009e-308, MAX_FLOAT, -MAX_FLOAT,
+                     1.7976931348623155e308, math.inf, -math.inf, math.nan]),
+)
+
+
+class TestAdamStep:
+    @settings(max_examples=300, deadline=None)
+    @given(
+        vectors=st.integers(1, 12).flatmap(
+            lambda size: st.tuples(*[hnp.arrays(np.float64, size, elements=EDGE_FLOATS)] * 4)
+        ),
+        lr=st.one_of(st.floats(0.0, 1e308), st.sampled_from([1e-2, 0.5, 1e308])),
+        step=st.one_of(st.integers(1, 10**6), st.integers(1, 10)),
+        weight_decay=st.one_of(st.just(0.0), st.floats(0.0, 1e308, exclude_min=True)),
+    )
+    def test_same_bits_as_scratch_buffer_update(self, vectors, lr, step, weight_decay):
+        theta, grad, m, v = vectors
+        want = [a.copy() for a in (theta, m, v)]
+        with np.errstate(all="ignore"):
+            scratch_buffer_adam_step(want[0], grad, want[1], want[2], lr, step, weight_decay)
+            training._adam_step(theta, grad, m, v, lr, step, weight_decay)
+        for got, expected in zip((theta, m, v), want):
+            assert got.tobytes() == expected.tobytes()
+
+
 # ---------------------------------------------------------------------------
 # Reference implementations: the row-wise reader and the per-key Adam loop
 # that the columnar reader and the flat-vector update replaced.  The same
